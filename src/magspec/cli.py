@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import CheckFailedError, GraphDataError, MagspecError
 from .fiber_operator import count_nontrivial_exponents, theta0_reduction
-from .forms_cycles import enumerate_spanning_trees, invariants, minimal_form
+from .forms_cycles import invariants, minimal_pair
 from .graph_model import (
     FundamentalGraph,
     dump_graph_json,
@@ -55,9 +55,7 @@ def _load(path: str) -> FundamentalGraph:
 
 def _reduced_pair(g: FundamentalGraph, cap: int):
     """Minimal index-class form plus the theta-shifted phase form."""
-    trees = enumerate_spanning_trees(g, cap=cap)
-    mu, _, _ = minimal_form(g, g.index_form(), trees)
-    phi, _, _ = minimal_form(g, g.magnetic_form(), trees)
+    mu, phi = minimal_pair(g, cap=cap)
     _, phi_tilde = theta0_reduction(g, mu, phi)
     return mu, phi_tilde
 
@@ -136,9 +134,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return {"thetas": 20}
 
     def exponents():
-        trees = enumerate_spanning_trees(g, cap=args.tree_cap)
-        mu, _, _ = minimal_form(g, g.index_form(), trees)
-        phi, _, _ = minimal_form(g, g.magnetic_form(), trees)
+        mu, phi = minimal_pair(g, cap=args.tree_cap)
         n_theta, n_phase, n_both = count_nontrivial_exponents(g, mu, phi)
         if (n_theta, n_phase, n_both) != (2 * report.I, 2 * report.I_alpha, 2 * report.I_mu_phi):
             raise CheckFailedError(

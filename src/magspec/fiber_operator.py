@@ -30,7 +30,7 @@ from .errors import (
     GraphDataError,
     NoIndependentSubsetError,
 )
-from .forms_cycles import _basis_for_tree, flux, integer_determinant
+from .forms_cycles import first_spanning_tree, flux, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angle, reduce_angles
 
 PATH_INDEPENDENCE_TOL = 1e-9
@@ -146,29 +146,6 @@ def fiber_matrix(
 # -- gauge transformation -------------------------------------------------------
 
 
-def _greedy_spanning_tree(g: FundamentalGraph) -> tuple[int, ...]:
-    """Lexicographically smallest spanning tree edge-id set."""
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree = []
-    for eid, e in enumerate(g.edges):
-        if e.is_loop:
-            continue
-        ra, rb = find(e.tail), find(e.head)
-        if ra != rb:
-            parent[ra] = rb
-            tree.append(eid)
-    if len(tree) != g.num_vertices - 1:
-        raise GraphDataError("graph is not connected")
-    return tuple(tree)
-
-
 def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> GaugeWeights:
     """Tree-path gauge weights relating (b, a) fibers to (index, phase) fibers.
 
@@ -181,15 +158,14 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> G
     _check_forms(g, b, a)
     tau = g.index_form()
     alpha = g.magnetic_form()
-    tree = _greedy_spanning_tree(g)
-    basis = _basis_for_tree(g, tree)
+    basis = first_spanning_tree(g)
 
     w_b = np.zeros((g.num_vertices, g.dim))
     w_a = np.zeros(g.num_vertices)
     seen = np.zeros(g.num_vertices, dtype=bool)
     seen[v0] = True
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_vertices)]
-    for eid in tree:
+    for eid in basis.tree_edges:
         e = g.edges[eid]
         adj[e.tail].append((eid, 1, e.head))
         adj[e.head].append((eid, -1, e.tail))

@@ -18,25 +18,23 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    CheckFailedError,
     DisconnectedGraphError,
     FluxImageNotFullLatticeError,
     OpenPathError,
     TreeCountExceedsCapError,
 )
-from .graph_model import FundamentalGraph, OneForm, reduce_angle
+from .graph_model import TWO_PI, FundamentalGraph, OneForm, reduce_angle
 
 # An oriented edge sequence: (edge_id, sign) steps, sign +1 = canonical.
 Cycle = tuple[tuple[int, int], ...]
 
 ZERO_FLUX_TOL = 1e-9  # for magnetic fluxes after mod-2pi reduction; integer fluxes exact
-
-_COMBINATION_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,24 +223,6 @@ def spanning_tree_count(g: FundamentalGraph) -> int:
     return integer_determinant(reduced)
 
 
-def _is_acyclic_spanning(g: FundamentalGraph, edge_ids: tuple[int, ...]) -> bool:
-    parent = list(range(g.num_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for eid in edge_ids:
-        e = g.edges[eid]
-        ra, rb = find(e.tail), find(e.head)
-        if ra == rb:
-            return False
-        parent[ra] = rb
-    return True  # nu-1 acyclic edges span a connected graph
-
-
 def _tree_adjacency(g: FundamentalGraph, tree_ids: tuple[int, ...]):
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_vertices)]
     for eid in tree_ids:
@@ -292,31 +272,270 @@ def _basis_for_tree(g: FundamentalGraph, tree_ids: tuple[int, ...]) -> SpanningT
                              cycles=tuple(cycles))
 
 
+# Channel kinds: how the flux of one scalar component is tested for zero.
+_EXACT, _ANGLE, _REAL = range(3)
+
+
+class _PotentialForest:
+    """Weighted union-find with undo carrying the tree potentials of forms.
+
+    Union by size and no path compression, so the last union undoes in
+    O(1). Every scalar component (channel) of every form keeps
+    off[v] = p(v) - p(parent[v]); including edge t -> h with value x
+    fixes p(h) = p(t) + x. Once the included edges span, the flux of a
+    form through the basic cycle of chord c is x(c) + p(tail) - p(head),
+    so no cycle is ever walked. Integer forms compare exactly (Python
+    integers), phases modulo 2*pi and real forms against ZERO_FLUX_TOL.
+    """
+
+    def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
+        n = g.num_vertices
+        self.ends = [(e.tail, e.head) for e in g.edges]
+        self.nonloop = [i for i, e in enumerate(g.edges) if not e.is_loop]
+        self.values: list[list] = []  # per channel, the value of every edge
+        self.forms: list[list[tuple[int, int]]] = []  # per form, (kind, channel) pairs
+        for x in forms:
+            if x.magnetic:
+                kind = _ANGLE
+            elif np.issubdtype(x.values.dtype, np.integer):
+                kind = _EXACT
+            else:
+                kind = _REAL
+            self.forms.append([(kind, len(self.values) + k) for k in range(x.dim)])
+            self.values += [x.values[:, k].tolist() for k in range(x.dim)]
+        self.parent = list(range(n))
+        self.size = [1] * n
+        self.off = [[0] * n for _ in self.values]
+        self.attached: list[int] = []  # roots hung below another root, in order
+        self.tree: list[int] = []  # included edge ids, ascending during a scan
+        self.mask = 0  # included edges as a bitmask
+
+    def _root(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    def _lift(self, v: int, off: list):
+        """Potential of v relative to its root."""
+        parent = self.parent
+        p = 0
+        while parent[v] != v:
+            p += off[v]
+            v = parent[v]
+        return p
+
+    def include(self, eid: int) -> bool:
+        """Add edge eid; False (and no change) if it would close a cycle."""
+        t, h = self.ends[eid]
+        rt, rh = self._root(t), self._root(h)
+        if rt == rh:
+            return False
+        # off[low] = p(low) - p(high) follows from p(h) = p(t) + x, with
+        # p(t) and p(h) lifted relative to their roots
+        if self.size[rt] < self.size[rh]:
+            low, high, sign = rt, rh, -1
+        else:
+            low, high, sign = rh, rt, 1
+        for vals, off in zip(self.values, self.off):
+            off[low] = sign * (self._lift(t, off) + vals[eid] - self._lift(h, off))
+        self.parent[low] = high
+        self.size[high] += self.size[low]
+        self.attached.append(low)
+        self.tree.append(eid)
+        self.mask |= 1 << eid
+        return True
+
+    def undo(self) -> None:
+        """Remove the most recently included edge."""
+        low = self.attached.pop()
+        self.size[self.parent[low]] -= self.size[low]
+        self.parent[low] = low
+        self.mask &= ~(1 << self.tree.pop())
+
+    def _bypassed(self, pos: int) -> bool:
+        """Whether the non-loop edges after position pos, together with the
+        included ones, join the ends of edge nonloop[pos]."""
+        t, h = self.ends[self.nonloop[pos]]
+        link: dict[int, int] = {}  # union-find over the current roots
+
+        def top(r: int) -> int:
+            while r in link:
+                r = link[r]
+            return r
+
+        a, b = self._root(t), self._root(h)
+        for eid in self.nonloop[pos + 1:]:
+            u, v = self.ends[eid]
+            ru, rv = top(self._root(u)), top(self._root(v))
+            if ru != rv:
+                link[ru] = rv
+                if top(a) == top(b):
+                    return True
+        return False
+
+    def trees(self) -> Iterator[None]:
+        """Yield once per spanning tree, with that tree included.
+
+        Include-first, exclude-second backtracking over the non-loop
+        edges in ascending id (Gabow & Myers, SIAM J. Comput. 7, 1978):
+        trees come in lexicographic order of their edge-id sets, the
+        order of itertools.combinations. An edge is excluded only when
+        the later edges bypass it, so every branch ends in a tree. The
+        graph must be connected.
+        """
+        need = len(self.parent) - 1
+        trail: list[tuple[int, bool]] = []  # (position, included) per decided edge
+        pos = 0
+        while True:
+            while len(self.tree) < need:
+                trail.append((pos, self.include(self.nonloop[pos])))
+                pos += 1
+            yield
+            while True:
+                if not trail:
+                    return
+                pos, included = trail.pop()
+                if included:
+                    self.undo()
+                    if self._bypassed(pos):
+                        trail.append((pos, False))
+                        pos += 1
+                        break
+
+    def chord_masks(self) -> list[int]:
+        """Per form, the chords with nonzero basic-cycle flux as a bitmask.
+
+        The included edges must span.
+        """
+        parent, order = self.parent, self.attached[::-1]  # parents before children
+        pots = []
+        for off in self.off:
+            pot = [0] * len(parent)
+            for v in order:
+                pot[v] = off[v] + pot[parent[v]]
+            pots.append(pot)
+        tree = self.mask
+        chords = [(c, t, h, 1 << c) for c, (t, h) in enumerate(self.ends) if not tree >> c & 1]
+        masks = []
+        for channels in self.forms:
+            mask = 0
+            for kind, ch in channels:
+                vals, pot = self.values[ch], pots[ch]
+                if kind == _EXACT:
+                    mask |= sum(b for c, t, h, b in chords if vals[c] + pot[t] != pot[h])
+                elif kind == _ANGLE:  # |remainder| is the magnitude reduce_angle gives
+                    mask |= sum(
+                        b for c, t, h, b in chords
+                        if abs(math.remainder(vals[c] + pot[t] - pot[h], TWO_PI)) > ZERO_FLUX_TOL
+                    )
+                else:
+                    mask |= sum(
+                        b for c, t, h, b in chords if abs(vals[c] + pot[t] - pot[h]) > ZERO_FLUX_TOL
+                    )
+            masks.append(mask)
+        return masks
+
+    def tree_masks(self, tree_edges: Sequence[int]) -> list[int]:
+        """chord_masks for one given spanning tree of an empty forest."""
+        for eid in tree_edges:
+            self.include(eid)
+        spanning = len(self.tree) == len(self.parent) - 1 == len(tree_edges)
+        masks = self.chord_masks() if spanning else []
+        while self.tree:
+            self.undo()
+        if not spanning:
+            raise ValueError(f"edges {tuple(tree_edges)} are not a spanning tree")
+        return masks
+
+
+def _checked_tree_count(g: FundamentalGraph, cap: int) -> int:
+    if not g.is_connected():
+        raise DisconnectedGraphError("spanning trees need a connected graph")
+    count = spanning_tree_count(g)
+    if count > cap:
+        raise TreeCountExceedsCapError(f"{count} spanning trees exceed the cap {cap}")
+    return count
+
+
+def _check_leaves(found: int, count: int) -> None:
+    if found != count:
+        raise CheckFailedError(
+            f"enumerated {found} trees but the Laplacian cofactor says {count}"
+        )
+
+
 def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[SpanningTreeBasis]:
     """All spanning trees with chord sets and basic cycles.
 
     Deterministic order: lexicographic by the sorted tree edge-id set.
     Raises TreeCountExceedsCapError when the exact count exceeds the
     cap (the graph is too large for exhaustive minimality certification).
+    Materializes every tree; the library itself streams with scan_trees.
     """
+    count = _checked_tree_count(g, cap)
+    forest = _PotentialForest(g)
+    out = [_basis_for_tree(g, tuple(forest.tree)) for _ in forest.trees()]
+    _check_leaves(len(out), count)
+    return out
+
+
+def first_spanning_tree(g: FundamentalGraph) -> SpanningTreeBasis:
+    """The lexicographically smallest spanning tree, first in enumeration order."""
     if not g.is_connected():
         raise DisconnectedGraphError("spanning trees need a connected graph")
-    count = spanning_tree_count(g)
-    if count > cap:
-        raise TreeCountExceedsCapError(f"{count} spanning trees exceed the cap {cap}")
-    nonloop = [i for i, e in enumerate(g.edges) if not e.is_loop]
-    k = g.num_vertices - 1
-    if math.comb(len(nonloop), k) > _COMBINATION_BUDGET:
-        raise TreeCountExceedsCapError("edge-subset search space exceeds the enumeration budget")
-    out = []
-    for combo in combinations(nonloop, k):
-        if _is_acyclic_spanning(g, combo):
-            out.append(_basis_for_tree(g, combo))
-    if len(out) != count:
-        raise AssertionError(
-            f"enumerated {len(out)} trees but the Laplacian cofactor says {count}"
-        )
-    return out
+    forest = _PotentialForest(g)
+    next(forest.trees())
+    return _basis_for_tree(g, tuple(forest.tree))
+
+
+class FormScan(NamedTuple):
+    """What a tree scan keeps of one form; supports are chord bitmasks (bit i = edge i)."""
+
+    count: int  # fewest basic cycles with nonzero flux over all trees
+    tree: tuple[int, ...]  # first tree attaining it
+    mask: int  # the support on that tree
+    supports: frozenset[int]  # every distinct support attaining it
+
+
+class TreeScan(NamedTuple):
+    tree_count: int
+    first_tree: tuple[int, ...]
+    forms: tuple[FormScan, ...]
+
+
+def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) -> TreeScan:
+    """Score every form on every spanning tree in one streaming pass.
+
+    Trees are visited in enumeration order, so "first" means
+    lexicographically smallest. Memory stays flat in the number of
+    trees: only the distinct minimal supports are kept. Raises
+    TreeCountExceedsCapError before scanning when the exact count
+    exceeds the cap, and CheckFailedError if the scan does not find
+    exactly that many trees.
+    """
+    count = _checked_tree_count(g, cap)
+    forest = _PotentialForest(g, forms)
+    best: list[tuple[int, tuple[int, ...], int, set[int]] | None] = [None] * len(forms)
+    leaves = 0
+    first: tuple[int, ...] = ()
+    for _ in forest.trees():
+        if not leaves:
+            first = tuple(forest.tree)
+        leaves += 1
+        for k, mask in enumerate(forest.chord_masks()):
+            cnt = mask.bit_count()
+            cur = best[k]
+            if cur is None or cnt < cur[0]:
+                best[k] = (cnt, tuple(forest.tree), mask, {mask})
+            elif cnt == cur[0]:
+                cur[3].add(mask)
+    _check_leaves(leaves, count)
+    return TreeScan(
+        tree_count=leaves,
+        first_tree=first,
+        forms=tuple(FormScan(c, t, m, frozenset(s)) for c, t, m, s in best),  # type: ignore[misc]
+    )
 
 
 # -- fluxes --------------------------------------------------------------------
@@ -356,54 +575,55 @@ def flux_table(g: FundamentalGraph, form: OneForm, basis: SpanningTreeBasis) -> 
     return FluxTable(chords=basis.chords, values=vals, magnetic=form.magnetic)
 
 
-def _nonzero_rows(table: FluxTable) -> np.ndarray:
-    """Boolean mask of basic cycles with nonzero flux."""
-    v = table.values
-    if v.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    if not table.magnetic and np.issubdtype(v.dtype, np.integer):
-        return np.any(v != 0, axis=1)
-    return np.any(np.abs(v) > ZERO_FLUX_TOL, axis=1)
-
-
-def nonzero_flux_count(g: FundamentalGraph, form: OneForm, basis: SpanningTreeBasis) -> int:
-    """Number of basic cycles of the tree with nonzero flux of the form."""
-    return int(_nonzero_rows(flux_table(g, form, basis)).sum())
-
-
 # -- minimal forms ---------------------------------------------------------------
 
 
-def minimal_form(
-    g: FundamentalGraph, x: OneForm, trees: Sequence[SpanningTreeBasis]
+def _tree_form(
+    g: FundamentalGraph, x: OneForm, basis: SpanningTreeBasis, count: int
 ) -> tuple[OneForm, SpanningTreeBasis, int]:
-    """Smallest-support form with the fluxes of x, from an exhaustive tree list.
+    """The form vanishing on the tree and equal to the chord fluxes of x on the chords.
 
-    Scans every spanning tree, picks one minimizing the number of basic
-    cycles with nonzero flux (ties broken by the enumeration order,
-    i.e. lexicographically smallest tree edge-id set), and returns the
-    form vanishing on that tree and equal to the chord fluxes on the
-    chords. The returned count equals half the support size.
+    count is the number of chords with nonzero flux the scan found; a
+    disagreeing support raises CheckFailedError.
     """
-    if not trees:
-        raise ValueError("minimal_form needs the full spanning-tree enumeration")
-    best_basis = None
-    best_table = None
-    best_count = None
-    for basis in trees:
-        table = flux_table(g, x, basis)
-        cnt = int(_nonzero_rows(table).sum())
-        if best_count is None or cnt < best_count:
-            best_basis, best_table, best_count = basis, table, cnt
-    assert best_basis is not None and best_table is not None
+    table = flux_table(g, x, basis)
     integral = not x.magnetic and np.issubdtype(x.values.dtype, np.integer)
-    dtype = np.int64 if integral else float
-    values = np.zeros((g.num_edges, x.dim), dtype=dtype)
-    for chord, row in zip(best_table.chords, best_table.values):
+    values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if integral else float)
+    for chord, row in zip(table.chords, table.values):
         values[chord] = row
     mu = OneForm(values, magnetic=x.magnetic)
-    assert mu.support_size_oriented() == 2 * best_count
-    return mu, best_basis, int(best_count)
+    if mu.support_size_oriented() != 2 * count:
+        raise CheckFailedError(
+            f"minimal form supports {mu.support_size_oriented()} oriented edges, "
+            f"the tree scan counted {count} chords"
+        )
+    return mu, basis, count
+
+
+def minimal_form(
+    g: FundamentalGraph,
+    x: OneForm,
+    trees: Sequence[SpanningTreeBasis] | None = None,
+    cap: int = 10**6,
+) -> tuple[OneForm, SpanningTreeBasis, int]:
+    """Smallest-support form with the fluxes of x.
+
+    Scans every spanning tree (or only the given ones), picks one
+    minimizing the number of basic cycles with nonzero flux (ties
+    broken by the enumeration order, i.e. lexicographically smallest
+    tree edge-id set, or by list order), and returns the form
+    vanishing on that tree and equal to the chord fluxes on the chords.
+    The returned count equals half the support size.
+    """
+    if trees is None:
+        scan = scan_trees(g, (x,), cap=cap).forms[0]
+        return _tree_form(g, x, _basis_for_tree(g, scan.tree), scan.count)
+    if not trees:
+        raise ValueError("minimal_form needs a nonempty list of spanning trees")
+    forest = _PotentialForest(g, (x,))
+    counts = [forest.tree_masks(basis.tree_edges)[0].bit_count() for basis in trees]
+    best = counts.index(min(counts))
+    return _tree_form(g, x, trees[best], counts[best])
 
 
 def chord_flux_matrix(g: FundamentalGraph, basis: SpanningTreeBasis) -> np.ndarray:
@@ -421,50 +641,35 @@ def invariants(
     index form, I_alpha the same for the phase form, and the pair
     invariant half the union support; the union value is reported both
     for the lexicographic pair of minimal trees and minimized over all
-    minimal pairs. Raises FluxImageNotFullLatticeError (unless
+    minimal pairs (over their distinct supports, which gives the same
+    minimum). Raises FluxImageNotFullLatticeError (unless
     require_full_lattice=False) when the index fluxes span a proper
     sublattice of Z^d, in which case the graph is not the fundamental
     graph of any genuinely d-periodic graph.
     """
-    trees = enumerate_spanning_trees(g, cap=cap)
-    tau = g.index_form()
-    alpha = g.magnetic_form()
-
-    lattice_ok = lattice_image_check(chord_flux_matrix(g, trees[0]))
+    scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
+    flux_matrix = chord_flux_matrix(g, _basis_for_tree(g, scan.first_tree))
+    lattice_ok = lattice_image_check(flux_matrix)
     if require_full_lattice and not lattice_ok:
         raise FluxImageNotFullLatticeError(
             "index fluxes do not span Z^d; the graph is not a d-periodic fundamental graph"
         )
 
-    def minimal_profiles(form: OneForm) -> tuple[int, list[frozenset[int]]]:
-        counts = []
-        supports = []
-        for basis in trees:
-            table = flux_table(g, form, basis)
-            mask = _nonzero_rows(table)
-            counts.append(int(mask.sum()))
-            supports.append(frozenset(c for c, nz in zip(basis.chords, mask) if nz))
-        best = min(counts)
-        return best, [s for c, s in zip(counts, supports) if c == best]
-
-    inv_i, tau_supports = minimal_profiles(tau)
-    inv_ia, alpha_supports = minimal_profiles(alpha)
-
-    lex_union = len(tau_supports[0] | alpha_supports[0])
-    min_union = min(len(a | b) for a in tau_supports for b in alpha_supports)
-
+    tau, alpha = scan.forms
     if lattice_ok:
-        assert g.dim <= inv_i <= g.beta
-        assert integer_rank(chord_flux_matrix(g, trees[0])) == g.dim
+        if not g.dim <= tau.count <= g.beta:
+            raise CheckFailedError(f"I = {tau.count} lies outside [d, beta] = [{g.dim}, {g.beta}]")
+        if integer_rank(flux_matrix) != g.dim:
+            raise CheckFailedError("index fluxes of a full-lattice graph do not have rank d")
 
     return InvariantReport(
         beta=g.beta,
         d=g.dim,
-        I=inv_i,
-        I_alpha=inv_ia,
-        I_mu_phi=lex_union,
-        I_mu_phi_min=min_union,
-        tree_count=len(trees),
+        I=tau.count,
+        I_alpha=alpha.count,
+        I_mu_phi=(tau.mask | alpha.mask).bit_count(),
+        I_mu_phi_min=min((s | t).bit_count() for s in tau.supports for t in alpha.supports),
+        tree_count=scan.tree_count,
         lattice_image_ok=lattice_ok,
     )
 
@@ -473,8 +678,11 @@ def minimal_pair(
     g: FundamentalGraph, trees: Sequence[SpanningTreeBasis] | None = None, cap: int = 10**6
 ) -> tuple[OneForm, OneForm]:
     """Lexicographic minimal pair (index-class form, phase-class form)."""
-    if trees is None:
-        trees = enumerate_spanning_trees(g, cap=cap)
-    mu, _, _ = minimal_form(g, g.index_form(), trees)
-    phi, _, _ = minimal_form(g, g.magnetic_form(), trees)
+    forms = (g.index_form(), g.magnetic_form())
+    if trees is not None:
+        return minimal_form(g, forms[0], trees)[0], minimal_form(g, forms[1], trees)[0]
+    scan = scan_trees(g, forms, cap=cap)
+    mu, phi = (
+        _tree_form(g, x, _basis_for_tree(g, s.tree), s.count)[0] for x, s in zip(forms, scan.forms)
+    )
     return mu, phi

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadMultipliersError, FluxImageNotFullLatticeError, NotMinimalError
 from .fiber_operator import _integer_form_values
-from .forms_cycles import enumerate_spanning_trees, flux_table, lattice_image_check, minimal_form
+from .forms_cycles import first_spanning_tree, flux_table, lattice_image_check, minimal_form
 from .graph_model import Edge, FundamentalGraph, OneForm, PeriodicEmbedding, generate
 
 
@@ -59,13 +59,12 @@ def build_periodic(
     phi = phi if phi is not None else g.magnetic_form()
     mu_int = _integer_form_values(mu)
 
-    trees = enumerate_spanning_trees(g, cap=cap)
-    _, _, beta_x = minimal_form(g, mu, trees)
+    _, _, beta_x = minimal_form(g, mu, cap=cap)
     if len(mu.support()) != beta_x:
         raise NotMinimalError(
             f"form supports {len(mu.support())} edges but {beta_x} suffice"
         )
-    chord_fluxes = flux_table(g, mu, trees[0]).values.T
+    chord_fluxes = flux_table(g, mu, first_spanning_tree(g)).values.T
     if not lattice_image_check(np.rint(chord_fluxes).astype(np.int64)):
         raise FluxImageNotFullLatticeError("form fluxes span a proper sublattice of Z^d")
 

@@ -40,7 +40,7 @@ from .fiber_operator import (
     theta0_reduction,
     zero_phase_form,
 )
-from .forms_cycles import enumerate_spanning_trees, minimal_form
+from .forms_cycles import first_spanning_tree, minimal_form, minimal_pair
 from .graph_model import FundamentalGraph, OneForm
 
 MATRIX_TOL = 1e-9  # matrix-level facts
@@ -243,8 +243,7 @@ def verify_band_localization(
     not a failure of the underlying mathematics).
     """
     if mu is None:
-        trees = enumerate_spanning_trees(g, cap=cap)
-        mu, _, _ = minimal_form(g, g.index_form(), trees)
+        mu, _, _ = minimal_form(g, g.index_form(), cap=cap)
     alpha = g.magnetic_form()
     n = grid_n if grid_n is not None else default_grid_n(g.dim)
 
@@ -327,9 +326,7 @@ def verify_perturbation(
     exact spectral agreement when the shifted phase form vanishes.
     Raises SandwichViolatedError on any failure.
     """
-    trees = enumerate_spanning_trees(g, cap=cap)
-    mu, _, _ = minimal_form(g, g.index_form(), trees)
-    phi, _, _ = minimal_form(g, g.magnetic_form(), trees)
+    mu, phi = minimal_pair(g, cap=cap)
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
 
     n = grid_n if grid_n is not None else default_grid_n(g.dim)
@@ -403,12 +400,11 @@ def verify_gauge_equivalence(
     vanish on the first spanning tree, at random quasimomenta. Raises
     CheckFailedError on disagreement beyond 1e-9.
     """
-    trees = enumerate_spanning_trees(g, cap=cap)
     tau, alpha = g.index_form(), g.magnetic_form()
-    mu, _, _ = minimal_form(g, tau, trees)
-    phi, _, _ = minimal_form(g, alpha, trees)
-    mu_t, _, _ = minimal_form(g, tau, trees[:1])
-    phi_t, _, _ = minimal_form(g, alpha, trees[:1])
+    mu, phi = minimal_pair(g, cap=cap)
+    first = [first_spanning_tree(g)]
+    mu_t, _, _ = minimal_form(g, tau, first)
+    phi_t, _, _ = minimal_form(g, alpha, first)
     pairs = [(tau, alpha), (mu, phi), (mu_t, phi_t)]
 
     rng = np.random.default_rng(seed)
@@ -428,8 +424,7 @@ def verify_positive_splitting(
     Also checks that the off-support and support parts sum exactly to
     the full fiber. Raises CheckFailedError on violation.
     """
-    trees = enumerate_spanning_trees(g, cap=cap)
-    mu, _, _ = minimal_form(g, g.index_form(), trees)
+    mu, _, _ = minimal_form(g, g.index_form(), cap=cap)
     alpha = g.magnetic_form()
     two_b = 2.0 * np.diag(support_degrees(g, mu).astype(float))
     rng = np.random.default_rng(seed)
