@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CheckFailedError, GraphDataError, MagspecError
-from .fiber_operator import count_nontrivial_exponents, theta0_reduction
-from .forms_cycles import invariants, minimal_pair
+from .fiber_operator import count_nontrivial_exponents
+from .forms_cycles import invariants
 from .graph_model import (
     FundamentalGraph,
     dump_graph_json,
@@ -28,6 +28,7 @@ from .graph_model import (
 )
 from .inverse_builder import build_periodic, coprime_fluxes, harper_model
 from .spectral import (
+    analyze,
     band_sweep,
     sy_sunada_check,
     verify_band_localization,
@@ -53,13 +54,6 @@ def _load(path: str) -> FundamentalGraph:
     return g
 
 
-def _reduced_pair(g: FundamentalGraph, cap: int):
-    """Minimal index-class form plus the theta-shifted phase form."""
-    mu, phi = minimal_pair(g, cap=cap)
-    _, phi_tilde = theta0_reduction(g, mu, phi)
-    return mu, phi_tilde
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     decoration = None
     if args.decoration:
@@ -82,13 +76,12 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_bands(args: argparse.Namespace) -> int:
     g = _load(args.graph)
-    report = invariants(g, cap=args.tree_cap)
-    mu, phi_tilde = _reduced_pair(g, args.tree_cap)
-    spec = band_sweep(g, mu, phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
+    an = analyze(g, cap=args.tree_cap)
+    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
     if args.out:
         _write_band_csv(g, spec, args.out)
     summary = spec.to_dict()
-    summary["bound_4I"] = 4.0 * report.I
+    summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
     return 0
 
@@ -119,23 +112,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
             failed = name
 
-    report = invariants(g, cap=args.tree_cap)
+    an = analyze(g, cap=args.tree_cap)
+    report = an.report
 
     def localization():
-        rep = verify_band_localization(g, grid_n=args.grid, cap=args.tree_cap)
+        rep = verify_band_localization(g, grid_n=args.grid, analysis=an)
         return rep.to_dict()
 
     def gauge():
-        verify_gauge_equivalence(g, seed=args.seed, cap=args.tree_cap)
+        verify_gauge_equivalence(g, seed=args.seed, analysis=an)
         return {"pairs": 3, "thetas": 20}
 
     def splitting():
-        verify_positive_splitting(g, seed=args.seed, cap=args.tree_cap)
+        verify_positive_splitting(g, seed=args.seed, analysis=an)
         return {"thetas": 20}
 
     def exponents():
-        mu, phi = minimal_pair(g, cap=args.tree_cap)
-        n_theta, n_phase, n_both = count_nontrivial_exponents(g, mu, phi)
+        n_theta, n_phase, n_both = count_nontrivial_exponents(g, an.mu, an.phi)
         if (n_theta, n_phase, n_both) != (2 * report.I, 2 * report.I_alpha, 2 * report.I_mu_phi):
             raise CheckFailedError(
                 f"minimal-pair exponent counts {(n_theta, n_phase, n_both)} disagree with invariants"
@@ -146,7 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
 
     def perturbation():
-        bounds, rep = verify_perturbation(g, grid_n=args.grid, cap=args.tree_cap)
+        bounds, rep = verify_perturbation(g, grid_n=args.grid, analysis=an)
         return {**bounds.to_dict(), **rep.to_dict()}
 
     run("localization_and_measure", localization)

@@ -42,6 +42,14 @@ class BadParamsError(GraphDataError):
     pass
 
 
+class NonFinitePotentialError(GraphDataError):
+    """A vertex potential is infinite or NaN."""
+
+
+class IndexOverflowError(GraphDataError):
+    """An edge index entry does not fit in a signed 64-bit integer."""
+
+
 # -- trees, forms, invariants ------------------------------------------------
 
 class TreeCountExceedsCapError(GraphDataError):
@@ -78,6 +86,10 @@ class NotHermitianError(GraphDataError):
 
 class GridTooCoarseError(GraphDataError):
     pass
+
+
+class GridTooLargeError(GraphDataError):
+    """A torus grid or its eigenvalue table would exceed the sweep memory budget."""
 
 
 class LocalizationViolatedError(CheckFailedError):

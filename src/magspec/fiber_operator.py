@@ -79,12 +79,6 @@ def zero_phase_form(g: FundamentalGraph) -> OneForm:
     return OneForm.zeros(g.num_edges, 1, magnetic=True)
 
 
-def matrix_to_json_pairs(m: np.ndarray) -> list[list[list[float]]]:
-    """Row-major [re, im] pairs, the debug wire format for complex matrices."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def fiber_stack(
     g: FundamentalGraph,
     b: OneForm,
@@ -112,6 +106,10 @@ def fiber_stack(
         if edge_mask is None
         else np.asarray(edge_mask, dtype=bool)
     )
+    # numpy multiplies a lone row with its dot kernel, which rounds unlike
+    # the matrix-vector kernel it uses for two or more rows; doubling a
+    # lone row keeps every fiber independent of the batch it is built in
+    rows = th if k != 1 else np.repeat(th, 2, axis=0)
     out = np.zeros((k, nu, nu), dtype=complex)
     deg = np.zeros(nu)
     for eid, e in enumerate(g.edges):
@@ -119,7 +117,7 @@ def fiber_stack(
             continue
         deg[e.tail] += 1
         deg[e.head] += 1
-        phase = a.values[eid, 0] + th @ b.values[eid].astype(float)
+        phase = a.values[eid, 0] + (rows @ b.values[eid].astype(float))[:k]
         hop = np.exp(1j * phase)
         out[:, e.tail, e.head] -= hop
         out[:, e.head, e.tail] -= np.conj(hop)

@@ -633,7 +633,10 @@ def chord_flux_matrix(g: FundamentalGraph, basis: SpanningTreeBasis) -> np.ndarr
 
 
 def invariants(
-    g: FundamentalGraph, cap: int = 10**6, require_full_lattice: bool = True
+    g: FundamentalGraph,
+    cap: int = 10**6,
+    require_full_lattice: bool = True,
+    scan: TreeScan | None = None,
 ) -> InvariantReport:
     """Betti number and the minimal-support invariants of the graph.
 
@@ -645,9 +648,11 @@ def invariants(
     minimum). Raises FluxImageNotFullLatticeError (unless
     require_full_lattice=False) when the index fluxes span a proper
     sublattice of Z^d, in which case the graph is not the fundamental
-    graph of any genuinely d-periodic graph.
+    graph of any genuinely d-periodic graph. A scan of the (index,
+    phase) forms that the caller already holds is reused, not repeated.
     """
-    scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
+    if scan is None:
+        scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
     flux_matrix = chord_flux_matrix(g, _basis_for_tree(g, scan.first_tree))
     lattice_ok = lattice_image_check(flux_matrix)
     if require_full_lattice and not lattice_ok:
@@ -675,13 +680,20 @@ def invariants(
 
 
 def minimal_pair(
-    g: FundamentalGraph, trees: Sequence[SpanningTreeBasis] | None = None, cap: int = 10**6
+    g: FundamentalGraph,
+    trees: Sequence[SpanningTreeBasis] | None = None,
+    cap: int = 10**6,
+    scan: TreeScan | None = None,
 ) -> tuple[OneForm, OneForm]:
-    """Lexicographic minimal pair (index-class form, phase-class form)."""
+    """Lexicographic minimal pair (index-class form, phase-class form).
+
+    Reuses a given scan of the (index, phase) forms instead of scanning.
+    """
     forms = (g.index_form(), g.magnetic_form())
     if trees is not None:
         return minimal_form(g, forms[0], trees)[0], minimal_form(g, forms[1], trees)[0]
-    scan = scan_trees(g, forms, cap=cap)
+    if scan is None:
+        scan = scan_trees(g, forms, cap=cap)
     mu, phi = (
         _tree_form(g, x, _basis_for_tree(g, s.tree), s.count)[0] for x, s in zip(forms, scan.forms)
     )

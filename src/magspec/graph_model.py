@@ -28,9 +28,12 @@ from .errors import (
     DisconnectedGraphError,
     GraphDataError,
     InconsistentEmbeddingError,
+    IndexOverflowError,
+    NonFinitePotentialError,
 )
 
 TWO_PI = 2.0 * math.pi
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 
 def reduce_angle(x: float) -> float:
@@ -260,7 +263,8 @@ class ValidationReport:
 def validate(g: FundamentalGraph) -> ValidationReport:
     """Check structural invariants and summarize the graph.
 
-    Raises BadParamsError, BadIndexLengthError, AlphaOutOfRangeError or
+    Raises BadParamsError, BadIndexLengthError, IndexOverflowError,
+    AlphaOutOfRangeError, NonFinitePotentialError or
     DisconnectedGraphError on the first violated invariant.
     """
     if g.dim < 1:
@@ -274,8 +278,12 @@ def validate(g: FundamentalGraph) -> ValidationReport:
             raise BadIndexLengthError(
                 f"edge {i} index has length {len(e.index)}, expected {g.dim}"
             )
+        if not all(INT64_MIN <= x <= INT64_MAX for x in e.index):
+            raise IndexOverflowError(f"edge {i} index {e.index} does not fit in int64")
         if not (-math.pi < e.alpha <= math.pi):
             raise AlphaOutOfRangeError(f"edge {i} phase {e.alpha} outside (-pi, pi]")
+    if not np.all(np.isfinite(g.potential)):
+        raise NonFinitePotentialError("vertex potentials must be finite")
     if not g.is_connected():
         raise DisconnectedGraphError("fundamental graph must be connected")
     deg = g.degrees()

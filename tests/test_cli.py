@@ -89,6 +89,35 @@ def test_corrupted_index_vector_exits_2(tmp_path, capsys):
     assert "index" in err
 
 
+def _write_loop_graph(tmp_path, index: str, potential: str) -> str:
+    # written as text so that the file holds exactly the tokens under test
+    path = tmp_path / "loop.json"
+    path.write_text(
+        '{"dim": 1, "vertices": ["a", "b"], "edges": ['
+        '{"tail": "a", "head": "a", "index": [%s]}, {"tail": "a", "head": "b", "index": [0]}], '
+        '"potential": {"a": %s}}' % (index, potential),
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["invariants", "bands", "verify"])
+@pytest.mark.parametrize("potential", ["Infinity", "-Infinity", "NaN", "1e999"])
+def test_non_finite_potential_exits_2(tmp_path, capsys, command, potential):
+    code, out, err = run(capsys, command, _write_loop_graph(tmp_path, "1", potential))
+    assert code == 2
+    assert out == ""
+    assert "potentials must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["invariants", "bands", "verify"])
+def test_index_outside_int64_exits_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, command, _write_loop_graph(tmp_path, str(10**20), "0.5"))
+    assert code == 2
+    assert out == ""
+    assert "does not fit in int64" in err
+
+
 def test_bands_summary_and_csv(tmp_path, capsys, z2_file):
     csv_path = tmp_path / "bands.csv"
     code, out, _ = run(capsys, "bands", z2_file, "--grid", "41", "--out", str(csv_path))

@@ -301,17 +301,6 @@ def test_perturbation_matches_row_sum_oracle():
         assert norm <= phase_perturbation_bound(g, phi_tilde) + 1e-9
 
 
-def test_matrix_json_pairs_round_trip():
-    import json
-
-    from magspec import matrix_to_json_pairs
-
-    m = np.array([[1.0 + 2.0j, -0.5j], [0.5j, 3.0]])
-    pairs = json.loads(json.dumps(matrix_to_json_pairs(m)))
-    back = np.array([[complex(re, im) for re, im in row] for row in pairs])
-    assert np.array_equal(back, m)
-
-
 def test_perturbation_single_edge_pi_entries():
     g = FundamentalGraph(dim=1, num_vertices=2, edges=(Edge(0, 1, (0,)),))
     mu = g.index_form()

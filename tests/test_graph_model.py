@@ -11,6 +11,8 @@ from magspec import (
     DisconnectedGraphError,
     GraphDataError,
     InconsistentEmbeddingError,
+    IndexOverflowError,
+    NonFinitePotentialError,
     PeriodicEmbedding,
     coordinate_form,
     dump_graph_json,
@@ -87,6 +89,22 @@ def test_validate_rejects_bad_index_length():
 def test_validate_rejects_out_of_range_phase():
     g = FundamentalGraph(dim=1, num_vertices=1, edges=(Edge(0, 0, (1,), alpha=4.0),))
     with pytest.raises(AlphaOutOfRangeError):
+        validate(g)
+
+
+def test_validate_rejects_index_outside_int64():
+    for x in (2**63, -(2**63) - 1, 10**20):
+        g = FundamentalGraph(dim=1, num_vertices=1, edges=(Edge(0, 0, (x,)),))
+        with pytest.raises(IndexOverflowError):
+            validate(g)
+    for x in (2**63 - 1, -(2**63), np.int64(5)):
+        validate(FundamentalGraph(dim=1, num_vertices=1, edges=(Edge(0, 0, (x,)),)))
+
+
+@pytest.mark.parametrize("q", [math.inf, -math.inf, math.nan])
+def test_validate_rejects_non_finite_potential(q):
+    g = generate("hexagonal").with_potential([0.5, q])
+    with pytest.raises(NonFinitePotentialError):
         validate(g)
 
 

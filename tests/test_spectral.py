@@ -9,7 +9,6 @@ from magspec import (
     GridTooCoarseError,
     NotHermitianError,
     band_sweep,
-    eigenvalue_lipschitz_bound,
     eigenvalue_table,
     enumerate_spanning_trees,
     fiber_matrix,
@@ -192,9 +191,11 @@ def test_phase_free_fiber_kernel_at_zero(generator_graphs):
 
 
 def test_grid_variation_respects_lipschitz_alarm(kagome):
+    # each oriented support edge moves an eigenvalue by at most the
+    # 1-norm of its index value per unit step in theta
     trees = enumerate_spanning_trees(kagome)
     mu, _, _ = minimal_form(kagome, kagome.index_form(), trees)
-    bound = eigenvalue_lipschitz_bound(mu)
+    bound = 2.0 * np.abs(mu.values[list(mu.support())].astype(float)).sum()
     n = 41
     spec = band_sweep(kagome, grid_n=n)
     table = spec.eigenvalues.reshape(n, n, 3)

@@ -1,0 +1,231 @@
+"""Chunked torus sweeps.
+
+Cutting the grid into chunks, serially or over a thread pool, must give
+the same bits as one eigensolve over the whole fiber stack; memory must
+stay bounded by the eigenvalue table; oversize grids are refused before
+anything is allocated; and each CLI command scans spanning trees once.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import magspec.spectral as spectral
+from magspec import (
+    CheckFailedError,
+    GridTooCoarseError,
+    GridTooLargeError,
+    SandwichViolatedError,
+    analyze,
+    band_sweep,
+    dump_graph_json,
+    fiber_stack,
+    generate,
+    harper_model,
+    scan_trees,
+    theta_grid,
+    verify_band_localization,
+    verify_perturbation,
+    zero_phase_form,
+)
+from magspec.cli import main
+
+GRID = 13
+TINY_CHUNK_BYTES = 1000  # 62 fibers per chunk at nu = 1, 6 at nu = 3, one at nu = 6
+
+
+def one_shot(g, b, a, thetas):
+    return np.linalg.eigvalsh(fiber_stack(g, b, a, thetas, with_potential=True))
+
+
+@pytest.fixture(params=["1", "4"], ids=["serial", "threads4"])
+def tiny_chunks(request, monkeypatch):
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", TINY_CHUNK_BYTES)
+    monkeypatch.setenv("MAGSPEC_THREADS", request.param)
+
+
+@pytest.fixture(scope="module")
+def analyses(battery_graphs):
+    return [(g, analyze(g)) for g in battery_graphs]
+
+
+def test_band_sweep_tables_match_one_shot(analyses, tiny_chunks):
+    for g, an in analyses:
+        spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=GRID)
+        assert np.array_equal(spec.eigenvalues, one_shot(g, an.mu, an.phi_tilde, spec.thetas))
+
+
+def test_localization_reports_match_one_shot(analyses, tiny_chunks):
+    for g, an in analyses:
+        rep = verify_band_localization(g, grid_n=GRID, analysis=an)
+        table = one_shot(g, an.mu, g.magnetic_form(), theta_grid(g.dim, GRID))
+        lo, hi = table.min(axis=0), table.max(axis=0)
+        assert np.array_equal(rep.bands, np.stack([lo, hi], axis=1))
+        assert np.array_equal(rep.band_widths_sum, float((hi - lo).sum()))
+
+
+def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
+    # the reference assembles all four stacks over the whole grid at once
+    for g, an in analyses:
+        bounds, rep = verify_perturbation(g, grid_n=GRID, analysis=an)
+        thetas = theta_grid(g.dim, GRID)
+        zero = zero_phase_form(g)
+        shifted = one_shot(g, an.mu, an.phi_tilde, thetas)
+        free = one_shot(g, an.mu, zero, thetas)
+        x = np.linalg.eigvalsh(
+            fiber_stack(g, an.mu, an.phi_tilde, thetas) - fiber_stack(g, an.mu, zero, thetas)
+        )
+        lo_a, hi_a, lo_0, hi_0 = shifted.min(0), shifted.max(0), free.min(0), free.max(0)
+        shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
+        widths = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
+        assert np.array_equal(
+            [bounds.lambda_min, bounds.lambda_max, rep.band_shift_max, rep.width_change_max],
+            [x[:, 0].min(), x[:, -1].max(), np.abs(shifts).max(), widths.max()],
+        )
+
+
+def test_threaded_sweep_under_frequent_switches(monkeypatch):
+    # more threads than cores, three fibers per chunk, a switch every microsecond:
+    # every chunk must still land in its own rows
+    g = harper_model(12, 5)
+    b, a = g.index_form(), g.magnetic_form()
+    thetas = theta_grid(2, 41)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 16 * 12**2)
+    monkeypatch.setenv("MAGSPEC_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        table = spectral.eigenvalue_table(g, b, a, thetas)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(table, one_shot(g, b, a, thetas))
+
+
+def test_harper_sweep_memory_is_bounded():
+    # one (10201, 30, 30) complex stack over the default grid is 147 MB
+    g = harper_model(30, 7)
+    an = analyze(g)
+    tracemalloc.start()
+    try:
+        spec = band_sweep(g, an.mu, an.phi_tilde)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.eigenvalues.shape == (101**2, 30)
+    assert peak < 16 * 2**20
+
+
+def test_theta_grid_budget():
+    with pytest.raises(GridTooLargeError):
+        theta_grid(2, 40000)
+    with pytest.raises(GridTooCoarseError):
+        theta_grid(2, -10**6)
+    k = 101**2
+    fits = spectral._TABLE_BUDGET_BYTES // (8 * k)  # the most bands a 101^2 table may hold
+    assert theta_grid(2, 101, nu=fits).shape == (k, 2)
+    with pytest.raises(GridTooLargeError):
+        theta_grid(2, 101, nu=fits + 1)
+
+
+@pytest.mark.parametrize("command", ["bands", "verify"])
+def test_oversize_grid_exits_2_before_allocating(tmp_path, capsys, command):
+    path = tmp_path / "z2.json"
+    dump_graph_json(generate("zd", 2), path)
+    tracemalloc.start()
+    try:
+        code = main([command, str(path), "--grid", "40000"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert "budget" in out.err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_band_sweep_range_check_fails_on_non_finite_potential(value):
+    # built without validate: the a-priori range bound itself is non-finite
+    g = generate("hexagonal").with_potential([value, 0.0])
+    with pytest.raises(CheckFailedError):
+        band_sweep(g, grid_n=11)
+
+
+def test_perturbation_fails_on_nan_bound(monkeypatch):
+    monkeypatch.setattr(spectral, "phase_perturbation_bound", lambda g, phi: float("nan"))
+    with pytest.raises(SandwichViolatedError):
+        verify_perturbation(generate("hexagonal"), grid_n=11)
+
+
+@pytest.mark.parametrize("command", ["verify", "bands"])
+def test_command_scans_trees_once(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "kagome.json"
+    g = generate("kagome")
+    dump_graph_json(g.with_phases(np.linspace(-3.0, 3.0, g.num_edges)), path)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return scan_trees(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("magspec") and getattr(mod, "scan_trees", None) is scan_trees:
+            monkeypatch.setattr(mod, "scan_trees", counted)
+    assert main([command, str(path), "--grid", "21"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def splitting_loop(g, mu, n_thetas=20, seed=0):
+    """The per-quasimomentum loop the batched splitting check replaces; its first failure."""
+    alpha = g.magnetic_form()
+    on = np.isin(np.arange(g.num_edges), mu.support())
+    two_b = 2.0 * np.diag(spectral.support_degrees(g, mu).astype(float))
+    for theta in np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(n_thetas, g.dim)):
+        th = theta.reshape(1, -1)
+        full = spectral.fiber_stack(g, mu, alpha, th)[0]
+        delta0 = spectral.fiber_stack(g, mu, alpha, th, edge_mask=~on)[0]
+        delta_tilde = spectral.fiber_stack(g, mu, alpha, th, edge_mask=on)[0]
+        if np.max(np.abs(full - (delta0 + delta_tilde))) > 1e-12 * (1 + np.linalg.norm(full)):
+            return "support splitting is not exact"
+        if np.linalg.eigvalsh(delta_tilde)[0] < -1e-9:
+            return "support part of the fiber is not PSD"
+        if np.linalg.eigvalsh(two_b - delta_tilde)[0] < -1e-9:
+            return "support part exceeds twice its degree matrix"
+    return None
+
+
+@pytest.mark.parametrize("breaks", [("degrees",), ("exactness",), ("degrees", "exactness"),
+                                    ("positivity",), ("positivity", "exactness")])
+def test_batched_splitting_raises_the_loops_first_failure(monkeypatch, breaks):
+    real_stack = spectral.fiber_stack
+    rng = np.random.default_rng(3)
+    for g in (generate("kagome").with_phases(rng.uniform(-3, 3, 6)), generate("hexagonal")):
+        mu = analyze(g).mu
+        on = np.isin(np.arange(g.num_edges), mu.support())
+
+        def stack(g_, b, a, thetas, with_potential=False, edge_mask=None):
+            out = real_stack(g_, b, a, thetas, with_potential, edge_mask)
+            th = np.atleast_2d(thetas)
+            if "exactness" in breaks and edge_mask is None:
+                out[np.abs(th[:, 0]) > 1.0] += 1e-6
+            if "positivity" in breaks and edge_mask is not None:
+                sign = -1.0 if np.array_equal(edge_mask, on) else 1.0
+                out[th[:, 0] < -0.5] += sign * np.eye(g.num_vertices)
+            return out
+
+        monkeypatch.setattr(spectral, "fiber_stack", stack)
+        if "degrees" in breaks:
+            monkeypatch.setattr(spectral, "support_degrees",
+                                lambda g_, mu_: np.zeros(g_.num_vertices, dtype=np.int64))
+        want = splitting_loop(g, mu)
+        assert want is not None
+        with pytest.raises(CheckFailedError) as exc:
+            spectral.verify_positive_splitting(g)
+        assert str(exc.value) == want
+        monkeypatch.undo()
