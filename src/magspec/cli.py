@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckFailedError, GraphDataError, MagspecError
+from .errors import CheckFailedError, GraphDataError, MagspecError, NonFiniteOutputError
 from .fiber_operator import count_nontrivial_exponents
 from .forms_cycles import invariants
 from .graph_model import (
@@ -45,7 +45,12 @@ def _fmt(x: float) -> str:
 
 
 def _print_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    """Print strict JSON; a NaN or infinite value raises NonFiniteOutputError."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"output holds a non-finite number: {exc}") from exc
+    print(text)
 
 
 def _load(path: str) -> FundamentalGraph:

@@ -104,6 +104,10 @@ class SandwichViolatedError(CheckFailedError):
     pass
 
 
+class NonFiniteOutputError(CheckFailedError):
+    """A result meant for JSON output is NaN or infinite."""
+
+
 # -- inverse construction ----------------------------------------------------
 
 class BadMultipliersError(GraphDataError):

@@ -30,21 +30,8 @@ from .errors import (
     GraphDataError,
     NoIndependentSubsetError,
 )
-from .forms_cycles import first_spanning_tree, flux, integer_determinant
-from .graph_model import FundamentalGraph, OneForm, reduce_angle, reduce_angles
-
-PATH_INDEPENDENCE_TOL = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class FiberMatrix:
-    """A fiber matrix with the data that built it."""
-
-    matrix: np.ndarray
-    theta: np.ndarray
-    b: OneForm
-    a: OneForm
-    with_potential: bool
+from .forms_cycles import _first_tree_forest, integer_determinant
+from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,11 +121,10 @@ def fiber_matrix(
     a: OneForm,
     theta: Sequence[float],
     with_potential: bool = False,
-) -> FiberMatrix:
-    """Single fiber matrix at one quasimomentum."""
+) -> np.ndarray:
+    """Single (nu, nu) fiber matrix at one quasimomentum."""
     th = np.asarray(theta, dtype=float).reshape(1, -1)
-    mat = fiber_stack(g, b, a, th, with_potential=with_potential)[0]
-    return FiberMatrix(matrix=mat, theta=th[0], b=b, a=a, with_potential=with_potential)
+    return fiber_stack(g, b, a, th, with_potential=with_potential)[0]
 
 
 # -- gauge transformation -------------------------------------------------------
@@ -147,54 +133,27 @@ def fiber_matrix(
 def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> GaugeWeights:
     """Tree-path gauge weights relating (b, a) fibers to (index, phase) fibers.
 
-    Weights accumulate (index(e) - b(e)) and (alpha(e) - a(e)) along
-    tree paths from v0. They are well defined only when b and a carry
-    the fluxes of the stored index and phase forms; this is verified on
-    every chord cycle (w_a modulo 2*pi) and a violation raises
-    FluxMismatchError.
+    The weights are the potentials of (index - b) and (alpha - a) on the
+    first spanning tree, shifted to vanish at v0. They are well defined
+    only when b and a carry the fluxes of the stored index and phase
+    forms; this is verified on every chord cycle (the phase modulo
+    2*pi) and a violation raises FluxMismatchError.
     """
     _check_forms(g, b, a)
-    tau = g.index_form()
-    alpha = g.magnetic_form()
-    basis = first_spanning_tree(g)
-
-    w_b = np.zeros((g.num_vertices, g.dim))
-    w_a = np.zeros(g.num_vertices)
-    seen = np.zeros(g.num_vertices, dtype=bool)
-    seen[v0] = True
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_vertices)]
-    for eid in basis.tree_edges:
-        e = g.edges[eid]
-        adj[e.tail].append((eid, 1, e.head))
-        adj[e.head].append((eid, -1, e.tail))
-    stack = [v0]
-    while stack:
-        u = stack.pop()
-        for eid, sign, v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                w_b[v] = w_b[u] + sign * (tau.values[eid] - b.values[eid])
-                w_a[v] = w_a[u] + sign * (alpha.values[eid, 0] - a.values[eid, 0])
-                stack.append(v)
-
-    # Path independence: extending across any chord must reproduce the
-    # other endpoint's weight; this is exactly flux equality on the
-    # chord's basic cycle.
-    for eid in basis.chords:
-        e = g.edges[eid]
-        gap_b = w_b[e.tail] + (tau.values[eid] - b.values[eid]) - w_b[e.head]
-        if np.max(np.abs(gap_b)) > PATH_INDEPENDENCE_TOL:
-            raise FluxMismatchError(
-                f"form is not flux-equivalent to the index form (chord {eid})"
-            )
-        gap_a = reduce_angle(
-            float(w_a[e.tail] + alpha.values[eid, 0] - a.values[eid, 0] - w_a[e.head])
-        )
-        if abs(gap_a) > PATH_INDEPENDENCE_TOL:
-            raise FluxMismatchError(
-                f"phase form is not flux-equivalent to the stored phases (chord {eid})"
-            )
-    return GaugeWeights(base_vertex=v0, w_b=w_b, w_a=w_a)
+    diff_b = OneForm(g.index_form().values - b.values)
+    diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True)
+    forest = _first_tree_forest(g, (diff_b, diff_a))
+    bad_b, bad_a = forest.chord_masks()
+    bad = bad_b | bad_a
+    if bad:
+        chord = (bad & -bad).bit_length() - 1  # the lowest failing chord
+        index_fails = bad_b >> chord & 1
+        what = "form" if index_fails else "phase form"
+        whom = "the index form" if index_fails else "the stored phases"
+        raise FluxMismatchError(f"{what} is not flux-equivalent to {whom} (chord {chord})")
+    pots = np.array(forest.potentials(), dtype=float).T  # (nu, d + 1)
+    pots -= pots[v0]
+    return GaugeWeights(base_vertex=v0, w_b=pots[:, : g.dim], w_a=pots[:, g.dim])
 
 
 # -- theta-shift reduction ------------------------------------------------------
@@ -267,9 +226,7 @@ def perturbation_matrix(
 
     Hermitian; identically zero when the shifted phase form vanishes.
     """
-    with_phase = fiber_matrix(g, mu, phi_tilde, theta).matrix
-    without = fiber_matrix(g, mu, zero_phase_form(g), theta).matrix
-    return with_phase - without
+    return fiber_matrix(g, mu, phi_tilde, theta) - fiber_matrix(g, mu, zero_phase_form(g), theta)
 
 
 def phase_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:
@@ -286,21 +243,18 @@ def phase_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:
 
 
 def split_fiber(
-    g: FundamentalGraph, mu: OneForm, a: OneForm, theta: Sequence[float]
+    g: FundamentalGraph, mu: OneForm, a: OneForm, thetas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split the fiber into the off-support Laplacian and the support part.
+    """Split a batch of fibers into the off-support Laplacian and the support part.
 
-    The first matrix lives on the graph with all support edges of mu
-    deleted (theta-independent since mu vanishes there); the second on
-    the support subgraph. Their sum is exactly the full fiber without
-    potential.
+    For (K, d) quasimomenta, returns two (K, nu, nu) stacks: the first
+    on the graph with all support edges of mu deleted (theta-independent
+    since mu vanishes there), the second on the support subgraph. Their
+    sum is exactly the full fiber without potential.
     """
-    supp = set(mu.support())
-    mask_on = np.array([eid in supp for eid in range(g.num_edges)], dtype=bool)
-    th = np.asarray(theta, dtype=float).reshape(1, -1)
-    delta0 = fiber_stack(g, mu, a, th, edge_mask=~mask_on)[0]
-    delta_tilde = fiber_stack(g, mu, a, th, edge_mask=mask_on)[0]
-    return delta0, delta_tilde
+    on = np.zeros(g.num_edges, dtype=bool)
+    on[list(mu.support())] = True
+    return fiber_stack(g, mu, a, thetas, edge_mask=~on), fiber_stack(g, mu, a, thetas, edge_mask=on)
 
 
 def support_degrees(g: FundamentalGraph, mu: OneForm) -> np.ndarray:

@@ -51,15 +51,6 @@ class SpanningTreeBasis:
     cycles: tuple[Cycle, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class FluxTable:
-    """Per-chord fluxes of one form in one tree basis (row i = chords[i])."""
-
-    chords: tuple[int, ...]
-    values: np.ndarray
-    magnetic: bool
-
-
 @dataclass(frozen=True)
 class InvariantReport:
     beta: int
@@ -403,11 +394,8 @@ class _PotentialForest:
                         pos += 1
                         break
 
-    def chord_masks(self) -> list[int]:
-        """Per form, the chords with nonzero basic-cycle flux as a bitmask.
-
-        The included edges must span.
-        """
+    def potentials(self) -> list[list]:
+        """Per channel, every vertex potential relative to its root."""
         parent, order = self.parent, self.attached[::-1]  # parents before children
         pots = []
         for off in self.off:
@@ -415,6 +403,14 @@ class _PotentialForest:
             for v in order:
                 pot[v] = off[v] + pot[parent[v]]
             pots.append(pot)
+        return pots
+
+    def chord_masks(self) -> list[int]:
+        """Per form, the chords with nonzero basic-cycle flux as a bitmask.
+
+        The included edges must span.
+        """
+        pots = self.potentials()
         tree = self.mask
         chords = [(c, t, h, 1 << c) for c, (t, h) in enumerate(self.ends) if not tree >> c & 1]
         masks = []
@@ -434,18 +430,6 @@ class _PotentialForest:
                         b for c, t, h, b in chords if abs(vals[c] + pot[t] - pot[h]) > ZERO_FLUX_TOL
                     )
             masks.append(mask)
-        return masks
-
-    def tree_masks(self, tree_edges: Sequence[int]) -> list[int]:
-        """chord_masks for one given spanning tree of an empty forest."""
-        for eid in tree_edges:
-            self.include(eid)
-        spanning = len(self.tree) == len(self.parent) - 1 == len(tree_edges)
-        masks = self.chord_masks() if spanning else []
-        while self.tree:
-            self.undo()
-        if not spanning:
-            raise ValueError(f"edges {tuple(tree_edges)} are not a spanning tree")
         return masks
 
 
@@ -480,13 +464,18 @@ def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[Span
     return out
 
 
-def first_spanning_tree(g: FundamentalGraph) -> SpanningTreeBasis:
-    """The lexicographically smallest spanning tree, first in enumeration order."""
+def _first_tree_forest(g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> _PotentialForest:
+    """A forest holding the first spanning tree, with the tree potentials of forms."""
     if not g.is_connected():
         raise DisconnectedGraphError("spanning trees need a connected graph")
-    forest = _PotentialForest(g)
+    forest = _PotentialForest(g, forms)
     next(forest.trees())
-    return _basis_for_tree(g, tuple(forest.tree))
+    return forest
+
+
+def first_spanning_tree(g: FundamentalGraph) -> SpanningTreeBasis:
+    """The lexicographically smallest spanning tree, first in enumeration order."""
+    return _basis_for_tree(g, tuple(_first_tree_forest(g).tree))
 
 
 class FormScan(NamedTuple):
@@ -566,70 +555,60 @@ def flux(g: FundamentalGraph, form: OneForm, cycle: Cycle) -> np.ndarray:
     return total
 
 
-def flux_table(g: FundamentalGraph, form: OneForm, basis: SpanningTreeBasis) -> FluxTable:
-    """Fluxes of a form through every basic cycle of a tree basis."""
+def flux_table(g: FundamentalGraph, form: OneForm, basis: SpanningTreeBasis) -> np.ndarray:
+    """(beta, dim) fluxes of a form through the basic cycles of a tree basis, row i = chords[i]."""
     if basis.chords:
-        vals = np.stack([flux(g, form, c) for c in basis.cycles])
-    else:
-        vals = np.zeros((0, form.dim), dtype=form.values.dtype)
-    return FluxTable(chords=basis.chords, values=vals, magnetic=form.magnetic)
+        return np.stack([flux(g, form, c) for c in basis.cycles])
+    return np.zeros((0, form.dim), dtype=form.values.dtype)
 
 
 # -- minimal forms ---------------------------------------------------------------
 
 
-def _tree_form(
-    g: FundamentalGraph, x: OneForm, basis: SpanningTreeBasis, count: int
-) -> tuple[OneForm, SpanningTreeBasis, int]:
-    """The form vanishing on the tree and equal to the chord fluxes of x on the chords.
+def tree_form(g: FundamentalGraph, x: OneForm, basis: SpanningTreeBasis) -> OneForm:
+    """The form vanishing on the tree of basis and equal to the chord fluxes of x on the chords.
 
-    count is the number of chords with nonzero flux the scan found; a
-    disagreeing support raises CheckFailedError.
+    It is flux-equivalent to x, and supported on the chords whose basic
+    cycles carry nonzero flux.
     """
-    table = flux_table(g, x, basis)
     integral = not x.magnetic and np.issubdtype(x.values.dtype, np.integer)
     values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if integral else float)
-    for chord, row in zip(table.chords, table.values):
-        values[chord] = row
-    mu = OneForm(values, magnetic=x.magnetic)
-    if mu.support_size_oriented() != 2 * count:
+    values[list(basis.chords)] = flux_table(g, x, basis)
+    return OneForm(values, magnetic=x.magnetic)
+
+
+def _scanned_form(
+    g: FundamentalGraph, x: OneForm, scan: FormScan
+) -> tuple[OneForm, SpanningTreeBasis, int]:
+    """tree_form on the first minimal tree of a scan; a support that
+    disagrees with the scanned count raises CheckFailedError."""
+    basis = _basis_for_tree(g, scan.tree)
+    mu = tree_form(g, x, basis)
+    if mu.support_size_oriented() != 2 * scan.count:
         raise CheckFailedError(
             f"minimal form supports {mu.support_size_oriented()} oriented edges, "
-            f"the tree scan counted {count} chords"
+            f"the tree scan counted {scan.count} chords"
         )
-    return mu, basis, count
+    return mu, basis, scan.count
 
 
 def minimal_form(
-    g: FundamentalGraph,
-    x: OneForm,
-    trees: Sequence[SpanningTreeBasis] | None = None,
-    cap: int = 10**6,
+    g: FundamentalGraph, x: OneForm, cap: int = 10**6
 ) -> tuple[OneForm, SpanningTreeBasis, int]:
     """Smallest-support form with the fluxes of x.
 
-    Scans every spanning tree (or only the given ones), picks one
-    minimizing the number of basic cycles with nonzero flux (ties
-    broken by the enumeration order, i.e. lexicographically smallest
-    tree edge-id set, or by list order), and returns the form
-    vanishing on that tree and equal to the chord fluxes on the chords.
-    The returned count equals half the support size.
+    Scans every spanning tree, picks one minimizing the number of basic
+    cycles with nonzero flux (ties broken by the enumeration order, i.e.
+    lexicographically smallest tree edge-id set), and returns the
+    tree_form of x on that tree, the tree basis and the count, which
+    equals half the support size.
     """
-    if trees is None:
-        scan = scan_trees(g, (x,), cap=cap).forms[0]
-        return _tree_form(g, x, _basis_for_tree(g, scan.tree), scan.count)
-    if not trees:
-        raise ValueError("minimal_form needs a nonempty list of spanning trees")
-    forest = _PotentialForest(g, (x,))
-    counts = [forest.tree_masks(basis.tree_edges)[0].bit_count() for basis in trees]
-    best = counts.index(min(counts))
-    return _tree_form(g, x, trees[best], counts[best])
+    return _scanned_form(g, x, scan_trees(g, (x,), cap=cap).forms[0])
 
 
 def chord_flux_matrix(g: FundamentalGraph, basis: SpanningTreeBasis) -> np.ndarray:
     """d x beta integer matrix whose columns are index-form chord fluxes."""
-    table = flux_table(g, g.index_form(), basis)
-    return table.values.T.astype(np.int64)
+    return flux_table(g, g.index_form(), basis).T.astype(np.int64)
 
 
 def invariants(
@@ -680,21 +659,14 @@ def invariants(
 
 
 def minimal_pair(
-    g: FundamentalGraph,
-    trees: Sequence[SpanningTreeBasis] | None = None,
-    cap: int = 10**6,
-    scan: TreeScan | None = None,
+    g: FundamentalGraph, cap: int = 10**6, scan: TreeScan | None = None
 ) -> tuple[OneForm, OneForm]:
     """Lexicographic minimal pair (index-class form, phase-class form).
 
     Reuses a given scan of the (index, phase) forms instead of scanning.
     """
     forms = (g.index_form(), g.magnetic_form())
-    if trees is not None:
-        return minimal_form(g, forms[0], trees)[0], minimal_form(g, forms[1], trees)[0]
     if scan is None:
         scan = scan_trees(g, forms, cap=cap)
-    mu, phi = (
-        _tree_form(g, x, _basis_for_tree(g, s.tree), s.count)[0] for x, s in zip(forms, scan.forms)
-    )
+    mu, phi = (_scanned_form(g, x, s)[0] for x, s in zip(forms, scan.forms))
     return mu, phi

@@ -399,13 +399,22 @@ def generate(kind: str, d: int | None = None,
 
 
 def graph_from_dict(data: dict) -> FundamentalGraph:
-    """Parse the JSON graph schema; phases are reduced into (-pi, pi]."""
+    """Parse the JSON graph schema; phases are reduced into (-pi, pi].
+
+    Any field of the wrong type or out of numeric range raises
+    GraphDataError.
+    """
     try:
         dim = int(data["dim"])
         names = [str(v) for v in data["vertices"]]
         raw_edges = data["edges"]
-    except (KeyError, TypeError) as exc:
+        raw_potential = data.get("potential") or {}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphDataError(f"malformed graph data: {exc}") from exc
+    if not isinstance(raw_edges, list):
+        raise GraphDataError("edges must be a list")
+    if not isinstance(raw_potential, dict):
+        raise GraphDataError("potential must map vertex names to numbers")
     if len(set(names)) != len(names):
         raise GraphDataError("duplicate vertex names")
     ids = {name: i for i, name in enumerate(names)}
@@ -423,14 +432,17 @@ def graph_from_dict(data: dict) -> FundamentalGraph:
             alpha = reduce_angle(float(rec.get("alpha", 0.0)))
         except KeyError as exc:
             raise GraphDataError(f"edge {k} references unknown vertex {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphDataError(f"edge {k} is malformed: {exc}") from exc
         edges.append(Edge(tail, head, index, alpha))
     potential = np.zeros(len(names))
-    for name, q in (data.get("potential") or {}).items():
+    for name, q in raw_potential.items():
         if name not in ids:
             raise GraphDataError(f"potential references unknown vertex {name!r}")
-        potential[ids[name]] = float(q)
+        try:
+            potential[ids[name]] = float(q)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphDataError(f"potential of vertex {name!r} is malformed: {exc}") from exc
     return FundamentalGraph(
         dim=dim,
         num_vertices=len(names),

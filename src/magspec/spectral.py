@@ -48,11 +48,11 @@ from .forms_cycles import (
     InvariantReport,
     first_spanning_tree,
     invariants,
-    minimal_form,
     minimal_pair,
     scan_trees,
+    tree_form,
 )
-from .graph_model import FundamentalGraph, OneForm
+from .graph_model import FundamentalGraph, OneForm, validate
 
 MATRIX_TOL = 1e-9  # matrix-level facts
 SWEEP_TOL = 1e-6  # quantities extremized over a grid
@@ -123,9 +123,9 @@ def _sweep(
 
     solve(chunk) returns one (len(chunk), nu) array per table. A chunk
     holds at most _CHUNK_BYTES of complex nu x nu fibers (or a single
-    fiber when one is larger), so only the tables grow with the grid. MAGSPEC_THREADS > 1 maps the same chunks
-    over a thread pool; each chunk writes its own rows, so the tables
-    are identical either way.
+    fiber when one is larger), so only the tables grow with the grid.
+    MAGSPEC_THREADS > 1 maps the same chunks over a thread pool; each
+    chunk writes its own rows, so the tables are identical either way.
     """
     out = [np.empty((thetas.shape[0], nu)) for _ in range(tables)]
     step = max(1, _CHUNK_BYTES // (16 * max(nu, 1) ** 2))
@@ -252,8 +252,9 @@ class Analysis:
 def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
     """Invariants, minimal pair and theta0 shift of g from one scan_trees call.
 
-    Raises what invariants and theta0_reduction raise.
+    Raises what validate, invariants and theta0_reduction raise.
     """
+    validate(g)
     scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
     report = invariants(g, scan=scan)
     mu, phi = minimal_pair(g, scan=scan)
@@ -304,7 +305,7 @@ def verify_band_localization(
     mu = (analysis or analyze(g, cap)).mu
     alpha = g.magnetic_form()
 
-    delta0, _ = split_fiber(g, mu, alpha, np.zeros(g.dim))
+    delta0 = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0][0]
     h0 = delta0 + np.diag(g.potential)
     floors = hermitian_eigenvalues(h0)
     kplus = int(support_degrees(g, mu).max()) if mu.support() else 0
@@ -477,10 +478,8 @@ def verify_gauge_equivalence(
     """
     an = analysis or analyze(g, cap)
     tau, alpha = g.index_form(), g.magnetic_form()
-    first = [first_spanning_tree(g)]
-    mu_t, _, _ = minimal_form(g, tau, first)
-    phi_t, _, _ = minimal_form(g, alpha, first)
-    pairs = [(tau, alpha), (an.mu, an.phi), (mu_t, phi_t)]
+    first = first_spanning_tree(g)
+    pairs = [(tau, alpha), (an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
 
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=(n_thetas, g.dim))
@@ -517,14 +516,11 @@ def verify_positive_splitting(
     """
     mu = (analysis or analyze(g, cap)).mu
     alpha = g.magnetic_form()
-    on = np.zeros(g.num_edges, dtype=bool)
-    on[list(mu.support())] = True
     two_b = 2.0 * np.diag(support_degrees(g, mu).astype(float))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=(n_thetas, g.dim))
     full = fiber_stack(g, mu, alpha, thetas)
-    delta0 = fiber_stack(g, mu, alpha, thetas, edge_mask=~on)
-    delta_tilde = fiber_stack(g, mu, alpha, thetas, edge_mask=on)
+    delta0, delta_tilde = split_fiber(g, mu, alpha, thetas)
     split_gap = np.abs(full - (delta0 + delta_tilde)).max(axis=(1, 2))
     failed = np.stack(
         [

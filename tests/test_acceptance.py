@@ -204,11 +204,11 @@ def test_criterion_7_kagome_flat_band(kagome):
     # oracle: the fiber at zero is 6 I - 2 J with spectrum {0, 6, 6}, and
     # 6 stays a root of the characteristic polynomial at random theta
     tau, zero = kagome.index_form(), zero_phase_form(kagome)
-    m0 = fiber_matrix(kagome, tau, zero, [0.0, 0.0]).matrix
+    m0 = fiber_matrix(kagome, tau, zero, [0.0, 0.0])
     ok = ok and np.allclose(hermitian_eigenvalues(m0), [0.0, 6.0, 6.0], atol=1e-12)
     rng = np.random.default_rng(20250816)
     for theta in rng.uniform(-np.pi, np.pi, (10, 2)):
-        m = fiber_matrix(kagome, tau, zero, theta).matrix
+        m = fiber_matrix(kagome, tau, zero, theta)
         ok = ok and abs(np.linalg.det(m - 6.0 * np.eye(3))) < 1e-9
 
     report(7, ok, f"one flat band flagged at [{lo:.10f}, {hi:.10f}]")

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from magspec import dump_graph_json, generate, load_graph_json
+import magspec.cli as cli
+from magspec import NonFiniteOutputError, dump_graph_json, generate, graph_to_dict, load_graph_json
 from magspec.cli import main
 
 
@@ -251,3 +257,86 @@ def test_build_periodic_rejects_sublattice(tmp_path, capsys):
     code, _, err = run(capsys, "build-periodic", str(path))
     assert code == 2
     assert "sublattice" in err
+
+
+def _write_hexagonal_with(tmp_path, field: str, raw: str) -> str:
+    """The hexagonal graph JSON with one top-level field replaced by raw JSON text."""
+    data = graph_to_dict(generate("hexagonal"))
+    data[field] = "@"
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data).replace('"@"', raw), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("field,raw", [
+    ("dim", '"x"'),
+    ("dim", "1e400"),
+    ("potential", '{"v1": "abc"}'),
+    ("potential", "[1]"),
+    ("edges", "5"),
+])
+def test_malformed_top_level_field_exits_2(tmp_path, capsys, field, raw):
+    code, out, err = run(capsys, "invariants", _write_hexagonal_with(tmp_path, field, raw))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_non_finite_output_is_a_named_failed_check(capsys, kagome_file, monkeypatch):
+    import magspec.spectral as spectral
+
+    monkeypatch.setattr(spectral, "union_measure", lambda intervals: math.nan)
+    code, out, err = run(capsys, "bands", kagome_file, "--grid", "11")
+    assert code == 1
+    assert out == ""
+    assert "non-finite" in err
+    with pytest.raises(NonFiniteOutputError):
+        cli._print_json({"measure": math.inf})
+
+
+# Replacement values for a mutated field: wrong types, huge and non-finite numbers.
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-1, 1), max_size=2),
+    st.sampled_from([0, -1, 3, 2.5, 10**400, -(10**30), 1e308, -1e308,
+                     math.inf, -math.inf, math.nan]),
+)
+# Paths into the graph JSON of _mutation_base.
+_PATHS = st.sampled_from([
+    ("dim",), ("vertices",), ("edges",), ("potential",),
+    ("vertices", 0), ("edges", 0), ("edges", 1, "tail"), ("edges", 1, "head"),
+    ("edges", 2, "index"), ("edges", 2, "index", 0), ("edges", 0, "alpha"),
+    ("potential", "v1"),
+])
+
+
+def _mutation_base() -> dict:
+    data = graph_to_dict(generate("hexagonal").with_potential([0.5, 0.0]))
+    data["edges"][0]["alpha"] = 1.0
+    return data
+
+
+@settings(max_examples=25, deadline=None)
+@given(mutations=st.lists(st.tuples(_PATHS, _JUNK), min_size=1, max_size=2))
+def test_cli_exit_code_contract_on_mutated_graphs(mutations):
+    data = _mutation_base()
+    for path, value in mutations:
+        target = data
+        try:
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed the container
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.json"
+        graph.write_text(json.dumps(data), encoding="utf-8")
+        for argv in (["invariants"], ["bands", "--grid", "5"], ["verify", "--grid", "5"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([argv[0], str(graph), *argv[1:]])
+            assert code in (0, 1, 2), argv
+            assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

@@ -14,13 +14,13 @@ from magspec import (
     gauge_weights,
     generate,
     invariants,
-    minimal_form,
     minimal_pair,
     perturbation_matrix,
     phase_perturbation_bound,
     split_fiber,
     support_degrees,
     theta0_reduction,
+    tree_form,
     zero_phase_form,
 )
 from magspec.graph_model import Edge, FundamentalGraph, OneForm
@@ -64,13 +64,13 @@ def perturbation_oracle(g, mu, phi_tilde, theta):
 def test_fiber_z1_values():
     g = generate("zd", 1)
     tau, zero = g.index_form(), zero_phase_form(g)
-    assert fiber_matrix(g, tau, zero, [0.0]).matrix[0, 0] == pytest.approx(0.0)
-    assert fiber_matrix(g, tau, zero, [math.pi]).matrix[0, 0] == pytest.approx(4.0)
+    assert fiber_matrix(g, tau, zero, [0.0])[0, 0] == pytest.approx(0.0)
+    assert fiber_matrix(g, tau, zero, [math.pi])[0, 0] == pytest.approx(4.0)
 
 
 def test_fiber_z2_quarter_turn():
     g = generate("zd", 2)
-    m = fiber_matrix(g, g.index_form(), zero_phase_form(g), [math.pi / 2, math.pi / 2]).matrix
+    m = fiber_matrix(g, g.index_form(), zero_phase_form(g), [math.pi / 2, math.pi / 2])
     assert m[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
@@ -80,7 +80,7 @@ def test_fiber_matches_row_sum_oracle():
         g = make_random_graph(rng)
         b, a = g.index_form(), g.magnetic_form()
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        got = fiber_matrix(g, b, a, theta, with_potential=True).matrix
+        got = fiber_matrix(g, b, a, theta, with_potential=True)
         want = row_sum_fiber(g, b, a, theta, with_potential=True)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -91,7 +91,7 @@ def test_fiber_hermitian_and_diagonal_rule():
         g = make_random_graph(rng)
         b, a = g.index_form(), g.magnetic_form()
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        m = fiber_matrix(g, b, a, theta, with_potential=True).matrix
+        m = fiber_matrix(g, b, a, theta, with_potential=True)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12 * (1 + np.linalg.norm(m))
         deg = g.degrees()
         for v in range(g.num_vertices):
@@ -110,7 +110,7 @@ def test_fiber_parallel_edges_accumulate():
         edges=(Edge(0, 1, (0,), 0.3), Edge(0, 1, (1,), -0.2)),
     )
     theta = [0.9]
-    m = fiber_matrix(g, g.index_form(), g.magnetic_form(), theta).matrix
+    m = fiber_matrix(g, g.index_form(), g.magnetic_form(), theta)
     want01 = -(np.exp(1j * 0.3) + np.exp(1j * (-0.2 + 0.9)))
     assert m[0, 1] == pytest.approx(want01)
     assert m[1, 0] == pytest.approx(np.conj(want01))
@@ -131,7 +131,7 @@ def test_fiber_stack_matches_singletons(kagome):
     b, a = kagome.index_form(), kagome.magnetic_form()
     stack = fiber_stack(kagome, b, a, thetas)
     for i, theta in enumerate(thetas):
-        assert np.allclose(stack[i], fiber_matrix(kagome, b, a, theta).matrix)
+        assert np.allclose(stack[i], fiber_matrix(kagome, b, a, theta))
 
 
 # -- gauge transformation -------------------------------------------------------------
@@ -153,14 +153,13 @@ def test_gauge_conjugation_identity():
     rng = np.random.default_rng(3)
     for _ in range(5):
         g = make_random_graph(rng)
-        trees = enumerate_spanning_trees(g)
-        mu, phi = minimal_pair(g, trees)
+        mu, phi = minimal_pair(g)
         w = gauge_weights(g, mu, phi)
         assert np.max(np.abs(w.w_b - np.rint(w.w_b))) < 1e-9  # integer weights
         tau, alpha = g.index_form(), g.magnetic_form()
         for theta in rng.uniform(-np.pi, np.pi, (20, g.dim)):
-            m_min = fiber_matrix(g, mu, phi, theta).matrix
-            m_tau = fiber_matrix(g, tau, alpha, theta).matrix
+            m_min = fiber_matrix(g, mu, phi, theta)
+            m_tau = fiber_matrix(g, tau, alpha, theta)
             d = w.diagonal_unitary(theta)
             conjugated = np.conj(d)[:, None] * m_min * d[None, :]
             assert np.allclose(conjugated, m_tau, atol=1e-9)
@@ -174,15 +173,19 @@ def test_gauge_kagome_alternate_minimal_tree(kagome):
     # its gauge has integer weights and conjugates back to the stored fiber
     trees = enumerate_spanning_trees(kagome)
     outer = next(b for b in trees if b.tree_edges == (3, 5))
-    mu_alt, _, cnt = minimal_form(kagome, kagome.index_form(), [outer])
-    assert cnt == 3
+    mu_alt = tree_form(kagome, kagome.index_form(), outer)
+    assert len(mu_alt.support()) == 3
     assert not np.array_equal(mu_alt.values, kagome.index_matrix())
     w = gauge_weights(kagome, mu_alt, kagome.magnetic_form())
     assert np.max(np.abs(w.w_b - np.rint(w.w_b))) == 0.0
+    for v0 in range(kagome.num_vertices):
+        shifted = gauge_weights(kagome, mu_alt, kagome.magnetic_form(), v0)
+        assert not shifted.w_b[v0].any() and shifted.w_a[v0] == 0.0
+        assert np.array_equal(shifted.w_b, w.w_b - w.w_b[v0])
     rng = np.random.default_rng(20)
     for theta in rng.uniform(-np.pi, np.pi, (20, 2)):
-        m_alt = fiber_matrix(kagome, mu_alt, kagome.magnetic_form(), theta).matrix
-        m_tau = fiber_matrix(kagome, kagome.index_form(), kagome.magnetic_form(), theta).matrix
+        m_alt = fiber_matrix(kagome, mu_alt, kagome.magnetic_form(), theta)
+        m_tau = fiber_matrix(kagome, kagome.index_form(), kagome.magnetic_form(), theta)
         d = w.diagonal_unitary(theta)
         assert np.allclose(np.conj(d)[:, None] * m_alt * d[None, :], m_tau, atol=1e-9)
         assert np.allclose(np.linalg.eigvalsh(m_alt), np.linalg.eigvalsh(m_tau), atol=1e-9)
@@ -327,12 +330,14 @@ def test_split_fiber_is_exact():
         g = make_random_graph(rng)
         mu, _ = minimal_pair(g)
         alpha = g.magnetic_form()
-        theta = rng.uniform(-np.pi, np.pi, g.dim)
-        delta0, delta_tilde = split_fiber(g, mu, alpha, theta)
-        full = fiber_matrix(g, mu, alpha, theta).matrix
-        assert np.allclose(delta0 + delta_tilde, full, atol=1e-12)
+        thetas = rng.uniform(-np.pi, np.pi, (4, g.dim))
+        delta0, delta_tilde = split_fiber(g, mu, alpha, thetas)
+        assert delta0.shape == delta_tilde.shape == (4, g.num_vertices, g.num_vertices)
+        for k, theta in enumerate(thetas):
+            full = fiber_matrix(g, mu, alpha, theta)
+            assert np.allclose(delta0[k] + delta_tilde[k], full, atol=1e-12)
         # off-support part never depends on theta
-        other = split_fiber(g, mu, alpha, np.zeros(g.dim))[0]
+        other = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0]
         assert np.allclose(delta0, other, atol=1e-12)
 
 

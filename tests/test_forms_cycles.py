@@ -174,8 +174,7 @@ def kagome_coordinate_form(kagome):
 
 
 def test_kagome_coordinate_form_minimal_count(kagome):
-    trees = enumerate_spanning_trees(kagome)
-    mu, basis, beta_x = minimal_form(kagome, kagome_coordinate_form(kagome), trees)
+    mu, basis, beta_x = minimal_form(kagome, kagome_coordinate_form(kagome))
     assert beta_x == 3
     assert mu.support_size_oriented() == 6
 
@@ -195,9 +194,8 @@ def test_kagome_outer_arc_tree_is_minimal(kagome):
 
 
 def test_minimal_form_zero_fluxes(kagome):
-    trees = enumerate_spanning_trees(kagome)
     zero = OneForm.zeros(kagome.num_edges, 2)
-    mu, _, beta_x = minimal_form(kagome, zero, trees)
+    mu, _, beta_x = minimal_form(kagome, zero)
     assert beta_x == 0
     assert mu.support() == ()
 
@@ -205,8 +203,7 @@ def test_minimal_form_zero_fluxes(kagome):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_minimal_form_zd_is_index_form(d):
     g = generate("zd", d)
-    trees = enumerate_spanning_trees(g)
-    mu, basis, beta_x = minimal_form(g, g.index_form(), trees)
+    mu, basis, beta_x = minimal_form(g, g.index_form())
     assert beta_x == d
     assert basis.tree_edges == ()
     assert np.array_equal(mu.values, g.index_matrix())
@@ -215,7 +212,7 @@ def test_minimal_form_zd_is_index_form(d):
 def test_minimal_form_preserves_fluxes_everywhere(kagome):
     trees = enumerate_spanning_trees(kagome)
     x = kagome_coordinate_form(kagome)
-    mu, _, _ = minimal_form(kagome, x, trees)
+    mu, _, _ = minimal_form(kagome, x)
     for basis in trees:
         for cycle in basis.cycles:
             assert np.allclose(flux(kagome, mu, cycle), flux(kagome, x, cycle), atol=1e-12)
@@ -227,7 +224,7 @@ def test_minimal_form_preserves_fluxes_random_graphs():
         g = make_random_graph(rng)
         trees = enumerate_spanning_trees(g)
         for form in (g.index_form(), g.magnetic_form()):
-            mu, _, _ = minimal_form(g, form, trees)
+            mu, _, _ = minimal_form(g, form)
             for basis in trees:
                 for cycle in basis.cycles:
                     got = flux(g, mu, cycle)
@@ -246,7 +243,7 @@ def test_minimum_is_well_defined_across_minimal_trees():
         ]
         best = min(counts)
         assert all(c == best for c in counts if c == best)  # argmin set is consistent
-        _, _, beta_x = minimal_form(g, tau, trees)
+        _, _, beta_x = minimal_form(g, tau)
         assert beta_x == best
 
 

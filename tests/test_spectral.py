@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from magspec import (
     GraphDataError,
     GridTooCoarseError,
+    NonFinitePotentialError,
     NotHermitianError,
     band_sweep,
     eigenvalue_table,
-    enumerate_spanning_trees,
     fiber_matrix,
     generate,
     hermitian_eigenvalues,
@@ -158,13 +158,13 @@ def test_band_sweep_kagome_flat_band(kagome):
 def test_kagome_flat_band_oracle(kagome):
     # frozen fiber at theta = 0: 6 I - 2 (all-ones), eigenvalues {0, 6, 6}
     tau, zero = kagome.index_form(), zero_phase_form(kagome)
-    m0 = fiber_matrix(kagome, tau, zero, [0.0, 0.0]).matrix
+    m0 = fiber_matrix(kagome, tau, zero, [0.0, 0.0])
     assert np.allclose(m0, 6 * np.eye(3) - 2 * np.ones((3, 3)), atol=1e-12)
     assert np.allclose(hermitian_eigenvalues(m0), [0.0, 6.0, 6.0], atol=1e-12)
     # the flat value stays an exact eigenvalue at arbitrary quasimomenta
     rng = np.random.default_rng(10)
     for theta in rng.uniform(-np.pi, np.pi, (10, 2)):
-        m = fiber_matrix(kagome, tau, zero, theta).matrix
+        m = fiber_matrix(kagome, tau, zero, theta)
         assert abs(np.linalg.det(m - 6 * np.eye(3))) < 1e-9
 
 
@@ -186,15 +186,14 @@ def test_phase_free_fiber_kernel_at_zero(generator_graphs):
         )[0, 0]
         assert abs(lam0) < 1e-9
         # the kernel vector is the constant function
-        m0 = fiber_matrix(g, g.index_form(), zero_phase_form(g), np.zeros(g.dim)).matrix
+        m0 = fiber_matrix(g, g.index_form(), zero_phase_form(g), np.zeros(g.dim))
         assert np.max(np.abs(m0 @ np.ones(g.num_vertices))) < 1e-9
 
 
 def test_grid_variation_respects_lipschitz_alarm(kagome):
     # each oriented support edge moves an eigenvalue by at most the
     # 1-norm of its index value per unit step in theta
-    trees = enumerate_spanning_trees(kagome)
-    mu, _, _ = minimal_form(kagome, kagome.index_form(), trees)
+    mu, _, _ = minimal_form(kagome, kagome.index_form())
     bound = 2.0 * np.abs(mu.values[list(mu.support())].astype(float)).sum()
     n = 41
     spec = band_sweep(kagome, grid_n=n)
@@ -397,3 +396,17 @@ def test_gauge_and_splitting_verifiers(generator_graphs):
     for g in generator_graphs:
         assert verify_gauge_equivalence(g)
         assert verify_positive_splitting(g)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [verify_band_localization, verify_gauge_equivalence, verify_positive_splitting,
+     verify_perturbation],
+    ids=lambda f: f.__name__,
+)
+def test_verify_functions_validate_their_graph(check):
+    # eigvalsh returns finite, wrong eigenvalues for a fiber with a NaN
+    # entry, so an unvalidated NaN potential could pass a check
+    g = generate("hexagonal").with_potential([math.nan, 0.0])
+    with pytest.raises(NonFinitePotentialError):
+        check(g)

@@ -14,6 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import magspec.fiber_operator as fiber_operator
 import magspec.spectral as spectral
 from magspec import (
     CheckFailedError,
@@ -219,7 +220,9 @@ def test_batched_splitting_raises_the_loops_first_failure(monkeypatch, breaks):
                 out[th[:, 0] < -0.5] += sign * np.eye(g.num_vertices)
             return out
 
+        # split_fiber assembles its stacks through the fiber_operator binding
         monkeypatch.setattr(spectral, "fiber_stack", stack)
+        monkeypatch.setattr(fiber_operator, "fiber_stack", stack)
         if "degrees" in breaks:
             monkeypatch.setattr(spectral, "support_degrees",
                                 lambda g_, mu_: np.zeros(g_.num_vertices, dtype=np.int64))

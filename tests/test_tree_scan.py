@@ -31,6 +31,7 @@ from magspec import (
     scan_trees,
     spanning_tree_count,
     supercell,
+    tree_form,
 )
 from magspec.cli import main
 from magspec.graph_model import FundamentalGraph, PeriodicEmbedding
@@ -62,11 +63,11 @@ def reference_trees(g: FundamentalGraph) -> list[tuple[int, ...]]:
 def reference_support(g, form, basis) -> frozenset[int]:
     """Chords whose basic-cycle flux, walked edge by edge, is nonzero."""
     table = flux_table(g, form, basis)
-    if np.issubdtype(table.values.dtype, np.integer):
-        nonzero = np.any(table.values != 0, axis=1)
+    if np.issubdtype(table.dtype, np.integer):
+        nonzero = np.any(table != 0, axis=1)
     else:
-        nonzero = np.any(np.abs(table.values) > fc.ZERO_FLUX_TOL, axis=1)
-    return frozenset(c for c, nz in zip(table.chords, nonzero) if nz)
+        nonzero = np.any(np.abs(table) > fc.ZERO_FLUX_TOL, axis=1)
+    return frozenset(c for c, nz in zip(basis.chords, nonzero) if nz)
 
 
 def mask_of(support: frozenset[int]) -> int:
@@ -117,27 +118,39 @@ def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs):
         assert report.tree_count == len(trees)
 
 
-def test_streaming_minimal_form_equals_explicit_list(scan_graphs, kagome):
+def first_minimal_tree(g, form, trees):
+    """The reference's first tree with fewest nonzero chord fluxes, and that count."""
+    supports = [reference_support(g, form, b) for b in trees]
+    best = min(map(len, supports))
+    return trees[next(i for i, s in enumerate(supports) if len(s) == best)], best
+
+
+def test_minimal_form_is_tree_form_on_first_minimal_tree(scan_graphs, kagome):
     emb = PeriodicEmbedding(np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]))
     cases = [(kagome, coordinate_form(kagome, emb))]
     cases += [(g, x) for g in scan_graphs[:20] for x in (g.index_form(), g.magnetic_form())]
     for g, x in cases:
-        trees = enumerate_spanning_trees(g)
-        mu_s, basis_s, count_s = minimal_form(g, x)
-        mu_l, basis_l, count_l = minimal_form(g, x, trees)
-        assert count_s == count_l
-        assert basis_s.tree_edges == basis_l.tree_edges
-        assert np.array_equal(mu_s.values, mu_l.values)
+        first, best = first_minimal_tree(g, x, enumerate_spanning_trees(g))
+        mu, basis, count = minimal_form(g, x)
+        assert count == best
+        assert basis.tree_edges == first.tree_edges
+        assert np.array_equal(mu.values, tree_form(g, x, first).values)
     g = scan_graphs[0]
-    for got, want in zip(minimal_pair(g), minimal_pair(g, enumerate_spanning_trees(g))):
-        assert np.array_equal(got.values, want.values)
+    trees = enumerate_spanning_trees(g)
+    for got, x in zip(minimal_pair(g), (g.index_form(), g.magnetic_form())):
+        first, _ = first_minimal_tree(g, x, trees)
+        assert np.array_equal(got.values, tree_form(g, x, first).values)
 
 
-def test_minimal_form_rejects_a_non_tree(kagome):
-    basis = enumerate_spanning_trees(kagome)[0]
-    cycle = fc.SpanningTreeBasis(tree_edges=(0, 0), chords=basis.chords, cycles=basis.cycles)
-    with pytest.raises(ValueError):
-        minimal_form(kagome, kagome.index_form(), [cycle])
+def test_scanned_count_disagreeing_with_the_support_is_a_failed_check(kagome, monkeypatch):
+    forms = (kagome.index_form(), kagome.magnetic_form())
+    scan = scan_trees(kagome, forms)
+    wrong = scan._replace(forms=tuple(f._replace(count=f.count + 1) for f in scan.forms))
+    with pytest.raises(CheckFailedError, match="tree scan counted"):
+        minimal_pair(kagome, scan=wrong)
+    monkeypatch.setattr(fc, "scan_trees", lambda g, xs, cap: wrong)
+    with pytest.raises(CheckFailedError, match="tree scan counted"):
+        minimal_form(kagome, forms[0])
 
 
 def test_leaf_count_mismatch_is_a_failed_check(tmp_path, capsys, monkeypatch):
