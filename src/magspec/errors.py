@@ -47,7 +47,12 @@ class NonFinitePotentialError(GraphDataError):
 
 
 class IndexOverflowError(GraphDataError):
-    """An edge index entry does not fit in a signed 64-bit integer."""
+    """An edge index entry, or a tree potential of an integer form, does
+    not fit in a signed 64-bit integer."""
+
+
+class BettiBelowRankError(GraphDataError):
+    """Fewer independent cycles than the lattice rank: the index fluxes cannot span Z^d."""
 
 
 # -- trees, forms, invariants ------------------------------------------------

@@ -26,10 +26,11 @@ from .errors import (
     CheckFailedError,
     DisconnectedGraphError,
     FluxImageNotFullLatticeError,
+    IndexOverflowError,
     OpenPathError,
     TreeCountExceedsCapError,
 )
-from .graph_model import TWO_PI, FundamentalGraph, OneForm, reduce_angle
+from .graph_model import INT64_MAX, TWO_PI, FundamentalGraph, OneForm, reduce_angle
 
 # An oriented edge sequence: (edge_id, sign) steps, sign +1 = canonical.
 Cycle = tuple[tuple[int, int], ...]
@@ -266,6 +267,11 @@ def _basis_for_tree(g: FundamentalGraph, tree_ids: tuple[int, ...]) -> SpanningT
 # Channel kinds: how the flux of one scalar component is tested for zero.
 _EXACT, _ANGLE, _REAL = range(3)
 
+_BLOCK_STATES = 512  # a block of partial forests is split above this many states
+# Below this many spanning trees numpy's fixed cost per edge outweighs the
+# batch and the depth-first scan is faster (crossover measured near 60).
+_BATCH_MIN_TREES = 64
+
 
 class _PotentialForest:
     """Weighted union-find with undo carrying the tree potentials of forms.
@@ -433,6 +439,230 @@ class _PotentialForest:
         return masks
 
 
+def _nonzero_phase(f: np.ndarray) -> np.ndarray:
+    """abs(math.remainder(f, 2*pi)) > ZERO_FLUX_TOL, elementwise.
+
+    fmod is exact, and for a = |fmod(f, 2*pi)| >= pi so is 2*pi - a
+    (Sterbenz), hence min(a, 2*pi - a) is |remainder| exactly.
+    """
+    a = np.abs(np.fmod(f, TWO_PI))
+    return np.minimum(a, TWO_PI - a) > ZERO_FLUX_TOL
+
+
+class _TreeScanner:
+    """The backtracking of _PotentialForest.trees, run breadth-first in numpy.
+
+    A state is a forest of non-loop edges, decided in ascending edge id.
+    At edge (t, h) a state whose roots of t and h differ gets an include
+    child, and an exclude child exactly when the later edges, together
+    with the forest, still join t and h (the _bypassed criterion);
+    otherwise the edge is a chord and the state passes on unchanged.
+    Every state thus ends in a spanning tree, each tree once. A whole
+    block of states takes one edge per step.
+
+    Each state is one row of two arrays. `ints` holds the weighted
+    union-find (root and parent of every vertex, union by size, no path
+    compression), the vertex set of every vertex's tree as bit words,
+    for every exact channel the offset p(v) - p(parent) of every vertex,
+    and the included edges as bit-reversed words (edge e is bit
+    63 - e % 64 of word e // 64), so the largest key is the
+    lexicographically smallest edge set. `flts` holds the offsets of
+    the phase and real channels. Including edge t -> h with value x
+    fixes p(h) = p(t) + x. Offsets are summed bottom-up to lift t and h
+    and root-down to potentials, in the floating-point order of
+    _PotentialForest. Once a state spans, the flux of chord c is
+    x(c) + p(t) - p(h): exact channels compare with zero (int64, exact
+    under _check_int64_range), phases modulo 2*pi and real channels
+    against ZERO_FLUX_TOL.
+    """
+
+    def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
+        n = self.n = g.num_vertices
+        edges = self.num_edges = g.num_edges
+        self.tails = np.array([e.tail for e in g.edges], dtype=np.intp)
+        self.heads = np.array([e.head for e in g.edges], dtype=np.intp)
+        # channels in [exact | phase | real] order; a form's channels are contiguous
+        kinds = [
+            _ANGLE if x.magnetic else _EXACT if np.issubdtype(x.values.dtype, np.integer) else _REAL
+            for x in forms
+        ]
+        cols: dict[int, list[np.ndarray]] = {_EXACT: [], _ANGLE: [], _REAL: []}
+        for x, kind in zip(forms, kinds):
+            cols[kind] += [x.values[:, c] for c in range(x.dim)]
+        at = {_EXACT: 0, _ANGLE: len(cols[_EXACT]), _REAL: len(cols[_EXACT]) + len(cols[_ANGLE])}
+        self.spans: list[tuple[int, int]] = []  # per form, its channel range
+        for x, kind in zip(forms, kinds):
+            self.spans.append((at[kind], at[kind] + x.dim))
+            at[kind] += x.dim
+        self.angles = len(cols[_ANGLE])
+        exact = np.array(cols[_EXACT], dtype=np.int64).reshape(-1, edges)
+        floats = np.array(cols[_ANGLE] + cols[_REAL], dtype=float).reshape(-1, edges)
+        # columns of ints: root, parent, vertex sets, exact offsets, tree
+        self.words = -(-n // 64)  # words per vertex set
+        sets_end = (2 + self.words) * n
+        # value groups: (array 0 = ints / 1 = flts, offset columns, values)
+        self.groups = [
+            grp for grp in (
+                (0, slice(sets_end, sets_end + len(exact) * n), exact),
+                (1, slice(0, len(floats) * n), floats),
+            ) if len(grp[2])
+        ]
+        self.tree_col = sets_end + len(exact) * n
+        self.ints0 = np.zeros((1, self.tree_col + (-(-edges // 64) or 1)), dtype=np.int64)
+        self.ints0[0, : 2 * n] = np.tile(np.arange(n), 2)
+        self.ints0[0, 2 * n : sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
+        self.flts0 = np.zeros((1, len(floats) * n))
+        v = np.arange(n)
+        self.vertex_words, self.vertex_bits = v // 64, v % 64
+        e = np.arange(edges)
+        self.edge_words, self.edge_bits = self.tree_col + e // 64, 63 - e % 64
+        # per non-loop edge: its ends, tree word and bit, values per group,
+        # and per vertex the set joined to it by the later non-loop edges
+        # (None when those alone join the ends)
+        link = list(range(n))
+
+        def top(u: int) -> int:
+            while link[u] != u:
+                u = link[u]
+            return u
+
+        self.levels = []
+        for eid in reversed([i for i, e in enumerate(g.edges) if not e.is_loop]):
+            t, h = g.edges[eid].tail, g.edges[eid].head
+            labels = [top(u) for u in range(n)]
+            later = None
+            if labels[t] != labels[h]:
+                classes: dict[int, int] = {}
+                for u, lab in enumerate(labels):
+                    classes[lab] = classes.get(lab, 0) | 1 << u
+                later = self._bit_words([classes[lab] for lab in labels])
+            self.levels.append((
+                t, h, self.tree_col + eid // 64,
+                np.array(1 << (63 - eid % 64), dtype=np.uint64).view(np.int64),
+                [values[:, eid] for _, _, values in self.groups],
+                later,
+            ))
+            link[top(t)] = top(h)
+        self.levels.reverse()
+
+    def _bit_words(self, sets: list[int]) -> np.ndarray:
+        """(len(sets), words) int64 words of vertex sets given as Python bitmasks."""
+        words = [(s >> (64 * i)) & (2**64 - 1) for s in sets for i in range(self.words)]
+        return np.array(words, dtype=np.uint64).view(np.int64).reshape(len(sets), self.words)
+
+    def _sets(self, ints: np.ndarray) -> np.ndarray:
+        """(S, nu, words) view: the vertex set of every vertex's tree."""
+        n = self.n
+        return ints[:, 2 * n : (2 + self.words) * n].reshape(len(ints), n, self.words)
+
+    def _bypassed(self, ints: np.ndarray, later: np.ndarray, t: int, h: int) -> np.ndarray:
+        """Per state, whether its forest and the later edges join t and h."""
+        near = self._sets(ints) | later  # per vertex, the vertices one step away
+        reach = near[:, t]
+        while True:
+            member = reach[:, self.vertex_words] >> self.vertex_bits & 1
+            if np.logical_and.reduce(member[:, h], axis=None):
+                return member[:, h] == 1
+            grown = np.bitwise_or.reduce(near * member[:, :, None], axis=1)
+            if np.array_equal(grown, reach):
+                return member[:, h] == 1
+            reach = grown
+
+    def _advance(self, ints: np.ndarray, flts: np.ndarray, level: int) -> tuple:
+        """Decide one edge for a block: chord, include child, exclude child."""
+        t, h, word, bit, xs, later = self.levels[level]
+        n = self.n
+        rt, rh = ints[:, t], ints[:, h]
+        stay = rt == rh  # the edge closes a cycle: a chord
+        inc = np.logical_not(stay).nonzero()[0]
+        k = len(inc)
+        if not k:
+            return ints, flts
+        a, b = rt.take(inc), rh.take(inc)
+        if later is None:  # the later edges alone join t and h
+            stay[:] = True
+        else:
+            stay[inc] = self._bypassed(ints.take(inc, axis=0), later, t, h)
+        order = np.concatenate((stay.nonzero()[0], inc))
+        ints, flts = ints.take(order, axis=0), flts.take(order, axis=0)
+        new = ints[-k:]
+        sets = self._sets(new)
+        merged = sets[:, t] | sets[:, h]
+        sizes = np.bitwise_count(sets[:, [t, h]].view(np.uint64)).sum(axis=2)
+        flip = sizes[:, 0] < sizes[:, 1]  # t's tree hangs below h's root, so the offset changes sign
+        low = np.where(flip, a, b)
+        high = a + b - low
+        rows = np.arange(k)
+        # the vertices from t and from h up to (past) their roots, whose
+        # offsets _PotentialForest._lift adds bottom-up; a root's offset is 0
+        parent = new[:, n : 2 * n]
+        path = [np.full(k, t), np.full(k, h)]
+        for _ in range(n.bit_length() - 2):  # union by size: depth <= log2(nu)
+            path += [parent[rows, path[-2]], parent[rows, path[-1]]]
+        path = np.stack(path, axis=1)
+        for (which, cols, _), x in zip(self.groups, xs):
+            block = (ints, flts)[which][-k:]
+            off = block[:, cols].reshape(k, len(x), n)
+            steps = off[rows[:, None], :, path]  # (k, 2 * depth, channels)
+            lift_t, lift_h = steps[:, 0] + 0, steps[:, 1] + 0
+            for i in range(2, steps.shape[1], 2):
+                lift_t, lift_h = lift_t + steps[:, i], lift_h + steps[:, i + 1]
+            d = lift_t + x - lift_h
+            np.negative(d, out=d, where=flip[:, None])
+            off[rows, :, low] = d
+        np.copyto(new[:, :n], high[:, None], where=new[:, :n] == low[:, None])
+        parent[rows, low] = high
+        np.copyto(sets, merged[:, None, :], where=(new[:, :n] == high[:, None])[:, :, None])
+        new[:, word] |= bit
+        return ints, flts
+
+    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Blocks (ints, flts) of spanning states, every tree once."""
+        stack = [(0, self.ints0, self.flts0)]
+        while stack:
+            level, ints, flts = stack.pop()
+            while level < len(self.levels):
+                ints, flts = self._advance(ints, flts, level)
+                level += 1
+                if len(ints) > _BLOCK_STATES:
+                    half = len(ints) // 2
+                    stack.append((level, ints[half:].copy(), flts[half:].copy()))
+                    ints, flts = ints[:half], flts[:half]
+            yield ints, flts
+
+    def keys(self, ints: np.ndarray) -> np.ndarray:
+        """(S, words) tree keys; the largest is the lexicographically first tree."""
+        return ints[:, self.tree_col :].view(np.uint64)
+
+    def edges_of(self, key: Sequence[int]) -> tuple[int, ...]:
+        return tuple(e for e in range(self.num_edges) if key[e // 64] >> (63 - e % 64) & 1)
+
+    def chord_masks(self, ints: np.ndarray, flts: np.ndarray) -> np.ndarray:
+        """(S, forms, E): per spanning state and form, the chords with nonzero flux."""
+        n, s = self.n, len(ints)
+        flux = np.empty((s, sum(len(x) for _, _, x in self.groups), self.num_edges), dtype=bool)
+        for which, cols, x in self.groups:
+            c = len(x)
+            off = (ints, flts)[which][:, cols].reshape(s, c, n)
+            at = np.arange(0, s * c * n, n).reshape(s, c, 1) + ints[:, None, n : 2 * n]
+            pot = np.zeros_like(off)
+            for _ in range(n.bit_length() - 1):  # union by size: depth <= log2(nu)
+                pot = off + pot.take(at)  # root-down: p(v) = off(v) + p(parent(v))
+            lifted = x + pot.take(self.tails, axis=2)
+            if which == 0:
+                np.not_equal(lifted, pot.take(self.heads, axis=2), out=flux[:, :c])
+                continue
+            f = lifted - pot.take(self.heads, axis=2)
+            flux[:, -c:][:, : self.angles] = _nonzero_phase(f[:, : self.angles])
+            flux[:, -c:][:, self.angles :] = np.abs(f[:, self.angles :]) > ZERO_FLUX_TOL
+        masks = np.empty((s, len(self.spans), self.num_edges), dtype=bool)
+        for k, (lo, hi) in enumerate(self.spans):
+            np.logical_or.reduce(flux[:, lo:hi], axis=1, out=masks[:, k])
+        tree = ints.take(self.edge_words, axis=1) >> self.edge_bits & 1
+        masks &= (tree == 0)[:, None, :]
+        return masks
+
+
 def _checked_tree_count(g: FundamentalGraph, cap: int) -> int:
     if not g.is_connected():
         raise DisconnectedGraphError("spanning trees need a connected graph")
@@ -440,6 +670,19 @@ def _checked_tree_count(g: FundamentalGraph, cap: int) -> int:
     if count > cap:
         raise TreeCountExceedsCapError(f"{count} spanning trees exceed the cap {cap}")
     return count
+
+
+def _check_int64_range(forms: Sequence[OneForm]) -> None:
+    """Refuse an integer form whose |values| sum above int64: that sum
+    bounds every tree potential, offset and flux of the form."""
+    for x in forms:
+        if x.magnetic or not np.issubdtype(x.values.dtype, np.integer):
+            continue
+        for col in x.values.T.tolist():
+            if sum(map(abs, col)) > INT64_MAX:
+                raise IndexOverflowError(
+                    "an integer form's values sum above int64, so its potentials could overflow"
+                )
 
 
 def _check_leaves(found: int, count: int) -> None:
@@ -458,10 +701,15 @@ def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[Span
     Materializes every tree; the library itself streams with scan_trees.
     """
     count = _checked_tree_count(g, cap)
-    forest = _PotentialForest(g)
-    out = [_basis_for_tree(g, tuple(forest.tree)) for _ in forest.trees()]
-    _check_leaves(len(out), count)
-    return out
+    if count < _BATCH_MIN_TREES:
+        forest = _PotentialForest(g)
+        trees = [tuple(forest.tree) for _ in forest.trees()]
+    else:
+        scanner = _TreeScanner(g)
+        keys = np.concatenate([scanner.keys(ints) for ints, _ in scanner.blocks()])
+        trees = [scanner.edges_of(key) for key in keys[np.lexsort(keys.T[::-1])[::-1]].tolist()]
+    _check_leaves(len(trees), count)
+    return [_basis_for_tree(g, tree) for tree in trees]
 
 
 def _first_tree_forest(g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> _PotentialForest:
@@ -493,17 +741,8 @@ class TreeScan(NamedTuple):
     forms: tuple[FormScan, ...]
 
 
-def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) -> TreeScan:
-    """Score every form on every spanning tree in one streaming pass.
-
-    Trees are visited in enumeration order, so "first" means
-    lexicographically smallest. Memory stays flat in the number of
-    trees: only the distinct minimal supports are kept. Raises
-    TreeCountExceedsCapError before scanning when the exact count
-    exceeds the cap, and CheckFailedError if the scan does not find
-    exactly that many trees.
-    """
-    count = _checked_tree_count(g, cap)
+def _scan_serial(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
+    """scan_trees by depth-first backtracking over one _PotentialForest."""
     forest = _PotentialForest(g, forms)
     best: list[tuple[int, tuple[int, ...], int, set[int]] | None] = [None] * len(forms)
     leaves = 0
@@ -519,12 +758,80 @@ def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) 
                 best[k] = (cnt, tuple(forest.tree), mask, {mask})
             elif cnt == cur[0]:
                 cur[3].add(mask)
-    _check_leaves(leaves, count)
     return TreeScan(
         tree_count=leaves,
         first_tree=first,
         forms=tuple(FormScan(c, t, m, frozenset(s)) for c, t, m, s in best),  # type: ignore[misc]
     )
+
+
+def _first_row(keys: np.ndarray) -> int:
+    """Row of the largest key (words compared in order): the lexicographically first tree."""
+    if keys.shape[1] == 1:
+        return int(np.argmax(keys[:, 0]))
+    return int(np.lexsort(keys.T[::-1])[-1])
+
+
+def _scan_batched(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
+    """scan_trees over blocks of a _TreeScanner; "first" is the largest tree key."""
+    scanner = _TreeScanner(g, forms)
+    first: list[int] = []
+    best: list[list | None] = [None] * len(forms)  # [count, tree key, support, supports]
+    leaves = 0
+    for ints, flts in scanner.blocks():
+        leaves += len(ints)
+        keys = scanner.keys(ints)
+        first = max(first, keys[_first_row(keys)].tolist())
+        masks = scanner.chord_masks(ints, flts)
+        counts = masks.sum(axis=2)
+        supports = np.packbits(masks, axis=2, bitorder="little")  # bit i of byte j: edge 8j + i
+        for k, cur in enumerate(best):
+            low = int(counts[:, k].min())
+            if cur is not None and low > cur[0]:
+                continue
+            rows = (counts[:, k] == low).nonzero()[0]
+            row = rows[_first_row(keys[rows])]
+            key, mask = keys[row].tolist(), supports[row, k].tobytes()
+            found = np.ascontiguousarray(supports[rows, k])
+            found = set(found.view(f"V{found.shape[1]}").ravel().tolist())
+            if cur is None or low < cur[0]:
+                best[k] = [low, key, mask, found]
+                continue
+            cur[3] |= found
+            if key > cur[1]:
+                cur[1], cur[2] = key, mask
+
+    def as_int(support: bytes) -> int:
+        return int.from_bytes(support, "little")
+
+    return TreeScan(
+        tree_count=leaves,
+        first_tree=scanner.edges_of(first),
+        forms=tuple(
+            FormScan(c, scanner.edges_of(key), as_int(m), frozenset(map(as_int, s)))
+            for c, key, m, s in best  # type: ignore[misc]
+        ),
+    )
+
+
+def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) -> TreeScan:
+    """Score every form on every spanning tree in one streaming pass.
+
+    "First" means lexicographically smallest tree edge-id set, the
+    enumeration order. Memory stays flat in the number of trees: only
+    the distinct minimal supports are kept. Graphs with at least
+    _BATCH_MIN_TREES trees are scanned in numpy blocks, smaller ones
+    depth-first; both give the same TreeScan. Raises
+    TreeCountExceedsCapError before scanning when the exact count
+    exceeds the cap, IndexOverflowError when an integer form could
+    overflow int64, and CheckFailedError if the scan does not find
+    exactly that many trees.
+    """
+    count = _checked_tree_count(g, cap)
+    _check_int64_range(forms)
+    scan = (_scan_serial if count < _BATCH_MIN_TREES else _scan_batched)(g, forms)
+    _check_leaves(scan.tree_count, count)
+    return scan
 
 
 # -- fluxes --------------------------------------------------------------------

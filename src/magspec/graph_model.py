@@ -25,6 +25,7 @@ from .errors import (
     AlphaOutOfRangeError,
     BadIndexLengthError,
     BadParamsError,
+    BettiBelowRankError,
     DisconnectedGraphError,
     GraphDataError,
     InconsistentEmbeddingError,
@@ -264,8 +265,9 @@ def validate(g: FundamentalGraph) -> ValidationReport:
     """Check structural invariants and summarize the graph.
 
     Raises BadParamsError, BadIndexLengthError, IndexOverflowError,
-    AlphaOutOfRangeError, NonFinitePotentialError or
-    DisconnectedGraphError on the first violated invariant.
+    AlphaOutOfRangeError, NonFinitePotentialError,
+    DisconnectedGraphError or BettiBelowRankError on the first violated
+    invariant.
     """
     if g.dim < 1:
         raise BadParamsError(f"lattice rank must be positive, got {g.dim}")
@@ -286,6 +288,11 @@ def validate(g: FundamentalGraph) -> ValidationReport:
         raise NonFinitePotentialError("vertex potentials must be finite")
     if not g.is_connected():
         raise DisconnectedGraphError("fundamental graph must be connected")
+    if g.beta < g.dim:
+        raise BettiBelowRankError(
+            f"first Betti number {g.beta} is below the lattice rank {g.dim}; "
+            "the index fluxes cannot span Z^d"
+        )
     deg = g.degrees()
     return ValidationReport(
         num_vertices=g.num_vertices,
@@ -398,6 +405,13 @@ def generate(kind: str, d: int | None = None,
 # -- JSON serialization -------------------------------------------------------
 
 
+def _integer(x) -> int:
+    """int(x), refusing a number with a fractional part instead of truncating it."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def graph_from_dict(data: dict) -> FundamentalGraph:
     """Parse the JSON graph schema; phases are reduced into (-pi, pi].
 
@@ -405,7 +419,7 @@ def graph_from_dict(data: dict) -> FundamentalGraph:
     GraphDataError.
     """
     try:
-        dim = int(data["dim"])
+        dim = _integer(data["dim"])
         names = [str(v) for v in data["vertices"]]
         raw_edges = data["edges"]
         raw_potential = data.get("potential") or {}
@@ -424,7 +438,7 @@ def graph_from_dict(data: dict) -> FundamentalGraph:
             tail = ids[str(rec["tail"])]
             head = ids[str(rec["head"])]
             if "index" in rec:
-                index = tuple(int(x) for x in rec["index"])
+                index = tuple(_integer(x) for x in rec["index"])
             elif dim == 0:
                 index = ()  # finite decoration graphs carry no indices
             else:

@@ -271,15 +271,62 @@ def _write_hexagonal_with(tmp_path, field: str, raw: str) -> str:
 @pytest.mark.parametrize("field,raw", [
     ("dim", '"x"'),
     ("dim", "1e400"),
+    ("dim", "2.7"),
     ("potential", '{"v1": "abc"}'),
     ("potential", "[1]"),
     ("edges", "5"),
+    pytest.param("edges", '[{"tail": "v1", "head": "v2", "index": [0, 0]}, '
+                          '{"tail": "v1", "head": "v2", "index": [1.9, 0]}, '
+                          '{"tail": "v1", "head": "v2", "index": [0, 1]}]',
+                 id="edges-fractional-index"),
 ])
 def test_malformed_top_level_field_exits_2(tmp_path, capsys, field, raw):
     code, out, err = run(capsys, "invariants", _write_hexagonal_with(tmp_path, field, raw))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_integral_floats_still_load(tmp_path, capsys):
+    data = graph_to_dict(generate("hexagonal"))
+    data["dim"] = 2.0
+    data["edges"][1]["index"] = [1.0, 0]
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, _ = run(capsys, "invariants", str(path))
+    assert code == 0
+    assert json.loads(out)["I"] == 2
+
+
+def test_betti_below_rank_exits_2_before_lattice_work(tmp_path, capsys, monkeypatch):
+    import magspec.forms_cycles as fc
+
+    def refuse(matrix):
+        raise AssertionError("smith_normal_form must not run")
+
+    monkeypatch.setattr(fc, "smith_normal_form", refuse)
+    path = tmp_path / "huge-dim.json"
+    path.write_text(json.dumps({"dim": 10**12, "vertices": ["a"], "edges": []}), encoding="utf-8")
+    for command in ("invariants", "bands", "verify", "build-periodic"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        assert "below the lattice rank" in err
+
+
+def test_int64_overflowing_potentials_exit_2(tmp_path, capsys):
+    """Each index fits in int64, but the chord flux 2^62 - (-2^62) does not."""
+    data = {"dim": 1, "vertices": ["a", "b"], "edges": [
+        {"tail": "a", "head": "b", "index": [2**62]},
+        {"tail": "a", "head": "b", "index": [-(2**62)]},
+    ]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("invariants", "bands", "verify"):
+        code, out, err = run(capsys, command, str(path))
+        assert code == 2, command
+        assert out == ""
+        assert "sum above int64" in err
 
 
 def test_non_finite_output_is_a_named_failed_check(capsys, kagome_file, monkeypatch):

@@ -9,6 +9,7 @@ set of minimal supports.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 from itertools import combinations
 
@@ -18,6 +19,8 @@ import pytest
 import magspec.forms_cycles as fc
 from magspec import (
     CheckFailedError,
+    IndexOverflowError,
+    OneForm,
     SupercellSpec,
     coordinate_form,
     dump_graph_json,
@@ -25,6 +28,7 @@ from magspec import (
     first_spanning_tree,
     flux_table,
     generate,
+    harper_model,
     invariants,
     minimal_form,
     minimal_pair,
@@ -34,7 +38,7 @@ from magspec import (
     tree_form,
 )
 from magspec.cli import main
-from magspec.graph_model import FundamentalGraph, PeriodicEmbedding
+from magspec.graph_model import Edge, FundamentalGraph, PeriodicEmbedding
 
 
 def reference_trees(g: FundamentalGraph) -> list[tuple[int, ...]]:
@@ -77,7 +81,17 @@ def mask_of(support: frozenset[int]) -> int:
 @pytest.fixture(scope="module")
 def scan_graphs(battery_graphs, generator_graphs):
     hex22 = supercell(generate("hexagonal"), SupercellSpec((2, 2)))
-    return list(battery_graphs) + list(generator_graphs) + [hex22]
+    # Harper q=12 has loops and nonzero phases; kagome 3x1 (5 184 trees)
+    # fills many blocks of the batched scan
+    kagome31 = supercell(generate("kagome"), SupercellSpec((3, 1)))
+    return list(battery_graphs) + list(generator_graphs) + [hex22, harper_model(12, 5), kagome31]
+
+
+def form_sets(g: FundamentalGraph) -> list[tuple]:
+    """Exact, phase and real forms, alone, in pairs and in mixed order."""
+    tau, alpha = g.index_form(), g.magnetic_form()
+    real = OneForm(tau.values.astype(float) * 0.5)
+    return [(tau, alpha), (alpha, real, tau), (real,), ()]
 
 
 def test_tree_order_matches_subset_filter(scan_graphs):
@@ -103,6 +117,61 @@ def test_scan_matches_cycle_walk_reference(scan_graphs):
             assert got.tree == trees[first].tree_edges
             assert got.mask == mask_of(supports[first])
             assert got.supports == {mask_of(s) for s in supports if len(s) == best}
+
+
+def test_serial_and_batched_scans_agree(scan_graphs):
+    for g in scan_graphs:
+        for forms in form_sets(g):
+            assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+
+
+def test_batched_scan_past_one_word():
+    # 70 vertices and 140 edges: vertex sets and tree keys take several words
+    g = harper_model(70, 3)
+    for forms in form_sets(g)[:2]:
+        assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+    scanner = fc._TreeScanner(g)
+    keys = np.concatenate([scanner.keys(ints) for ints, _ in scanner.blocks()])
+    got = sorted(scanner.edges_of(key) for key in keys.tolist())
+    assert got == [b.tree_edges for b in enumerate_spanning_trees(g)] == reference_trees(g)
+
+
+@pytest.mark.parametrize("states", [1, 2, 3])
+def test_tiny_blocks_give_identical_scans(battery_graphs, monkeypatch, states):
+    monkeypatch.setattr(fc, "_BLOCK_STATES", states)
+    for g in battery_graphs:
+        for forms in form_sets(g)[:2]:
+            assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+
+
+def test_phase_flux_test_equals_remainder():
+    rng = np.random.default_rng(5)
+    tol, step = fc.ZERO_FLUX_TOL, fc.TWO_PI
+    edges = [k * step + s * tol for k in range(-40, 41) for s in (-1, 0, 1)]
+    edges += [s * math.pi for s in (-3, -1, 1, 3)] + [s * step / 2 for s in (-1, 1)] + [1e300]
+    edges = np.array(edges)
+    f = np.concatenate([
+        rng.uniform(-1e3, 1e3, 20_000),
+        rng.normal(0.0, 1e-9, 2_000),
+        edges,
+        np.nextafter(edges, np.inf),
+        np.nextafter(edges, -np.inf),
+        [0.0, -0.0],
+    ])
+    want = np.array([abs(math.remainder(x, step)) > tol for x in f.tolist()])
+    assert np.array_equal(fc._nonzero_phase(f), want)
+
+
+def test_int64_potential_guard():
+    def wide(low: int) -> FundamentalGraph:
+        return FundamentalGraph(dim=1, num_vertices=2, edges=(Edge(0, 1, (2**62,)), Edge(0, 1, (low,))))
+
+    with pytest.raises(IndexOverflowError):
+        scan_trees(wide(-(2**62)), (wide(-(2**62)).index_form(),))
+    g = wide(-(2**62) + 1)  # |values| sum to exactly 2^63 - 1: the flux still fits
+    for scan in (fc._scan_serial, fc._scan_batched):
+        assert scan(g, (g.index_form(),)).forms[0].count == 1
+    assert scan_trees(g, (g.index_form(),)).forms[0].count == 1
 
 
 def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs):
@@ -165,6 +234,16 @@ def test_leaf_count_mismatch_is_a_failed_check(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert code == 1, command
         assert "Laplacian cofactor" in err and "Traceback" not in err
+
+
+def test_batched_leaf_count_mismatch_is_a_failed_check(monkeypatch):
+    g = supercell(generate("hexagonal"), SupercellSpec((2, 2)))  # 384 trees: the batched scan
+    true_count = fc.spanning_tree_count
+    monkeypatch.setattr(fc, "spanning_tree_count", lambda g: true_count(g) - 1)
+    with pytest.raises(CheckFailedError, match="Laplacian cofactor"):
+        scan_trees(g, (g.index_form(),))
+    with pytest.raises(CheckFailedError, match="Laplacian cofactor"):
+        enumerate_spanning_trees(g)
 
 
 def test_tree_cap_is_checked_before_scanning(kagome):
