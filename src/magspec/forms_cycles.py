@@ -588,8 +588,9 @@ class _TreeScanner:
         new = ints[-k:]
         sets = self._sets(new)
         merged = sets[:, t] | sets[:, h]
-        sizes = np.bitwise_count(sets[:, [t, h]].view(np.uint64)).sum(axis=2)
-        flip = sizes[:, 0] < sizes[:, 1]  # t's tree hangs below h's root, so the offset changes sign
+        # union by size; when t's tree hangs below h's root the offset changes sign
+        roots = new[:, :n]
+        flip = (roots == a[:, None]).sum(axis=1) < (roots == b[:, None]).sum(axis=1)
         low = np.where(flip, a, b)
         high = a + b - low
         rows = np.arange(k)
@@ -701,15 +702,10 @@ def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[Span
     Materializes every tree; the library itself streams with scan_trees.
     """
     count = _checked_tree_count(g, cap)
-    if count < _BATCH_MIN_TREES:
-        forest = _PotentialForest(g)
-        trees = [tuple(forest.tree) for _ in forest.trees()]
-    else:
-        scanner = _TreeScanner(g)
-        keys = np.concatenate([scanner.keys(ints) for ints, _ in scanner.blocks()])
-        trees = [scanner.edges_of(key) for key in keys[np.lexsort(keys.T[::-1])[::-1]].tolist()]
-    _check_leaves(len(trees), count)
-    return [_basis_for_tree(g, tree) for tree in trees]
+    forest = _PotentialForest(g)
+    out = [_basis_for_tree(g, tuple(forest.tree)) for _ in forest.trees()]
+    _check_leaves(len(out), count)
+    return out
 
 
 def _first_tree_forest(g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> _PotentialForest:
@@ -767,8 +763,6 @@ def _scan_serial(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
 
 def _first_row(keys: np.ndarray) -> int:
     """Row of the largest key (words compared in order): the lexicographically first tree."""
-    if keys.shape[1] == 1:
-        return int(np.argmax(keys[:, 0]))
     return int(np.lexsort(keys.T[::-1])[-1])
 
 

@@ -136,6 +136,14 @@ def test_batched_scan_past_one_word():
     assert got == [b.tree_edges for b in enumerate_spanning_trees(g)] == reference_trees(g)
 
 
+def test_batched_scan_needs_no_numpy_2_names(monkeypatch):
+    # pyproject.toml allows numpy>=1.24; np.bitwise_count only exists from 2.0
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    g = supercell(generate("hexagonal"), SupercellSpec((2, 2)))
+    for forms in form_sets(g)[:2]:
+        assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+
+
 @pytest.mark.parametrize("states", [1, 2, 3])
 def test_tiny_blocks_give_identical_scans(battery_graphs, monkeypatch, states):
     monkeypatch.setattr(fc, "_BLOCK_STATES", states)
@@ -242,8 +250,6 @@ def test_batched_leaf_count_mismatch_is_a_failed_check(monkeypatch):
     monkeypatch.setattr(fc, "spanning_tree_count", lambda g: true_count(g) - 1)
     with pytest.raises(CheckFailedError, match="Laplacian cofactor"):
         scan_trees(g, (g.index_form(),))
-    with pytest.raises(CheckFailedError, match="Laplacian cofactor"):
-        enumerate_spanning_trees(g)
 
 
 def test_tree_cap_is_checked_before_scanning(kagome):
