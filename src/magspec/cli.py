@@ -15,7 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckFailedError, GraphDataError, MagspecError, NonFiniteOutputError
+from .errors import (
+    BadParamsError,
+    CheckFailedError,
+    GraphDataError,
+    MagspecError,
+    NonFiniteOutputError,
+)
 from .fiber_operator import count_nontrivial_exponents
 from .forms_cycles import invariants
 from .graph_model import (
@@ -26,10 +32,13 @@ from .graph_model import (
     load_graph_json,
     validate,
 )
-from .inverse_builder import build_periodic, coprime_fluxes, harper_model
+from .inverse_builder import build_periodic, coprime_fluxes
 from .spectral import (
     analyze,
     band_sweep,
+    default_grid_n,
+    grid_axis,
+    harper_band_edges,
     sy_sunada_check,
     verify_band_localization,
     verify_gauge_equivalence,
@@ -190,13 +199,16 @@ def cmd_butterfly(args: argparse.Namespace) -> int:
             "butterfly needs the square-lattice fundamental graph (one vertex, "
             "two unit loops, zero phases and potential)"
         )
+    if args.flux_steps < 1:
+        raise BadParamsError(f"--flux-steps must be at least 1, got {args.flux_steps}")
+    grid_n = args.grid if args.grid is not None else default_grid_n(2)
+    grid_axis(2, grid_n, args.flux_steps)  # the largest q sets the budget: refuse before any solve
     rows = []
     max_bands = 0
     for p, q in coprime_fluxes(args.flux_steps):
-        model = harper_model(q, p)
-        spec = band_sweep(model, grid_n=args.grid)
-        rows.append((2.0 * np.pi * p / q, spec.bands))
-        max_bands = max(max_bands, spec.bands.shape[0])
+        bands = harper_band_edges(q, p, grid_n=grid_n)
+        rows.append((2.0 * np.pi * p / q, bands))
+        max_bands = max(max_bands, bands.shape[0])
     header = ["flux"]
     for n in range(max_bands):
         header += [f"lambda_min_{n + 1}", f"lambda_max_{n + 1}"]

@@ -7,7 +7,9 @@ both endpoints for odd N so that the cosine-type extrema of the stock
 lattices land exactly on grid points. Sweeps stream the grid in chunks
 whose fiber stacks stay under a fixed size, so memory is bounded by the
 (K, nu) eigenvalue table, and grids whose table would exceed a fixed
-budget are refused before anything is allocated.
+budget are refused before anything is allocated. The butterfly's Harper
+models solve only the grid points where their band ends can lie
+(harper_band_edges), with the same result as the full sweep.
 
 The verify_* functions turn the structural facts about these operators
 into numerical checks: band localization against the off-support
@@ -53,6 +55,7 @@ from .forms_cycles import (
     tree_form,
 )
 from .graph_model import FundamentalGraph, OneForm, validate
+from .inverse_builder import harper_model
 
 MATRIX_TOL = 1e-9  # matrix-level facts
 SWEEP_TOL = 1e-6  # quantities extremized over a grid
@@ -81,11 +84,12 @@ def default_grid_n(d: int) -> int:
     return 101 if d <= 2 else 21
 
 
-def theta_grid(d: int, n: int, nu: int = 1) -> np.ndarray:
-    """Inclusive uniform grid on [-pi, pi]^d, flattened to (n^d, d).
+def grid_axis(d: int, n: int, nu: int = 1) -> np.ndarray:
+    """One axis of the inclusive uniform grid on [-pi, pi]^d, after the grid checks.
 
-    Raises GridTooLargeError, before allocating, when the grid or an
-    (n^d, nu) eigenvalue table over it would exceed the sweep budget.
+    Raises GridTooCoarseError for n < 3, and GridTooLargeError, before
+    allocating, when the n^d grid or an (n^d, nu) eigenvalue table over
+    it would exceed the sweep budget.
     """
     if n < 3:
         raise GridTooCoarseError(f"grid needs at least 3 points per dimension, got {n}")
@@ -97,6 +101,15 @@ def theta_grid(d: int, n: int, nu: int = 1) -> np.ndarray:
     axis = np.linspace(-np.pi, np.pi, n)
     if n % 2 == 1:
         axis[n // 2] = 0.0  # linspace leaves the center a few ulp off zero
+    return axis
+
+
+def theta_grid(d: int, n: int, nu: int = 1) -> np.ndarray:
+    """Inclusive uniform grid on [-pi, pi]^d, flattened to (n^d, d).
+
+    Raises what grid_axis raises, before allocating.
+    """
+    axis = grid_axis(d, n, nu)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
 
@@ -198,6 +211,16 @@ class BandSpectrum:
         }
 
 
+def _check_spectral_range(
+    g: FundamentalGraph, lo: np.ndarray, hi: np.ndarray, with_potential: bool
+) -> None:
+    """Band ends must lie in [0, 2 kappa_+], shifted by the potential range."""
+    q_lo = float(g.potential.min()) if with_potential else 0.0
+    q_hi = float(g.potential.max()) if with_potential else 0.0
+    if not (q_lo - MATRIX_TOL <= lo.min() and hi.max() <= 2.0 * g.kappa_plus() + q_hi + MATRIX_TOL):
+        raise CheckFailedError("fiber eigenvalue escaped the a-priori spectral range")
+
+
 def band_sweep(
     g: FundamentalGraph,
     b: OneForm | None = None,
@@ -218,10 +241,7 @@ def band_sweep(
     table = eigenvalue_table(g, b, a, thetas, with_potential=with_potential)
     lo = table.min(axis=0)
     hi = table.max(axis=0)
-    q_lo = float(g.potential.min()) if with_potential else 0.0
-    q_hi = float(g.potential.max()) if with_potential else 0.0
-    if not (q_lo - MATRIX_TOL <= lo.min() and hi.max() <= 2.0 * g.kappa_plus() + q_hi + MATRIX_TOL):
-        raise CheckFailedError("fiber eigenvalue escaped the a-priori spectral range")
+    _check_spectral_range(g, lo, hi, with_potential)
     bands = np.stack([lo, hi], axis=1)
     flat = tuple(bool(w < flat_tol) for w in hi - lo)
     return BandSpectrum(
@@ -233,6 +253,62 @@ def band_sweep(
         thetas=thetas,
         eigenvalues=table,
     )
+
+
+def _cosine_levels(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Axis indices at the extreme level of c, and at the next level among the rest.
+
+    A level holds the indices within MATRIX_TOL of the max or of the min;
+    the next level is empty when every index is extremal.
+    """
+
+    def level(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = c[idx]
+        near = (v >= v.max() - MATRIX_TOL) | (v <= v.min() + MATRIX_TOL)
+        return idx[near], idx[~near]
+
+    extremal, rest = level(np.arange(c.size))
+    return extremal, level(rest)[0] if rest.size else rest
+
+
+def harper_band_edges(q: int, p: int, grid_n: int | None = None) -> np.ndarray:
+    """(q, 2) grid band ends of harper_model(q, p), bit for bit band_sweep's.
+
+    By Chambers' relation the fiber's characteristic polynomial depends
+    on theta only through one affine term in c1 = cos(theta_1) (the wrap
+    edge) and c2 = cos(q theta_2) (the q loops), so each sorted
+    eigenvalue is monotone in that term and takes its grid extremes
+    where c1 and c2 are extreme on their axes. Only those candidate
+    points are solved. The next cosine level on each axis bounds every
+    other grid point: when all band values at those corners lie inside
+    the candidate ends by more than 2 * MATRIX_TOL, no other point can
+    reach the ends, and the candidate min/max is the full-grid min/max
+    (fibers do not depend on the batch they are solved in). Otherwise,
+    or when an axis has no next level, the full grid is swept.
+
+    Raises what grid_axis raises before any solve, and CheckFailedError
+    when an end escapes the a-priori spectral range.
+    """
+    g = harper_model(q, p)
+    n = grid_n if grid_n is not None else default_grid_n(2)
+    axis = grid_axis(2, n, q)
+    ext1, next1 = _cosine_levels(np.cos(axis))
+    ext2, next2 = _cosine_levels(np.cos(q * axis))
+    if not (next1.size and next2.size):
+        return band_sweep(g, grid_n=n).bands
+    tau, alpha = g.index_form(), g.magnetic_form()
+
+    def solve(*blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        flat = np.unique(np.concatenate([(rows[:, None] * n + cols).ravel() for rows, cols in blocks]))
+        return eigenvalue_table(g, tau, alpha, np.stack([axis[flat // n], axis[flat % n]], axis=1))
+
+    table = solve((ext1, ext2))
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    corners = solve((next1, ext2), (ext1, next2))
+    if not (np.all(lo + 2.0 * MATRIX_TOL < corners) and np.all(corners < hi - 2.0 * MATRIX_TOL)):
+        return band_sweep(g, grid_n=n).bands
+    _check_spectral_range(g, lo, hi, with_potential=True)
+    return np.stack([lo, hi], axis=1)
 
 
 # -- verification batteries -----------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magspec.cli as cli
+import magspec.spectral as spectral
 from magspec import NonFiniteOutputError, dump_graph_json, generate, graph_to_dict, load_graph_json
 from magspec.cli import main
 
@@ -226,6 +227,23 @@ def test_butterfly_row_count_follows_totients(capsys, z2_file):
     # ragged rows are padded to the header width
     width = len(rows[0].split(","))
     assert all(len(r.split(",")) == width for r in rows[1:])
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_butterfly_rejects_flux_steps_below_one(capsys, z2_file, steps):
+    code, out, err = run(capsys, "butterfly", z2_file, "--flux-steps", steps)
+    assert code == 2
+    assert out == ""
+    assert "--flux-steps" in err
+
+
+def test_butterfly_refuses_over_budget_grid_before_any_solve(capsys, monkeypatch, z2_file):
+    # 1700^2 points fit the budget for q = 1 but not for q = 12
+    monkeypatch.setattr(spectral, "fiber_stack", None)  # any solve would raise TypeError
+    code, out, err = run(capsys, "butterfly", z2_file, "--flux-steps", "12", "--grid", "1700")
+    assert code == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_butterfly_rejects_incompatible_graph(capsys, kagome_file):

@@ -1,7 +1,7 @@
 """CLI output on part of the benchmark corpus matches the recorded goldens.
 
-Rebuilds ten graphs of the seeded verify battery, hex 2x2 and Harper
-q=12 p=5 with perfbench/corpus.py in a temporary directory, runs the CLI
+Rebuilds ten graphs of the seeded verify battery, hex 2x2, Harper q=12
+p=5 and zd2 with perfbench/corpus.py in a temporary directory, runs the CLI
 there, and compares the sha256 of stdout and of every --out file with
 perfbench/goldens.json. Nothing under perfbench/ is written.
 """
@@ -33,7 +33,7 @@ def corpus_dir(tmp_path_factory):
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), corpus.__dict__)
     graphs = corpus.build("verify-battery", GOLDENS["battery_seed"])
     work = tmp_path_factory.mktemp("goldens")
-    digests = corpus.write({name: graphs[name] for name in VERIFIED}, work / "corpus")
+    digests = corpus.write({name: graphs[name] for name in VERIFIED + ["zd2"]}, work / "corpus")
     (work / "out").mkdir()
     return work, digests
 
@@ -58,3 +58,8 @@ def test_verify_matches_golden(capsys, monkeypatch, corpus_dir, name):
 def test_bands_out_matches_golden(capsys, monkeypatch, corpus_dir):
     run_golden(capsys, monkeypatch, corpus_dir, "bands:harper-q12-p5",
                ["bands", "corpus/harper-q12-p5.json", "--out", "out/harper-q12-p5.csv"])
+
+
+def test_butterfly_matches_golden(capsys, monkeypatch, corpus_dir):
+    run_golden(capsys, monkeypatch, corpus_dir, "butterfly:zd2",
+               ["butterfly", "corpus/zd2.json", "--flux-steps", "12"])

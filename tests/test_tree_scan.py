@@ -187,8 +187,9 @@ def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs):
         trees = enumerate_spanning_trees(g)
         tau = [reference_support(g, g.index_form(), b) for b in trees]
         alpha = [reference_support(g, g.magnetic_form(), b) for b in trees]
-        tau_min = [s for s in tau if len(s) == min(map(len, tau))]
-        alpha_min = [s for s in alpha if len(s) == min(map(len, alpha))]
+        tau_best, alpha_best = min(map(len, tau)), min(map(len, alpha))
+        tau_min = [s for s in tau if len(s) == tau_best]
+        alpha_min = [s for s in alpha if len(s) == alpha_best]
         report = invariants(g)
         assert report.I_mu_phi == len(tau_min[0] | alpha_min[0])
         assert report.I_mu_phi_min == min(len(a | b) for a in tau_min for b in alpha_min)
