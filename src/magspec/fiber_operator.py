@@ -30,7 +30,13 @@ from .errors import (
     GraphDataError,
     NoIndependentSubsetError,
 )
-from .forms_cycles import _first_tree_forest, integer_determinant
+from .forms_cycles import (
+    _tree_adjacency,
+    _tree_path,
+    first_spanning_tree,
+    integer_determinant,
+    tree_form,
+)
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 
@@ -142,18 +148,19 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> G
     _check_forms(g, b, a)
     diff_b = OneForm(g.index_form().values - b.values)
     diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True)
-    forest = _first_tree_forest(g, (diff_b, diff_a))
-    bad_b, bad_a = forest.chord_masks()
-    bad = bad_b | bad_a
-    if bad:
-        chord = (bad & -bad).bit_length() - 1  # the lowest failing chord
-        index_fails = bad_b >> chord & 1
-        what = "form" if index_fails else "phase form"
-        whom = "the index form" if index_fails else "the stored phases"
+    basis = first_spanning_tree(g)
+    bad_b, bad_a = (set(tree_form(g, x, basis).support()) for x in (diff_b, diff_a))
+    if bad_b or bad_a:
+        chord = min(bad_b | bad_a)
+        what = "form" if chord in bad_b else "phase form"
+        whom = "the index form" if chord in bad_b else "the stored phases"
         raise FluxMismatchError(f"{what} is not flux-equivalent to {whom} (chord {chord})")
-    pots = np.array(forest.potentials(), dtype=float).T  # (nu, d + 1)
-    pots -= pots[v0]
-    return GaugeWeights(base_vertex=v0, w_b=pots[:, : g.dim], w_a=pots[:, g.dim])
+    adj = _tree_adjacency(g, basis.tree_edges)
+    paths = np.zeros((g.num_vertices, g.num_edges))  # row v: the signed tree path v0 -> v
+    for v in range(g.num_vertices):
+        for eid, sign in _tree_path(adj, v0, v):
+            paths[v, eid] = sign
+    return GaugeWeights(base_vertex=v0, w_b=paths @ diff_b.values, w_a=paths @ diff_a.values[:, 0])
 
 
 # -- theta-shift reduction ------------------------------------------------------

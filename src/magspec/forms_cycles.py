@@ -268,175 +268,6 @@ def _basis_for_tree(g: FundamentalGraph, tree_ids: tuple[int, ...]) -> SpanningT
 _EXACT, _ANGLE, _REAL = range(3)
 
 _BLOCK_STATES = 512  # a block of partial forests is split above this many states
-# Below this many spanning trees numpy's fixed cost per edge outweighs the
-# batch and the depth-first scan is faster (crossover measured near 60).
-_BATCH_MIN_TREES = 64
-
-
-class _PotentialForest:
-    """Weighted union-find with undo carrying the tree potentials of forms.
-
-    Union by size and no path compression, so the last union undoes in
-    O(1). Every scalar component (channel) of every form keeps
-    off[v] = p(v) - p(parent[v]); including edge t -> h with value x
-    fixes p(h) = p(t) + x. Once the included edges span, the flux of a
-    form through the basic cycle of chord c is x(c) + p(tail) - p(head),
-    so no cycle is ever walked. Integer forms compare exactly (Python
-    integers), phases modulo 2*pi and real forms against ZERO_FLUX_TOL.
-    """
-
-    def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
-        n = g.num_vertices
-        self.ends = [(e.tail, e.head) for e in g.edges]
-        self.nonloop = [i for i, e in enumerate(g.edges) if not e.is_loop]
-        self.values: list[list] = []  # per channel, the value of every edge
-        self.forms: list[list[tuple[int, int]]] = []  # per form, (kind, channel) pairs
-        for x in forms:
-            if x.magnetic:
-                kind = _ANGLE
-            elif np.issubdtype(x.values.dtype, np.integer):
-                kind = _EXACT
-            else:
-                kind = _REAL
-            self.forms.append([(kind, len(self.values) + k) for k in range(x.dim)])
-            self.values += [x.values[:, k].tolist() for k in range(x.dim)]
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.off = [[0] * n for _ in self.values]
-        self.attached: list[int] = []  # roots hung below another root, in order
-        self.tree: list[int] = []  # included edge ids, ascending during a scan
-        self.mask = 0  # included edges as a bitmask
-
-    def _root(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    def _lift(self, v: int, off: list):
-        """Potential of v relative to its root."""
-        parent = self.parent
-        p = 0
-        while parent[v] != v:
-            p += off[v]
-            v = parent[v]
-        return p
-
-    def include(self, eid: int) -> bool:
-        """Add edge eid; False (and no change) if it would close a cycle."""
-        t, h = self.ends[eid]
-        rt, rh = self._root(t), self._root(h)
-        if rt == rh:
-            return False
-        # off[low] = p(low) - p(high) follows from p(h) = p(t) + x, with
-        # p(t) and p(h) lifted relative to their roots
-        if self.size[rt] < self.size[rh]:
-            low, high, sign = rt, rh, -1
-        else:
-            low, high, sign = rh, rt, 1
-        for vals, off in zip(self.values, self.off):
-            off[low] = sign * (self._lift(t, off) + vals[eid] - self._lift(h, off))
-        self.parent[low] = high
-        self.size[high] += self.size[low]
-        self.attached.append(low)
-        self.tree.append(eid)
-        self.mask |= 1 << eid
-        return True
-
-    def undo(self) -> None:
-        """Remove the most recently included edge."""
-        low = self.attached.pop()
-        self.size[self.parent[low]] -= self.size[low]
-        self.parent[low] = low
-        self.mask &= ~(1 << self.tree.pop())
-
-    def _bypassed(self, pos: int) -> bool:
-        """Whether the non-loop edges after position pos, together with the
-        included ones, join the ends of edge nonloop[pos]."""
-        t, h = self.ends[self.nonloop[pos]]
-        link: dict[int, int] = {}  # union-find over the current roots
-
-        def top(r: int) -> int:
-            while r in link:
-                r = link[r]
-            return r
-
-        a, b = self._root(t), self._root(h)
-        for eid in self.nonloop[pos + 1:]:
-            u, v = self.ends[eid]
-            ru, rv = top(self._root(u)), top(self._root(v))
-            if ru != rv:
-                link[ru] = rv
-                if top(a) == top(b):
-                    return True
-        return False
-
-    def trees(self) -> Iterator[None]:
-        """Yield once per spanning tree, with that tree included.
-
-        Include-first, exclude-second backtracking over the non-loop
-        edges in ascending id (Gabow & Myers, SIAM J. Comput. 7, 1978):
-        trees come in lexicographic order of their edge-id sets, the
-        order of itertools.combinations. An edge is excluded only when
-        the later edges bypass it, so every branch ends in a tree. The
-        graph must be connected.
-        """
-        need = len(self.parent) - 1
-        trail: list[tuple[int, bool]] = []  # (position, included) per decided edge
-        pos = 0
-        while True:
-            while len(self.tree) < need:
-                trail.append((pos, self.include(self.nonloop[pos])))
-                pos += 1
-            yield
-            while True:
-                if not trail:
-                    return
-                pos, included = trail.pop()
-                if included:
-                    self.undo()
-                    if self._bypassed(pos):
-                        trail.append((pos, False))
-                        pos += 1
-                        break
-
-    def potentials(self) -> list[list]:
-        """Per channel, every vertex potential relative to its root."""
-        parent, order = self.parent, self.attached[::-1]  # parents before children
-        pots = []
-        for off in self.off:
-            pot = [0] * len(parent)
-            for v in order:
-                pot[v] = off[v] + pot[parent[v]]
-            pots.append(pot)
-        return pots
-
-    def chord_masks(self) -> list[int]:
-        """Per form, the chords with nonzero basic-cycle flux as a bitmask.
-
-        The included edges must span.
-        """
-        pots = self.potentials()
-        tree = self.mask
-        chords = [(c, t, h, 1 << c) for c, (t, h) in enumerate(self.ends) if not tree >> c & 1]
-        masks = []
-        for channels in self.forms:
-            mask = 0
-            for kind, ch in channels:
-                vals, pot = self.values[ch], pots[ch]
-                if kind == _EXACT:
-                    mask |= sum(b for c, t, h, b in chords if vals[c] + pot[t] != pot[h])
-                elif kind == _ANGLE:  # |remainder| is the magnitude reduce_angle gives
-                    mask |= sum(
-                        b for c, t, h, b in chords
-                        if abs(math.remainder(vals[c] + pot[t] - pot[h], TWO_PI)) > ZERO_FLUX_TOL
-                    )
-                else:
-                    mask |= sum(
-                        b for c, t, h, b in chords if abs(vals[c] + pot[t] - pot[h]) > ZERO_FLUX_TOL
-                    )
-            masks.append(mask)
-        return masks
 
 
 def _nonzero_phase(f: np.ndarray) -> np.ndarray:
@@ -450,15 +281,18 @@ def _nonzero_phase(f: np.ndarray) -> np.ndarray:
 
 
 class _TreeScanner:
-    """The backtracking of _PotentialForest.trees, run breadth-first in numpy.
+    """Every spanning tree with the tree potentials of forms, block by block in numpy.
 
-    A state is a forest of non-loop edges, decided in ascending edge id.
-    At edge (t, h) a state whose roots of t and h differ gets an include
-    child, and an exclude child exactly when the later edges, together
-    with the forest, still join t and h (the _bypassed criterion);
-    otherwise the edge is a chord and the state passes on unchanged.
-    Every state thus ends in a spanning tree, each tree once. A whole
-    block of states takes one edge per step.
+    Include-first, exclude-second backtracking over the non-loop edges
+    in ascending id (Gabow & Myers, SIAM J. Comput. 7, 1978), run level
+    by level: a state is a forest of the edges decided so far, and a
+    whole block of states decides one edge per step. At edge (t, h) a
+    state whose roots of t and h differ gets an include child, and an
+    exclude child exactly when the later edges, together with the
+    forest, still join t and h (_bypassed); otherwise the edge is a
+    chord and the state passes on unchanged. Every state thus ends in a
+    spanning tree, each tree once. Blocks split above _BLOCK_STATES
+    states, so memory stays flat in the number of trees.
 
     Each state is one row of two arrays. `ints` holds the weighted
     union-find (root and parent of every vertex, union by size, no path
@@ -468,12 +302,12 @@ class _TreeScanner:
     63 - e % 64 of word e // 64), so the largest key is the
     lexicographically smallest edge set. `flts` holds the offsets of
     the phase and real channels. Including edge t -> h with value x
-    fixes p(h) = p(t) + x. Offsets are summed bottom-up to lift t and h
-    and root-down to potentials, in the floating-point order of
-    _PotentialForest. Once a state spans, the flux of chord c is
-    x(c) + p(t) - p(h): exact channels compare with zero (int64, exact
-    under _check_int64_range), phases modulo 2*pi and real channels
-    against ZERO_FLUX_TOL.
+    fixes p(h) = p(t) + x. Offsets are summed bottom-up (from a vertex
+    to its root) to lift t and h, and root-down to potentials. Once a
+    state spans, the flux of chord c is x(c) + p(t) - p(h), so no cycle
+    is walked: exact channels compare with zero (int64, exact under
+    _check_int64_range), phases modulo 2*pi and real channels against
+    ZERO_FLUX_TOL.
     """
 
     def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
@@ -595,7 +429,7 @@ class _TreeScanner:
         high = a + b - low
         rows = np.arange(k)
         # the vertices from t and from h up to (past) their roots, whose
-        # offsets _PotentialForest._lift adds bottom-up; a root's offset is 0
+        # offsets are added bottom-up; a root's offset is 0
         parent = new[:, n : 2 * n]
         path = [np.full(k, t), np.full(k, h)]
         for _ in range(n.bit_length() - 2):  # union by size: depth <= log2(nu)
@@ -702,24 +536,24 @@ def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[Span
     Materializes every tree; the library itself streams with scan_trees.
     """
     count = _checked_tree_count(g, cap)
-    forest = _PotentialForest(g)
-    out = [_basis_for_tree(g, tuple(forest.tree)) for _ in forest.trees()]
+    scanner = _TreeScanner(g)
+    keys = [key for ints, _ in scanner.blocks() for key in scanner.keys(ints).tolist()]
+    out = [_basis_for_tree(g, tree) for tree in sorted(map(scanner.edges_of, keys))]
     _check_leaves(len(out), count)
     return out
 
 
-def _first_tree_forest(g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> _PotentialForest:
-    """A forest holding the first spanning tree, with the tree potentials of forms."""
-    if not g.is_connected():
-        raise DisconnectedGraphError("spanning trees need a connected graph")
-    forest = _PotentialForest(g, forms)
-    next(forest.trees())
-    return forest
-
-
 def first_spanning_tree(g: FundamentalGraph) -> SpanningTreeBasis:
-    """The lexicographically smallest spanning tree, first in enumeration order."""
-    return _basis_for_tree(g, tuple(_first_tree_forest(g).tree))
+    """The lexicographically smallest spanning tree, first in enumeration order.
+
+    Kruskal by ascending edge id: greedy gives the lexicographically
+    smallest basis of the graphic matroid. Raises DisconnectedGraphError
+    when the edges span no tree.
+    """
+    tree = g.spanning_forest()
+    if len(tree) != g.num_vertices - 1:
+        raise DisconnectedGraphError("spanning trees need a connected graph")
+    return _basis_for_tree(g, tree)
 
 
 class FormScan(NamedTuple):
@@ -737,37 +571,24 @@ class TreeScan(NamedTuple):
     forms: tuple[FormScan, ...]
 
 
-def _scan_serial(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
-    """scan_trees by depth-first backtracking over one _PotentialForest."""
-    forest = _PotentialForest(g, forms)
-    best: list[tuple[int, tuple[int, ...], int, set[int]] | None] = [None] * len(forms)
-    leaves = 0
-    first: tuple[int, ...] = ()
-    for _ in forest.trees():
-        if not leaves:
-            first = tuple(forest.tree)
-        leaves += 1
-        for k, mask in enumerate(forest.chord_masks()):
-            cnt = mask.bit_count()
-            cur = best[k]
-            if cur is None or cnt < cur[0]:
-                best[k] = (cnt, tuple(forest.tree), mask, {mask})
-            elif cnt == cur[0]:
-                cur[3].add(mask)
-    return TreeScan(
-        tree_count=leaves,
-        first_tree=first,
-        forms=tuple(FormScan(c, t, m, frozenset(s)) for c, t, m, s in best),  # type: ignore[misc]
-    )
-
-
 def _first_row(keys: np.ndarray) -> int:
     """Row of the largest key (words compared in order): the lexicographically first tree."""
     return int(np.lexsort(keys.T[::-1])[-1])
 
 
-def _scan_batched(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
-    """scan_trees over blocks of a _TreeScanner; "first" is the largest tree key."""
+def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) -> TreeScan:
+    """Score every form on every spanning tree in one streaming pass.
+
+    "First" means lexicographically smallest tree edge-id set, the
+    enumeration order (the largest tree key of a _TreeScanner). Memory
+    stays flat in the number of trees: only the distinct minimal
+    supports are kept. Raises TreeCountExceedsCapError before scanning
+    when the exact count exceeds the cap, IndexOverflowError when an
+    integer form could overflow int64, and CheckFailedError if the scan
+    does not find exactly that many trees.
+    """
+    count = _checked_tree_count(g, cap)
+    _check_int64_range(forms)
     scanner = _TreeScanner(g, forms)
     first: list[int] = []
     best: list[list | None] = [None] * len(forms)  # [count, tree key, support, supports]
@@ -794,6 +615,7 @@ def _scan_batched(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
             cur[3] |= found
             if key > cur[1]:
                 cur[1], cur[2] = key, mask
+    _check_leaves(leaves, count)
 
     def as_int(support: bytes) -> int:
         return int.from_bytes(support, "little")
@@ -806,26 +628,6 @@ def _scan_batched(g: FundamentalGraph, forms: Sequence[OneForm]) -> TreeScan:
             for c, key, m, s in best  # type: ignore[misc]
         ),
     )
-
-
-def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) -> TreeScan:
-    """Score every form on every spanning tree in one streaming pass.
-
-    "First" means lexicographically smallest tree edge-id set, the
-    enumeration order. Memory stays flat in the number of trees: only
-    the distinct minimal supports are kept. Graphs with at least
-    _BATCH_MIN_TREES trees are scanned in numpy blocks, smaller ones
-    depth-first; both give the same TreeScan. Raises
-    TreeCountExceedsCapError before scanning when the exact count
-    exceeds the cap, IndexOverflowError when an integer form could
-    overflow int64, and CheckFailedError if the scan does not find
-    exactly that many trees.
-    """
-    count = _checked_tree_count(g, cap)
-    _check_int64_range(forms)
-    scan = (_scan_serial if count < _BATCH_MIN_TREES else _scan_batched)(g, forms)
-    _check_leaves(scan.tree_count, count)
-    return scan
 
 
 # -- fluxes --------------------------------------------------------------------

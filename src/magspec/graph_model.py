@@ -180,9 +180,12 @@ class FundamentalGraph:
             yield i, 1, e.tail, e.head
             yield i, -1, e.head, e.tail
 
-    def is_connected(self) -> bool:
-        if self.num_vertices == 0:
-            return False
+    def spanning_forest(self) -> tuple[int, ...]:
+        """Edge ids Kruskal keeps, scanning edges in ascending id.
+
+        A spanning tree exactly when the graph is connected, and then
+        the lexicographically smallest one.
+        """
         parent = list(range(self.num_vertices))
 
         def find(x: int) -> int:
@@ -191,10 +194,16 @@ class FundamentalGraph:
                 x = parent[x]
             return x
 
-        for e in self.edges:
-            parent[find(e.tail)] = find(e.head)
-        root = find(0)
-        return all(find(v) == root for v in range(self.num_vertices))
+        kept = []
+        for eid, e in enumerate(self.edges):
+            a, b = find(e.tail), find(e.head)
+            if a != b:
+                parent[a] = b
+                kept.append(eid)
+        return tuple(kept)
+
+    def is_connected(self) -> bool:
+        return len(self.spanning_forest()) == self.num_vertices - 1
 
     # -- stored forms ----------------------------------------------------
 
@@ -420,15 +429,20 @@ def graph_from_dict(data: dict) -> FundamentalGraph:
     """
     try:
         dim = _integer(data["dim"])
-        names = [str(v) for v in data["vertices"]]
+        raw_vertices = data["vertices"]
         raw_edges = data["edges"]
-        raw_potential = data.get("potential") or {}
+        raw_potential = data.get("potential")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphDataError(f"malformed graph data: {exc}") from exc
+    if not isinstance(raw_vertices, list):
+        raise GraphDataError("vertices must be a list")
     if not isinstance(raw_edges, list):
         raise GraphDataError("edges must be a list")
-    if not isinstance(raw_potential, dict):
+    if raw_potential is None:
+        raw_potential = {}
+    elif not isinstance(raw_potential, dict):
         raise GraphDataError("potential must map vertex names to numbers")
+    names = [str(v) for v in raw_vertices]
     if len(set(names)) != len(names):
         raise GraphDataError("duplicate vertex names")
     ids = {name: i for i, name in enumerate(names)}

@@ -283,8 +283,9 @@ def harper_band_edges(q: int, p: int, grid_n: int | None = None) -> np.ndarray:
     other grid point: when all band values at those corners lie inside
     the candidate ends by more than 2 * MATRIX_TOL, no other point can
     reach the ends, and the candidate min/max is the full-grid min/max
-    (fibers do not depend on the batch they are solved in). Otherwise,
-    or when an axis has no next level, the full grid is swept.
+    (fibers do not depend on the batch they are solved in); an axis
+    with no next level adds no corners, since all its points are
+    candidates. Otherwise the full grid is swept.
 
     Raises what grid_axis raises before any solve, and CheckFailedError
     when an end escapes the a-priori spectral range.
@@ -294,8 +295,6 @@ def harper_band_edges(q: int, p: int, grid_n: int | None = None) -> np.ndarray:
     axis = grid_axis(2, n, q)
     ext1, next1 = _cosine_levels(np.cos(axis))
     ext2, next2 = _cosine_levels(np.cos(q * axis))
-    if not (next1.size and next2.size):
-        return band_sweep(g, grid_n=n).bands
     tau, alpha = g.index_form(), g.magnetic_form()
 
     def solve(*blocks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,11 @@ def _write_hexagonal_with(tmp_path, field: str, raw: str) -> str:
     ("dim", "2.7"),
     ("potential", '{"v1": "abc"}'),
     ("potential", "[1]"),
+    ("potential", "0"),
+    ("potential", "false"),
+    ("potential", '""'),
+    ("potential", "[]"),
+    ("vertices", '{"v1": 1, "v2": 2}'),
     ("edges", "5"),
     pytest.param("edges", '[{"tail": "v1", "head": "v2", "index": [0, 0]}, '
                           '{"tail": "v1", "head": "v2", "index": [1.9, 0]}, '
@@ -303,6 +309,25 @@ def test_malformed_top_level_field_exits_2(tmp_path, capsys, field, raw):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_vertices_string_is_not_split_into_names(tmp_path, capsys):
+    # with vertices named "v" and "1", the string "v1" would iterate into them
+    data = graph_to_dict(replace(generate("hexagonal"), vertex_names=("v", "1")))
+    data["vertices"] = "v1"
+    path = tmp_path / "hex.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, "invariants", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_null_potential_means_none(tmp_path, capsys):
+    path = _write_hexagonal_with(tmp_path, "potential", "null")
+    code, out, _ = run(capsys, "invariants", path)
+    assert code == 0
+    assert json.loads(out)["I"] == 2
 
 
 def test_integral_floats_still_load(tmp_path, capsys):

@@ -19,6 +19,7 @@ import pytest
 import magspec.forms_cycles as fc
 from magspec import (
     CheckFailedError,
+    DisconnectedGraphError,
     IndexOverflowError,
     OneForm,
     SupercellSpec,
@@ -27,6 +28,7 @@ from magspec import (
     enumerate_spanning_trees,
     first_spanning_tree,
     flux_table,
+    gauge_weights,
     generate,
     harper_model,
     invariants,
@@ -94,6 +96,29 @@ def form_sets(g: FundamentalGraph) -> list[tuple]:
     return [(tau, alpha), (alpha, real, tau), (real,), ()]
 
 
+def assert_scans_match_reference(g: FundamentalGraph) -> None:
+    """scan_trees of every entry of form_sets(g) against the subset filter
+    and cycle-walk supports on every reference tree."""
+    trees = [fc._basis_for_tree(g, t) for t in reference_trees(g)]
+    assert len(trees) == spanning_tree_count(g)
+    supports: dict[int, list[frozenset[int]]] = {}  # per form object, per tree
+    for forms in form_sets(g):
+        scan = scan_trees(g, forms)
+        assert scan.tree_count == len(trees)
+        assert scan.first_tree == trees[0].tree_edges
+        assert len(scan.forms) == len(forms)
+        for form, got in zip(forms, scan.forms):
+            if id(form) not in supports:
+                supports[id(form)] = [reference_support(g, form, b) for b in trees]
+            per_tree = supports[id(form)]
+            best = min(map(len, per_tree))
+            first = next(i for i, s in enumerate(per_tree) if len(s) == best)
+            assert got.count == best
+            assert got.tree == trees[first].tree_edges
+            assert got.mask == mask_of(per_tree[first])
+            assert got.supports == {mask_of(s) for s in per_tree if len(s) == best}
+
+
 def test_tree_order_matches_subset_filter(scan_graphs):
     for g in scan_graphs:
         got = [b.tree_edges for b in enumerate_spanning_trees(g)]
@@ -104,52 +129,40 @@ def test_tree_order_matches_subset_filter(scan_graphs):
 
 def test_scan_matches_cycle_walk_reference(scan_graphs):
     for g in scan_graphs:
-        forms = (g.index_form(), g.magnetic_form())
-        trees = enumerate_spanning_trees(g)
-        scan = scan_trees(g, forms)
-        assert scan.tree_count == len(trees) == spanning_tree_count(g)
-        assert scan.first_tree == trees[0].tree_edges
-        for form, got in zip(forms, scan.forms):
-            supports = [reference_support(g, form, b) for b in trees]
-            best = min(len(s) for s in supports)
-            first = next(i for i, s in enumerate(supports) if len(s) == best)
-            assert got.count == best
-            assert got.tree == trees[first].tree_edges
-            assert got.mask == mask_of(supports[first])
-            assert got.supports == {mask_of(s) for s in supports if len(s) == best}
-
-
-def test_serial_and_batched_scans_agree(scan_graphs):
-    for g in scan_graphs:
-        for forms in form_sets(g):
-            assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+        assert_scans_match_reference(g)
 
 
 def test_batched_scan_past_one_word():
     # 70 vertices and 140 edges: vertex sets and tree keys take several words
     g = harper_model(70, 3)
-    for forms in form_sets(g)[:2]:
-        assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
-    scanner = fc._TreeScanner(g)
-    keys = np.concatenate([scanner.keys(ints) for ints, _ in scanner.blocks()])
-    got = sorted(scanner.edges_of(key) for key in keys.tolist())
-    assert got == [b.tree_edges for b in enumerate_spanning_trees(g)] == reference_trees(g)
+    assert_scans_match_reference(g)
+    assert [b.tree_edges for b in enumerate_spanning_trees(g)] == reference_trees(g)
 
 
 def test_batched_scan_needs_no_numpy_2_names(monkeypatch):
     # pyproject.toml allows numpy>=1.24; np.bitwise_count only exists from 2.0
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    g = supercell(generate("hexagonal"), SupercellSpec((2, 2)))
-    for forms in form_sets(g)[:2]:
-        assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+    assert_scans_match_reference(supercell(generate("hexagonal"), SupercellSpec((2, 2))))
 
 
 @pytest.mark.parametrize("states", [1, 2, 3])
 def test_tiny_blocks_give_identical_scans(battery_graphs, monkeypatch, states):
+    cases = [(g, forms) for g in battery_graphs for forms in form_sets(g)]
+    want = [scan_trees(g, forms) for g, forms in cases]
     monkeypatch.setattr(fc, "_BLOCK_STATES", states)
-    for g in battery_graphs:
-        for forms in form_sets(g)[:2]:
-            assert fc._scan_batched(g, forms) == fc._scan_serial(g, forms)
+    assert [scan_trees(g, forms) for g, forms in cases] == want
+
+
+def test_disconnected_graph_has_no_first_tree():
+    # vertex 2 carries only a loop
+    g = FundamentalGraph(dim=1, num_vertices=3, edges=(Edge(0, 1, (1,)), Edge(0, 1, (0,)), Edge(2, 2, (1,))))
+    assert not g.is_connected()
+    with pytest.raises(DisconnectedGraphError):
+        first_spanning_tree(g)
+    with pytest.raises(DisconnectedGraphError):
+        gauge_weights(g, g.index_form(), g.magnetic_form())
+    with pytest.raises(DisconnectedGraphError):
+        first_spanning_tree(FundamentalGraph(dim=0, num_vertices=0, edges=()))
 
 
 def test_phase_flux_test_equals_remainder():
@@ -177,8 +190,6 @@ def test_int64_potential_guard():
     with pytest.raises(IndexOverflowError):
         scan_trees(wide(-(2**62)), (wide(-(2**62)).index_form(),))
     g = wide(-(2**62) + 1)  # |values| sum to exactly 2^63 - 1: the flux still fits
-    for scan in (fc._scan_serial, fc._scan_batched):
-        assert scan(g, (g.index_form(),)).forms[0].count == 1
     assert scan_trees(g, (g.index_form(),)).forms[0].count == 1
 
 
@@ -246,7 +257,7 @@ def test_leaf_count_mismatch_is_a_failed_check(tmp_path, capsys, monkeypatch):
 
 
 def test_batched_leaf_count_mismatch_is_a_failed_check(monkeypatch):
-    g = supercell(generate("hexagonal"), SupercellSpec((2, 2)))  # 384 trees: the batched scan
+    g = supercell(generate("hexagonal"), SupercellSpec((2, 2)))  # 384 trees, one fewer claimed
     true_count = fc.spanning_tree_count
     monkeypatch.setattr(fc, "spanning_tree_count", lambda g: true_count(g) - 1)
     with pytest.raises(CheckFailedError, match="Laplacian cofactor"):
