@@ -112,6 +112,8 @@ def _write_band_csv(g: FundamentalGraph, spec, path: str) -> None:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.graph)
+    if args.seed < 0:
+        raise BadParamsError(f"--seed must be nonnegative, got {args.seed}")
     checks: list[dict] = []
     failed: str | None = None
 

@@ -287,27 +287,28 @@ class _TreeScanner:
     in ascending id (Gabow & Myers, SIAM J. Comput. 7, 1978), run level
     by level: a state is a forest of the edges decided so far, and a
     whole block of states decides one edge per step. At edge (t, h) a
-    state whose roots of t and h differ gets an include child, and an
-    exclude child exactly when the later edges, together with the
-    forest, still join t and h (_bypassed); otherwise the edge is a
+    state whose forest does not yet join t and h gets an include child,
+    and an exclude child exactly when the later edges, together with
+    the forest, still join t and h (_bypassed); otherwise the edge is a
     chord and the state passes on unchanged. Every state thus ends in a
     spanning tree, each tree once. Blocks split above _BLOCK_STATES
     states, so memory stays flat in the number of trees.
 
-    Each state is one row of two arrays. `ints` holds the weighted
-    union-find (root and parent of every vertex, union by size, no path
-    compression), the vertex set of every vertex's tree as bit words,
-    for every exact channel the offset p(v) - p(parent) of every vertex,
-    and the included edges as bit-reversed words (edge e is bit
+    Each state is one row of two arrays, and needs no union-find.
+    `ints` holds the vertex set of every vertex's tree as bit words
+    (vertex v is bit v % 64 of word v // 64), for every exact channel
+    the potential p(v) of every vertex relative to an anchor of its
+    tree, and the included edges as bit-reversed words (edge e is bit
     63 - e % 64 of word e // 64), so the largest key is the
-    lexicographically smallest edge set. `flts` holds the offsets of
-    the phase and real channels. Including edge t -> h with value x
-    fixes p(h) = p(t) + x. Offsets are summed bottom-up (from a vertex
-    to its root) to lift t and h, and root-down to potentials. Once a
-    state spans, the flux of chord c is x(c) + p(t) - p(h), so no cycle
-    is walked: exact channels compare with zero (int64, exact under
-    _check_int64_range), phases modulo 2*pi and real channels against
-    ZERO_FLUX_TOL.
+    lexicographically smallest edge set. `flts` holds the potentials of
+    the phase and real channels. Edge t -> h is a chord when h is in
+    t's set. Including it with value x adds (p(t) + x) - p(h) to every
+    vertex of h's set, which fixes p(h) = p(t) + x, and then joins the
+    two sets. Every potential stays a path sum in its tree, so exact
+    channels are exact in int64 under _check_int64_range. Once a state
+    spans, the flux of chord c is x(c) + p(t) - p(h), so no cycle is
+    walked: exact channels compare with zero, phases modulo 2*pi and
+    real channels against ZERO_FLUX_TOL.
     """
 
     def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
@@ -331,10 +332,10 @@ class _TreeScanner:
         self.angles = len(cols[_ANGLE])
         exact = np.array(cols[_EXACT], dtype=np.int64).reshape(-1, edges)
         floats = np.array(cols[_ANGLE] + cols[_REAL], dtype=float).reshape(-1, edges)
-        # columns of ints: root, parent, vertex sets, exact offsets, tree
+        # columns of ints: vertex sets, exact potentials, tree
         self.words = -(-n // 64)  # words per vertex set
-        sets_end = (2 + self.words) * n
-        # value groups: (array 0 = ints / 1 = flts, offset columns, values)
+        sets_end = self.words * n
+        # value groups: (array 0 = ints / 1 = flts, potential columns, values)
         self.groups = [
             grp for grp in (
                 (0, slice(sets_end, sets_end + len(exact) * n), exact),
@@ -343,8 +344,7 @@ class _TreeScanner:
         ]
         self.tree_col = sets_end + len(exact) * n
         self.ints0 = np.zeros((1, self.tree_col + (-(-edges // 64) or 1)), dtype=np.int64)
-        self.ints0[0, : 2 * n] = np.tile(np.arange(n), 2)
-        self.ints0[0, 2 * n : sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
+        self.ints0[0, :sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
         self.flts0 = np.zeros((1, len(floats) * n))
         v = np.arange(n)
         self.vertex_words, self.vertex_bits = v // 64, v % 64
@@ -353,30 +353,18 @@ class _TreeScanner:
         # per non-loop edge: its ends, tree word and bit, values per group,
         # and per vertex the set joined to it by the later non-loop edges
         # (None when those alone join the ends)
-        link = list(range(n))
-
-        def top(u: int) -> int:
-            while link[u] != u:
-                u = link[u]
-            return u
-
+        sets = [1 << v for v in range(n)]
         self.levels = []
         for eid in reversed([i for i, e in enumerate(g.edges) if not e.is_loop]):
             t, h = g.edges[eid].tail, g.edges[eid].head
-            labels = [top(u) for u in range(n)]
-            later = None
-            if labels[t] != labels[h]:
-                classes: dict[int, int] = {}
-                for u, lab in enumerate(labels):
-                    classes[lab] = classes.get(lab, 0) | 1 << u
-                later = self._bit_words([classes[lab] for lab in labels])
             self.levels.append((
                 t, h, self.tree_col + eid // 64,
                 np.array(1 << (63 - eid % 64), dtype=np.uint64).view(np.int64),
                 [values[:, eid] for _, _, values in self.groups],
-                later,
+                None if sets[t] >> h & 1 else self._bit_words(sets),
             ))
-            link[top(t)] = top(h)
+            merged = sets[t] | sets[h]
+            sets = [merged if merged >> u & 1 else s for u, s in enumerate(sets)]
         self.levels.reverse()
 
     def _bit_words(self, sets: list[int]) -> np.ndarray:
@@ -386,33 +374,33 @@ class _TreeScanner:
 
     def _sets(self, ints: np.ndarray) -> np.ndarray:
         """(S, nu, words) view: the vertex set of every vertex's tree."""
-        n = self.n
-        return ints[:, 2 * n : (2 + self.words) * n].reshape(len(ints), n, self.words)
+        return ints[:, : self.words * self.n].reshape(len(ints), self.n, self.words)
+
+    def _members(self, words: np.ndarray) -> np.ndarray:
+        """(S, nu) bool: per row of (S, words) vertex-set words, whether each vertex is in it."""
+        return words[:, self.vertex_words] >> self.vertex_bits & 1 == 1
 
     def _bypassed(self, ints: np.ndarray, later: np.ndarray, t: int, h: int) -> np.ndarray:
         """Per state, whether its forest and the later edges join t and h."""
         near = self._sets(ints) | later  # per vertex, the vertices one step away
         reach = near[:, t]
         while True:
-            member = reach[:, self.vertex_words] >> self.vertex_bits & 1
+            member = self._members(reach)
             if np.logical_and.reduce(member[:, h], axis=None):
-                return member[:, h] == 1
+                return member[:, h]
             grown = np.bitwise_or.reduce(near * member[:, :, None], axis=1)
             if np.array_equal(grown, reach):
-                return member[:, h] == 1
+                return member[:, h]
             reach = grown
 
     def _advance(self, ints: np.ndarray, flts: np.ndarray, level: int) -> tuple:
         """Decide one edge for a block: chord, include child, exclude child."""
         t, h, word, bit, xs, later = self.levels[level]
-        n = self.n
-        rt, rh = ints[:, t], ints[:, h]
-        stay = rt == rh  # the edge closes a cycle: a chord
+        stay = ints[:, t * self.words + h // 64] >> h % 64 & 1 == 1  # h in t's tree: a chord
         inc = np.logical_not(stay).nonzero()[0]
         k = len(inc)
         if not k:
             return ints, flts
-        a, b = rt.take(inc), rh.take(inc)
         if later is None:  # the later edges alone join t and h
             stay[:] = True
         else:
@@ -421,33 +409,13 @@ class _TreeScanner:
         ints, flts = ints.take(order, axis=0), flts.take(order, axis=0)
         new = ints[-k:]
         sets = self._sets(new)
-        merged = sets[:, t] | sets[:, h]
-        # union by size; when t's tree hangs below h's root the offset changes sign
-        roots = new[:, :n]
-        flip = (roots == a[:, None]).sum(axis=1) < (roots == b[:, None]).sum(axis=1)
-        low = np.where(flip, a, b)
-        high = a + b - low
-        rows = np.arange(k)
-        # the vertices from t and from h up to (past) their roots, whose
-        # offsets are added bottom-up; a root's offset is 0
-        parent = new[:, n : 2 * n]
-        path = [np.full(k, t), np.full(k, h)]
-        for _ in range(n.bit_length() - 2):  # union by size: depth <= log2(nu)
-            path += [parent[rows, path[-2]], parent[rows, path[-1]]]
-        path = np.stack(path, axis=1)
+        moved = self._members(sets[:, h])  # h's tree, re-anchored at t's anchor
         for (which, cols, _), x in zip(self.groups, xs):
-            block = (ints, flts)[which][-k:]
-            off = block[:, cols].reshape(k, len(x), n)
-            steps = off[rows[:, None], :, path]  # (k, 2 * depth, channels)
-            lift_t, lift_h = steps[:, 0] + 0, steps[:, 1] + 0
-            for i in range(2, steps.shape[1], 2):
-                lift_t, lift_h = lift_t + steps[:, i], lift_h + steps[:, i + 1]
-            d = lift_t + x - lift_h
-            np.negative(d, out=d, where=flip[:, None])
-            off[rows, :, low] = d
-        np.copyto(new[:, :n], high[:, None], where=new[:, :n] == low[:, None])
-        parent[rows, low] = high
-        np.copyto(sets, merged[:, None, :], where=(new[:, :n] == high[:, None])[:, :, None])
+            pot = (ints, flts)[which][-k:, cols].reshape(k, len(x), self.n)
+            shift = pot[:, :, t] + x - pot[:, :, h]
+            pot += shift[:, :, None] * moved[:, None, :]
+        merged = sets[:, t] | sets[:, h]
+        np.copyto(sets, merged[:, None, :], where=self._members(merged)[:, :, None])
         new[:, word] |= bit
         return ints, flts
 
@@ -474,15 +442,11 @@ class _TreeScanner:
 
     def chord_masks(self, ints: np.ndarray, flts: np.ndarray) -> np.ndarray:
         """(S, forms, E): per spanning state and form, the chords with nonzero flux."""
-        n, s = self.n, len(ints)
+        s = len(ints)
         flux = np.empty((s, sum(len(x) for _, _, x in self.groups), self.num_edges), dtype=bool)
         for which, cols, x in self.groups:
             c = len(x)
-            off = (ints, flts)[which][:, cols].reshape(s, c, n)
-            at = np.arange(0, s * c * n, n).reshape(s, c, 1) + ints[:, None, n : 2 * n]
-            pot = np.zeros_like(off)
-            for _ in range(n.bit_length() - 1):  # union by size: depth <= log2(nu)
-                pot = off + pot.take(at)  # root-down: p(v) = off(v) + p(parent(v))
+            pot = (ints, flts)[which][:, cols].reshape(s, c, self.n)
             lifted = x + pot.take(self.tails, axis=2)
             if which == 0:
                 np.not_equal(lifted, pot.take(self.heads, axis=2), out=flux[:, :c])
@@ -498,18 +462,28 @@ class _TreeScanner:
         return masks
 
 
-def _checked_tree_count(g: FundamentalGraph, cap: int) -> int:
-    if not g.is_connected():
+def _first_tree(g: FundamentalGraph) -> tuple[int, ...]:
+    """Kruskal by ascending edge id: greedy gives the lexicographically
+    smallest basis of the graphic matroid. Raises DisconnectedGraphError
+    when the edges span no tree."""
+    tree = g.spanning_forest()
+    if len(tree) != g.num_vertices - 1:
         raise DisconnectedGraphError("spanning trees need a connected graph")
+    return tree
+
+
+def _checked_tree_count(g: FundamentalGraph, cap: int) -> tuple[int, tuple[int, ...]]:
+    """The exact tree count, refused above the cap, and the first tree."""
+    tree = _first_tree(g)
     count = spanning_tree_count(g)
     if count > cap:
         raise TreeCountExceedsCapError(f"{count} spanning trees exceed the cap {cap}")
-    return count
+    return count, tree
 
 
 def _check_int64_range(forms: Sequence[OneForm]) -> None:
     """Refuse an integer form whose |values| sum above int64: that sum
-    bounds every tree potential, offset and flux of the form."""
+    bounds every tree potential and flux of the form."""
     for x in forms:
         if x.magnetic or not np.issubdtype(x.values.dtype, np.integer):
             continue
@@ -535,7 +509,7 @@ def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[Span
     cap (the graph is too large for exhaustive minimality certification).
     Materializes every tree; the library itself streams with scan_trees.
     """
-    count = _checked_tree_count(g, cap)
+    count, _ = _checked_tree_count(g, cap)
     scanner = _TreeScanner(g)
     keys = [key for ints, _ in scanner.blocks() for key in scanner.keys(ints).tolist()]
     out = [_basis_for_tree(g, tree) for tree in sorted(map(scanner.edges_of, keys))]
@@ -546,14 +520,9 @@ def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[Span
 def first_spanning_tree(g: FundamentalGraph) -> SpanningTreeBasis:
     """The lexicographically smallest spanning tree, first in enumeration order.
 
-    Kruskal by ascending edge id: greedy gives the lexicographically
-    smallest basis of the graphic matroid. Raises DisconnectedGraphError
-    when the edges span no tree.
+    Raises DisconnectedGraphError when the edges span no tree.
     """
-    tree = g.spanning_forest()
-    if len(tree) != g.num_vertices - 1:
-        raise DisconnectedGraphError("spanning trees need a connected graph")
-    return _basis_for_tree(g, tree)
+    return _basis_for_tree(g, _first_tree(g))
 
 
 class FormScan(NamedTuple):
@@ -580,23 +549,22 @@ def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) 
     """Score every form on every spanning tree in one streaming pass.
 
     "First" means lexicographically smallest tree edge-id set, the
-    enumeration order (the largest tree key of a _TreeScanner). Memory
-    stays flat in the number of trees: only the distinct minimal
+    enumeration order (the largest tree key of a _TreeScanner); the
+    first tree of all is the Kruskal tree of the connectivity check.
+    Memory stays flat in the number of trees: only the distinct minimal
     supports are kept. Raises TreeCountExceedsCapError before scanning
     when the exact count exceeds the cap, IndexOverflowError when an
     integer form could overflow int64, and CheckFailedError if the scan
     does not find exactly that many trees.
     """
-    count = _checked_tree_count(g, cap)
+    count, first = _checked_tree_count(g, cap)
     _check_int64_range(forms)
     scanner = _TreeScanner(g, forms)
-    first: list[int] = []
     best: list[list | None] = [None] * len(forms)  # [count, tree key, support, supports]
     leaves = 0
     for ints, flts in scanner.blocks():
         leaves += len(ints)
         keys = scanner.keys(ints)
-        first = max(first, keys[_first_row(keys)].tolist())
         masks = scanner.chord_masks(ints, flts)
         counts = masks.sum(axis=2)
         supports = np.packbits(masks, axis=2, bitorder="little")  # bit i of byte j: edge 8j + i
@@ -622,7 +590,7 @@ def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) 
 
     return TreeScan(
         tree_count=leaves,
-        first_tree=scanner.edges_of(first),
+        first_tree=first,
         forms=tuple(
             FormScan(c, scanner.edges_of(key), as_int(m), frozenset(map(as_int, s)))
             for c, key, m, s in best  # type: ignore[misc]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -414,8 +415,16 @@ def generate(kind: str, d: int | None = None,
 # -- JSON serialization -------------------------------------------------------
 
 
+def _real(x):
+    """x itself when it is a number; booleans and strings are refused, not converted."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not a number")
+    return x
+
+
 def _integer(x) -> int:
     """int(x), refusing a number with a fractional part instead of truncating it."""
+    x = _real(x)
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{x!r} is not an integer")
     return int(x)
@@ -425,39 +434,39 @@ def graph_from_dict(data: dict) -> FundamentalGraph:
     """Parse the JSON graph schema; phases are reduced into (-pi, pi].
 
     Any field of the wrong type or out of numeric range raises
-    GraphDataError.
+    GraphDataError. Booleans and strings are not numbers, and vertex
+    names and edge ends are name strings.
     """
     try:
         dim = _integer(data["dim"])
-        raw_vertices = data["vertices"]
+        names = data["vertices"]
         raw_edges = data["edges"]
         raw_potential = data.get("potential")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GraphDataError(f"malformed graph data: {exc}") from exc
-    if not isinstance(raw_vertices, list):
-        raise GraphDataError("vertices must be a list")
+    if not isinstance(names, list) or not all(isinstance(v, str) for v in names):
+        raise GraphDataError("vertices must be a list of name strings")
     if not isinstance(raw_edges, list):
         raise GraphDataError("edges must be a list")
     if raw_potential is None:
         raw_potential = {}
     elif not isinstance(raw_potential, dict):
         raise GraphDataError("potential must map vertex names to numbers")
-    names = [str(v) for v in raw_vertices]
     if len(set(names)) != len(names):
         raise GraphDataError("duplicate vertex names")
     ids = {name: i for i, name in enumerate(names)}
     edges = []
     for k, rec in enumerate(raw_edges):
         try:
-            tail = ids[str(rec["tail"])]
-            head = ids[str(rec["head"])]
+            tail = ids[rec["tail"]]
+            head = ids[rec["head"]]
             if "index" in rec:
                 index = tuple(_integer(x) for x in rec["index"])
             elif dim == 0:
                 index = ()  # finite decoration graphs carry no indices
             else:
                 raise GraphDataError(f"edge {k} is missing its index")
-            alpha = reduce_angle(float(rec.get("alpha", 0.0)))
+            alpha = reduce_angle(float(_real(rec.get("alpha", 0.0))))
         except KeyError as exc:
             raise GraphDataError(f"edge {k} references unknown vertex {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -468,7 +477,7 @@ def graph_from_dict(data: dict) -> FundamentalGraph:
         if name not in ids:
             raise GraphDataError(f"potential references unknown vertex {name!r}")
         try:
-            potential[ids[name]] = float(q)
+            potential[ids[name]] = float(_real(q))
         except (TypeError, ValueError, OverflowError) as exc:
             raise GraphDataError(f"potential of vertex {name!r} is malformed: {exc}") from exc
     return FundamentalGraph(

@@ -238,6 +238,14 @@ def test_butterfly_rejects_flux_steps_below_one(capsys, z2_file, steps):
     assert "--flux-steps" in err
 
 
+def test_verify_rejects_negative_seed_before_the_scan(capsys, monkeypatch, kagome_file):
+    monkeypatch.setattr(cli, "analyze", None)  # a scan would raise TypeError
+    code, out, err = run(capsys, "verify", kagome_file, "--seed", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_butterfly_refuses_over_budget_grid_before_any_solve(capsys, monkeypatch, z2_file):
     # 1700^2 points fit the budget for q = 1 but not for q = 12
     monkeypatch.setattr(spectral, "fiber_stack", None)  # any solve would raise TypeError
@@ -309,6 +317,48 @@ def test_malformed_top_level_field_exits_2(tmp_path, capsys, field, raw):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+# JSON tokens of a graph that loads: a loop at a and an edge a -> b
+_TOKENS = {"dim": "1", "vertices": '["a", "b"]', "a": '"a"', "b": '"b"',
+           "index": "[1]", "alpha": "0.5", "potential": '{"a": 0.5}'}
+
+
+def _write_tokens(tmp_path, **tokens) -> str:
+    path = tmp_path / "tokens.json"
+    path.write_text(
+        '{"dim": %(dim)s, "vertices": %(vertices)s, "edges": ['
+        '{"tail": %(a)s, "head": %(a)s, "index": %(index)s, "alpha": %(alpha)s}, '
+        '{"tail": %(a)s, "head": %(b)s, "index": [0]}], "potential": %(potential)s}'
+        % {**_TOKENS, **tokens},
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def test_token_graph_loads(tmp_path, capsys):
+    code, out, _ = run(capsys, "invariants", _write_tokens(tmp_path))
+    assert code == 0
+    assert json.loads(out)["I"] == 1
+
+
+@pytest.mark.parametrize("tokens", [
+    {"dim": "true"},
+    {"alpha": "true"},
+    {"index": "[true]"},
+    {"potential": '{"a": true}'},
+    {"alpha": '"0.5"'},
+    {"index": '"1"'},
+    {"vertices": '[[1], {"a": 1}]', "a": "[1]", "b": '{"a": 1}', "potential": "null"},
+    {"vertices": '[1, "b"]', "a": "1", "potential": "null"},
+    {"vertices": '["1", "b"]', "a": "1", "potential": "null"},
+], ids=["dim-true", "alpha-true", "index-true", "potential-true", "alpha-string",
+        "index-string", "vertices-containers", "vertices-number", "tail-number"])
+def test_booleans_strings_and_non_string_names_exit_2(tmp_path, capsys, tokens):
+    code, out, err = run(capsys, "invariants", _write_tokens(tmp_path, **tokens))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_vertices_string_is_not_split_into_names(tmp_path, capsys):

@@ -96,13 +96,15 @@ def form_sets(g: FundamentalGraph) -> list[tuple]:
     return [(tau, alpha), (alpha, real, tau), (real,), ()]
 
 
-def assert_scans_match_reference(g: FundamentalGraph) -> None:
-    """scan_trees of every entry of form_sets(g) against the subset filter
-    and cycle-walk supports on every reference tree."""
+def assert_scans_match_reference(
+    g: FundamentalGraph, form_lists: list[tuple] | None = None
+) -> None:
+    """scan_trees of every entry of form_lists (default form_sets(g)) against
+    the subset filter and cycle-walk supports on every reference tree."""
     trees = [fc._basis_for_tree(g, t) for t in reference_trees(g)]
     assert len(trees) == spanning_tree_count(g)
     supports: dict[int, list[frozenset[int]]] = {}  # per form object, per tree
-    for forms in form_sets(g):
+    for forms in form_lists or form_sets(g):
         scan = scan_trees(g, forms)
         assert scan.tree_count == len(trees)
         assert scan.first_tree == trees[0].tree_edges
@@ -163,6 +165,35 @@ def test_disconnected_graph_has_no_first_tree():
         gauge_weights(g, g.index_form(), g.magnetic_form())
     with pytest.raises(DisconnectedGraphError):
         first_spanning_tree(FundamentalGraph(dim=0, num_vertices=0, edges=()))
+
+
+_TOL = fc.ZERO_FLUX_TOL
+
+
+@pytest.mark.parametrize("flux,nonzero", [
+    (_TOL * (1 - 1e-3), False), (_TOL * (1 + 1e-3), True),
+    (-_TOL * (1 - 1e-3), False), (-_TOL * (1 + 1e-3), True),
+    (fc.TWO_PI + _TOL * (1 - 1e-3), False), (fc.TWO_PI + _TOL * (1 + 1e-3), True),
+    (fc.TWO_PI - _TOL * (1 - 1e-3), False), (fc.TWO_PI - _TOL * (1 + 1e-3), True),
+])
+def test_near_tolerance_flux_spread_over_a_long_cycle(flux, nonzero):
+    # A ring of 12 vertices: every tree has one chord, whose basic cycle is
+    # the whole ring, so its flux sums 12 edge values and the scan's
+    # potentials sum up to 11. 1e-3 of the tolerance lies far above the
+    # rounding of those sums, so the side of the tolerance is decided.
+    n = 12
+    spread = np.random.default_rng(3).uniform(-3.0, 3.0, n - 1).tolist()
+    last = flux - math.fsum(spread)
+    edges = [Edge(v, (v + 1) % n, (int(v == 0),), a)
+             for v, a in enumerate(spread + [fc.reduce_angle(last)])]
+    g = FundamentalGraph(dim=1, num_vertices=n, edges=tuple(edges))
+    forms = (g.magnetic_form(), OneForm(np.array([[x] for x in spread + [last]])))
+    if flux > 1.0:  # a real flux near 2*pi is plainly nonzero
+        forms = forms[:1]
+    assert_scans_match_reference(g, [forms])
+    for got in scan_trees(g, forms).forms:
+        assert got.count == int(nonzero)
+        assert got.supports == ({1 << c for c in range(n)} if nonzero else {0})
 
 
 def test_phase_flux_test_equals_remainder():
