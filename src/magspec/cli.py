@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen, invariants, bands, verify, butterfly, build-periodic.
-Exit codes: 0 success, 1 failed verification check, 2 input error.
+Exit codes: 0 success, 1 failed verification check, 2 input error (an
+--out in a missing directory, or one that cannot be written, included).
 Output is deterministic for a fixed input and seed. MAGSPEC_THREADS
 bounds sweep parallelism.
 """
@@ -11,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +25,6 @@ from .errors import (
     MagspecError,
     NonFiniteOutputError,
 )
-from .fiber_operator import count_nontrivial_exponents
 from .forms_cycles import invariants
 from .graph_model import (
     FundamentalGraph,
@@ -41,6 +43,7 @@ from .spectral import (
     harper_band_edges,
     sy_sunada_check,
     verify_band_localization,
+    verify_exponent_counts,
     verify_gauge_equivalence,
     verify_perturbation,
     verify_positive_splitting,
@@ -62,6 +65,21 @@ def _print_json(obj) -> None:
     print(text)
 
 
+def _check_out_dir(path: str | None) -> None:
+    """Refuse an --out whose directory does not exist, before any work."""
+    if path and not Path(path).parent.is_dir():
+        raise BadParamsError(f"--out directory {Path(path).parent} does not exist")
+
+
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError while writing --out into BadParamsError."""
+    try:
+        yield
+    except OSError as exc:
+        raise BadParamsError(f"cannot write --out {path}: {exc}") from exc
+
+
 def _load(path: str) -> FundamentalGraph:
     g = load_graph_json(path)
     validate(g)
@@ -75,7 +93,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     g = generate(args.kind, d=args.dim, decoration=decoration)
     validate(g)
     if args.out:
-        dump_graph_json(g, args.out)
+        with _writing(args.out):
+            dump_graph_json(g, args.out)
     else:
         _print_json(graph_to_dict(g))
     return 0
@@ -93,7 +112,8 @@ def cmd_bands(args: argparse.Namespace) -> int:
     an = analyze(g, cap=args.tree_cap)
     spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
     if args.out:
-        _write_band_csv(g, spec, args.out)
+        with _writing(args.out):
+            _write_band_csv(g, spec, args.out)
     summary = spec.to_dict()
     summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
@@ -110,77 +130,39 @@ def _write_band_csv(g: FundamentalGraph, spec, path: str) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _bottom_of_spectrum(g: FundamentalGraph, grid_n: int | None) -> dict:
+    if not sy_sunada_check(g, grid_n=grid_n):
+        raise CheckFailedError("first band bottom is not attained at theta = 0")
+    return {"attained_at_zero": True}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     if args.seed < 0:
         raise BadParamsError(f"--seed must be nonnegative, got {args.seed}")
+    an = analyze(g, cap=args.tree_cap)
+    grid, seed = args.grid, args.seed
+    battery = [
+        ("localization_and_measure", partial(verify_band_localization, g, grid_n=grid, analysis=an)),
+        ("gauge_equivalence", partial(verify_gauge_equivalence, g, seed=seed, analysis=an)),
+        ("positive_splitting", partial(verify_positive_splitting, g, seed=seed, analysis=an)),
+        ("exponent_counts", partial(verify_exponent_counts, g, analysis=an)),
+        ("perturbation_sandwich", partial(verify_perturbation, g, grid_n=grid, analysis=an)),
+    ]
+    if not g.magnetic_form().support():
+        battery.append(("bottom_of_spectrum", partial(_bottom_of_spectrum, g, grid)))
     checks: list[dict] = []
-    failed: str | None = None
-
-    def run(name: str, fn) -> None:
-        nonlocal failed
-        if failed is not None:
-            return
+    for name, check in battery:  # stops at the first failed check
         try:
-            detail = fn()
-            checks.append({"name": name, "passed": True, "detail": detail})
+            checks.append({"name": name, "passed": True, "detail": check()})
         except CheckFailedError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
-            failed = name
-
-    an = analyze(g, cap=args.tree_cap)
-    report = an.report
-
-    def localization():
-        rep = verify_band_localization(g, grid_n=args.grid, analysis=an)
-        return rep.to_dict()
-
-    def gauge():
-        verify_gauge_equivalence(g, seed=args.seed, analysis=an)
-        return {"pairs": 3, "thetas": 20}
-
-    def splitting():
-        verify_positive_splitting(g, seed=args.seed, analysis=an)
-        return {"thetas": 20}
-
-    def exponents():
-        n_theta, n_phase, n_both = count_nontrivial_exponents(g, an.mu, an.phi)
-        if (n_theta, n_phase, n_both) != (2 * report.I, 2 * report.I_alpha, 2 * report.I_mu_phi):
-            raise CheckFailedError(
-                f"minimal-pair exponent counts {(n_theta, n_phase, n_both)} disagree with invariants"
-            )
-        r_theta, r_phase, _ = count_nontrivial_exponents(g, g.index_form(), g.magnetic_form())
-        if r_theta < n_theta or r_phase < n_phase:
-            raise CheckFailedError("stored pair has fewer nontrivial exponents than the minimum")
-        return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
-
-    def perturbation():
-        bounds, rep = verify_perturbation(g, grid_n=args.grid, analysis=an)
-        return {**bounds.to_dict(), **rep.to_dict()}
-
-    run("localization_and_measure", localization)
-    run("gauge_equivalence", gauge)
-    run("positive_splitting", splitting)
-    run("exponent_counts", exponents)
-    run("perturbation_sandwich", perturbation)
-    if failed is None and not g.magnetic_form().support():
-        def bottom():
-            if not sy_sunada_check(g, grid_n=args.grid):
-                raise CheckFailedError("first band bottom is not attained at theta = 0")
-            return {"attained_at_zero": True}
-
-        run("bottom_of_spectrum", bottom)
-
-    _print_json(
-        {
-            "graph": args.graph,
-            "invariants": report.to_dict(),
-            "checks": checks,
-            "passed": failed is None,
-        }
-    )
-    if failed is not None:
-        print(f"check failed: {failed}", file=sys.stderr)
+            break
+    passed = checks[-1]["passed"]
+    _print_json({"graph": args.graph, "invariants": an.report.to_dict(),
+                 "checks": checks, "passed": passed})
+    if not passed:
+        print(f"check failed: {checks[-1]['name']}", file=sys.stderr)
         return 1
     return 0
 
@@ -223,7 +205,8 @@ def cmd_butterfly(args: argparse.Namespace) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        with _writing(args.out):
+            Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return 0
@@ -233,7 +216,8 @@ def cmd_build_periodic(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     built = build_periodic(g, cap=args.tree_cap)
     if args.out:
-        dump_graph_json(built, args.out)
+        with _writing(args.out):
+            dump_graph_json(built, args.out)
     else:
         _print_json(graph_to_dict(built))
     return 0
@@ -289,6 +273,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_out_dir(getattr(args, "out", None))
         return args.fn(args)
     except CheckFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -64,16 +64,7 @@ class InvariantReport:
     lattice_image_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "d": self.d,
-            "I": self.I,
-            "I_alpha": self.I_alpha,
-            "I_mu_phi": self.I_mu_phi,
-            "I_mu_phi_min": self.I_mu_phi_min,
-            "tree_count": self.tree_count,
-            "lattice_image_ok": self.lattice_image_ok,
-        }
+        return asdict(self)  # field order is the JSON key order
 
 
 # -- exact integer linear algebra ---------------------------------------------

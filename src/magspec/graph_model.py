@@ -260,16 +260,6 @@ class ValidationReport:
     kappa_plus: int
     connected: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "nu": self.num_vertices,
-            "num_edges": self.num_edges,
-            "beta": self.beta,
-            "degrees": list(self.degrees),
-            "kappa_plus": self.kappa_plus,
-            "connected": self.connected,
-        }
-
 
 def validate(g: FundamentalGraph) -> ValidationReport:
     """Check structural invariants and summarize the graph.

@@ -16,7 +16,12 @@ into numerical checks: band localization against the off-support
 operator, the support-size bound on the total band measure, the
 perturbation sandwich under a magnetic field, positivity of the
 support part of the fiber, gauge invariance of fiber spectra, and the
-bottom-of-spectrum property of the phase-free operator.
+exponent counts of the minimal pair. Each returns the detail dict that
+`verify` prints, or raises CheckFailedError; called without an
+Analysis, it builds one with analyze(g). sy_sunada_check (the
+bottom-of-spectrum property of the phase-free operator) returns a bool.
+Tolerances of comparisons that the potential q enters on both sides are
+scaled by max(1, max |q|).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .errors import (
     SandwichViolatedError,
 )
 from .fiber_operator import (
+    count_nontrivial_exponents,
     fiber_stack,
     phase_perturbation_bound,
     split_fiber,
@@ -211,13 +217,16 @@ class BandSpectrum:
         }
 
 
-def _check_spectral_range(
-    g: FundamentalGraph, lo: np.ndarray, hi: np.ndarray, with_potential: bool
-) -> None:
+def _potential_scale(g: FundamentalGraph) -> float:
+    """max(1, max |q|): eigenvalues of size |q| are rounded to a few ulp of |q|."""
+    return max(1.0, float(np.abs(g.potential).max(initial=0.0)))
+
+
+def _check_spectral_range(g: FundamentalGraph, lo: np.ndarray, hi: np.ndarray) -> None:
     """Band ends must lie in [0, 2 kappa_+], shifted by the potential range."""
-    q_lo = float(g.potential.min()) if with_potential else 0.0
-    q_hi = float(g.potential.max()) if with_potential else 0.0
-    if not (q_lo - MATRIX_TOL <= lo.min() and hi.max() <= 2.0 * g.kappa_plus() + q_hi + MATRIX_TOL):
+    q_lo, q_hi = float(g.potential.min()), float(g.potential.max())
+    tol = MATRIX_TOL * _potential_scale(g)
+    if not (q_lo - tol <= lo.min() and hi.max() <= 2.0 * g.kappa_plus() + q_hi + tol):
         raise CheckFailedError("fiber eigenvalue escaped the a-priori spectral range")
 
 
@@ -227,7 +236,6 @@ def band_sweep(
     a: OneForm | None = None,
     grid_n: int | None = None,
     flat_tol: float = 1e-8,
-    with_potential: bool = True,
 ) -> BandSpectrum:
     """Sweep the torus grid and collect per-band intervals.
 
@@ -238,10 +246,9 @@ def band_sweep(
     b = b if b is not None else g.index_form()
     a = a if a is not None else g.magnetic_form()
     n, thetas = _grid(g, grid_n)
-    table = eigenvalue_table(g, b, a, thetas, with_potential=with_potential)
-    lo = table.min(axis=0)
-    hi = table.max(axis=0)
-    _check_spectral_range(g, lo, hi, with_potential)
+    table = eigenvalue_table(g, b, a, thetas)
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    _check_spectral_range(g, lo, hi)
     bands = np.stack([lo, hi], axis=1)
     flat = tuple(bool(w < flat_tol) for w in hi - lo)
     return BandSpectrum(
@@ -306,11 +313,13 @@ def harper_band_edges(q: int, p: int, grid_n: int | None = None) -> np.ndarray:
     corners = solve((next1, ext2), (ext1, next2))
     if not (np.all(lo + 2.0 * MATRIX_TOL < corners) and np.all(corners < hi - 2.0 * MATRIX_TOL)):
         return band_sweep(g, grid_n=n).bands
-    _check_spectral_range(g, lo, hi, with_potential=True)
+    _check_spectral_range(g, lo, hi)
     return np.stack([lo, hi], axis=1)
 
 
 # -- verification batteries -----------------------------------------------------------
+
+N_THETAS = 20  # random quasimomenta of the gauge and splitting checks
 
 
 @dataclass(frozen=True, eq=False)
@@ -337,32 +346,11 @@ def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
     return Analysis(report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
 
 
-@dataclass(frozen=True)
-class LocalizationReport:
-    floor_eigenvalues: tuple[float, ...]
-    support_kappa_plus: int
-    band_widths_sum: float
-    bound_4i: float
-    bound_4beta: float
-    bands: tuple[tuple[float, float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "floor_eigenvalues": list(self.floor_eigenvalues),
-            "support_kappa_plus": self.support_kappa_plus,
-            "band_widths_sum": self.band_widths_sum,
-            "bound_4I": self.bound_4i,
-            "bound_4beta": self.bound_4beta,
-            "bands": [list(b) for b in self.bands],
-        }
-
-
 def verify_band_localization(
     g: FundamentalGraph,
     grid_n: int | None = None,
-    cap: int = 10**6,
     analysis: Analysis | None = None,
-) -> LocalizationReport:
+) -> dict:
     """Check band windows and the support-size measure bound.
 
     Every grid eigenvalue of the fiber must lie within
@@ -372,13 +360,13 @@ def verify_band_localization(
     times the half-support of the minimal form, nor four times the
     Betti number. Violations raise LocalizationViolatedError or
     MeasureBoundViolatedError (either one means an implementation bug,
-    not a failure of the underlying mathematics).
-
-    analysis is the graph's Analysis; without it one is built, scanning
-    at most cap trees.
+    not a failure of the underlying mathematics). Returns the floors,
+    the support's kappa_+, the width sum, both bounds and the grid bands.
     """
-    mu = (analysis or analyze(g, cap)).mu
+    mu = (analysis or analyze(g)).mu
     alpha = g.magnetic_form()
+    scale = _potential_scale(g)
+    tol, sweep_tol = MATRIX_TOL * scale, SWEEP_TOL * scale
 
     delta0 = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0][0]
     h0 = delta0 + np.diag(g.potential)
@@ -386,71 +374,35 @@ def verify_band_localization(
     kplus = int(support_degrees(g, mu).max()) if mu.support() else 0
 
     _, thetas = _grid(g, grid_n)
-    table = eigenvalue_table(g, mu, alpha, thetas, with_potential=True)
+    table = eigenvalue_table(g, mu, alpha, thetas)
 
-    low_ok = np.all(floors[None, :] - MATRIX_TOL <= table)
-    high_ok = np.all(table <= floors[None, :] + 2.0 * kplus + MATRIX_TOL)
+    low_ok = np.all(floors[None, :] - tol <= table)
+    high_ok = np.all(table <= floors[None, :] + 2.0 * kplus + tol)
     if not (low_ok and high_ok):
         raise LocalizationViolatedError("a grid eigenvalue escaped its localization window")
 
     lo, hi = table.min(axis=0), table.max(axis=0)
     total = float((hi - lo).sum())
     inv_i = mu.support_size_oriented() // 2
-    if not total <= 4.0 * inv_i + SWEEP_TOL:
-        raise MeasureBoundViolatedError(
-            f"band widths sum {total} exceeds 4*I = {4 * inv_i}"
-        )
-    if not total <= 4.0 * g.beta + SWEEP_TOL:
-        raise MeasureBoundViolatedError(
-            f"band widths sum {total} exceeds 4*beta = {4 * g.beta}"
-        )
-    bands = tuple((float(a), float(b)) for a, b in zip(lo, hi))
-    return LocalizationReport(
-        floor_eigenvalues=tuple(float(x) for x in floors),
-        support_kappa_plus=kplus,
-        band_widths_sum=total,
-        bound_4i=4.0 * inv_i,
-        bound_4beta=4.0 * g.beta,
-        bands=bands,
-    )
-
-
-@dataclass(frozen=True)
-class PerturbationBounds:
-    lambda_min: float  # smallest perturbation eigenvalue over the grid
-    lambda_max: float  # largest perturbation eigenvalue over the grid
-    phase_bound: float  # row-sum bound from the shifted phases
-
-    def to_dict(self) -> dict:
-        return {
-            "Lambda_1": self.lambda_min,
-            "Lambda_nu": self.lambda_max,
-            "C_phi": self.phase_bound,
-        }
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    theta0: tuple[float, ...]
-    shifted_support_size: int
-    band_shift_max: float
-    width_change_max: float
-
-    def to_dict(self) -> dict:
-        return {
-            "theta0": list(self.theta0),
-            "shifted_support_size": self.shifted_support_size,
-            "band_shift_max": self.band_shift_max,
-            "width_change_max": self.width_change_max,
-        }
+    if not total <= 4.0 * inv_i + sweep_tol:
+        raise MeasureBoundViolatedError(f"band widths sum {total} exceeds 4*I = {4 * inv_i}")
+    if not total <= 4.0 * g.beta + sweep_tol:
+        raise MeasureBoundViolatedError(f"band widths sum {total} exceeds 4*beta = {4 * g.beta}")
+    return {
+        "floor_eigenvalues": [float(x) for x in floors],
+        "support_kappa_plus": kplus,
+        "band_widths_sum": total,
+        "bound_4I": 4.0 * inv_i,
+        "bound_4beta": 4.0 * g.beta,
+        "bands": [[float(a), float(b)] for a, b in zip(lo, hi)],
+    }
 
 
 def verify_perturbation(
     g: FundamentalGraph,
     grid_n: int | None = None,
-    cap: int = 10**6,
     analysis: Analysis | None = None,
-) -> tuple[PerturbationBounds, PerturbationReport]:
+) -> dict:
     """Check the magnetic perturbation sandwich on the torus grid.
 
     Sweeps the shifted-phase fiber against the phase-free fiber and
@@ -458,12 +410,12 @@ def verify_perturbation(
     of the perturbation matrix, the induced bounds on band ends and
     band widths, the row-sum bound on the extreme eigenvalues, and
     exact spectral agreement when the shifted phase form vanishes.
-    Raises SandwichViolatedError on any failure.
-
-    analysis is the graph's Analysis; without it one is built, scanning
-    at most cap trees.
+    Raises SandwichViolatedError on any failure. Returns the extreme
+    perturbation eigenvalues Lambda_1 and Lambda_nu, the row-sum bound
+    C_phi, the theta0 shift, the shifted support size, and the largest
+    band-end shift and band-width change.
     """
-    an = analysis or analyze(g, cap)
+    an = analysis or analyze(g)
     mu, phi_tilde = an.mu, an.phi_tilde
     _, thetas = _grid(g, grid_n)
     zero = zero_phase_form(g)
@@ -489,35 +441,60 @@ def verify_perturbation(
     lam_min = float(x_eigs[:, 0].min())
     lam_max = float(x_eigs[:, -1].max())
     c_bound = phase_perturbation_bound(g, phi_tilde)
+    # Both swept spectra carry the potential; the perturbation matrix does not.
+    scale = _potential_scale(g)
+    tol, sweep_tol = MATRIX_TOL * scale, SWEEP_TOL * scale
 
-    if not np.all(free + lam_min - MATRIX_TOL <= shifted):
+    if not np.all(free + lam_min - tol <= shifted):
         raise SandwichViolatedError("lower pointwise sandwich violated")
-    if not np.all(shifted <= free + lam_max + MATRIX_TOL):
+    if not np.all(shifted <= free + lam_max + tol):
         raise SandwichViolatedError("upper pointwise sandwich violated")
 
     lo_a, hi_a = shifted.min(axis=0), shifted.max(axis=0)
     lo_0, hi_0 = free.min(axis=0), free.max(axis=0)
     shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
-    if not (lam_min - SWEEP_TOL <= shifts.min() and shifts.max() <= lam_max + SWEEP_TOL):
+    if not (lam_min - sweep_tol <= shifts.min() and shifts.max() <= lam_max + sweep_tol):
         raise SandwichViolatedError("band-end shift escaped the sandwich")
     width_change = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
-    if not np.max(width_change, initial=0.0) <= (lam_max - lam_min) + SWEEP_TOL:
+    if not np.max(width_change, initial=0.0) <= (lam_max - lam_min) + sweep_tol:
         raise SandwichViolatedError("band-width change exceeds the sandwich spread")
     if not max(abs(lam_min), abs(lam_max)) <= c_bound + MATRIX_TOL:
         raise SandwichViolatedError("extreme perturbation eigenvalue exceeds the row-sum bound")
     if not lam_max - lam_min <= 2.0 * c_bound + MATRIX_TOL:
         raise SandwichViolatedError("perturbation spread exceeds twice the row-sum bound")
-    if not phi_tilde.support() and not np.max(np.abs(shifted - free)) <= MATRIX_TOL:
+    if not phi_tilde.support() and not np.max(np.abs(shifted - free)) <= tol:
         raise SandwichViolatedError("vanishing shifted phases must leave the spectrum unchanged")
 
-    bounds = PerturbationBounds(lambda_min=lam_min, lambda_max=lam_max, phase_bound=c_bound)
-    report = PerturbationReport(
-        theta0=tuple(float(x) for x in an.theta0),
-        shifted_support_size=phi_tilde.support_size_oriented(),
-        band_shift_max=float(np.max(np.abs(shifts), initial=0.0)),
-        width_change_max=float(np.max(width_change, initial=0.0)),
-    )
-    return bounds, report
+    return {
+        "Lambda_1": lam_min,
+        "Lambda_nu": lam_max,
+        "C_phi": c_bound,
+        "theta0": [float(x) for x in an.theta0],
+        "shifted_support_size": phi_tilde.support_size_oriented(),
+        "band_shift_max": float(np.max(np.abs(shifts), initial=0.0)),
+        "width_change_max": float(np.max(width_change, initial=0.0)),
+    }
+
+
+def verify_exponent_counts(g: FundamentalGraph, analysis: Analysis | None = None) -> dict:
+    """Nontrivial exponent counts of the minimal pair are twice the invariants.
+
+    The minimal pair must have 2 I quasimomentum-, 2 I_alpha phase- and
+    2 I_mu_phi jointly nontrivial exponents, and the stored pair at least
+    as many of the first two; otherwise raises CheckFailedError. Returns
+    the minimal pair's three counts.
+    """
+    an = analysis or analyze(g)
+    rep = an.report
+    n_theta, n_phase, n_both = count_nontrivial_exponents(g, an.mu, an.phi)
+    if (n_theta, n_phase, n_both) != (2 * rep.I, 2 * rep.I_alpha, 2 * rep.I_mu_phi):
+        raise CheckFailedError(
+            f"minimal-pair exponent counts {(n_theta, n_phase, n_both)} disagree with invariants"
+        )
+    r_theta, r_phase, _ = count_nontrivial_exponents(g, g.index_form(), g.magnetic_form())
+    if r_theta < n_theta or r_phase < n_phase:
+        raise CheckFailedError("stored pair has fewer nontrivial exponents than the minimum")
+    return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
 
 
 def sy_sunada_check(g: FundamentalGraph, grid_n: int | None = None) -> bool:
@@ -530,39 +507,35 @@ def sy_sunada_check(g: FundamentalGraph, grid_n: int | None = None) -> bool:
         raise GraphDataError("bottom-of-spectrum check requires zero phases")
     tau = g.index_form()
     zero = zero_phase_form(g)
-    at_zero = eigenvalue_table(g, tau, zero, np.zeros((1, g.dim)), with_potential=True)[0, 0]
-    table = eigenvalue_table(g, tau, zero, _grid(g, grid_n)[1], with_potential=True)
-    return bool(at_zero <= table[:, 0].min() + MATRIX_TOL)
+    at_zero = eigenvalue_table(g, tau, zero, np.zeros((1, g.dim)))[0, 0]
+    table = eigenvalue_table(g, tau, zero, _grid(g, grid_n)[1])
+    return bool(at_zero <= table[:, 0].min() + MATRIX_TOL * _potential_scale(g))
 
 
 def verify_gauge_equivalence(
     g: FundamentalGraph,
-    n_thetas: int = 20,
     seed: int = 0,
-    cap: int = 10**6,
     analysis: Analysis | None = None,
-) -> bool:
+) -> dict:
     """Sorted fiber spectra agree across flux-equivalent form pairs.
 
     Compares the stored pair, the minimal pair, and the pair gauged to
-    vanish on the first spanning tree, at random quasimomenta. Raises
-    CheckFailedError on disagreement beyond 1e-9.
-
-    analysis is the graph's Analysis; without it one is built, scanning
-    at most cap trees.
+    vanish on the first spanning tree, at N_THETAS random quasimomenta.
+    Raises CheckFailedError on disagreement beyond 1e-9 (times the
+    potential scale). Returns the numbers of pairs and quasimomenta.
     """
-    an = analysis or analyze(g, cap)
+    an = analysis or analyze(g)
     tau, alpha = g.index_form(), g.magnetic_form()
     first = first_spanning_tree(g)
     pairs = [(tau, alpha), (an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
 
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-np.pi, np.pi, size=(n_thetas, g.dim))
-    tables = [eigenvalue_table(g, b, a, thetas, with_potential=True) for b, a in pairs]
+    thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
+    tables = [eigenvalue_table(g, b, a, thetas) for b, a in pairs]
     for other in tables[1:]:
-        if not np.max(np.abs(other - tables[0])) <= MATRIX_TOL:
+        if not np.max(np.abs(other - tables[0])) <= MATRIX_TOL * _potential_scale(g):
             raise CheckFailedError("flux-equivalent pairs produced different fiber spectra")
-    return True
+    return {"pairs": len(pairs), "thetas": N_THETAS}
 
 
 _SPLITTING_FAILURES = (
@@ -574,26 +547,23 @@ _SPLITTING_FAILURES = (
 
 def verify_positive_splitting(
     g: FundamentalGraph,
-    n_thetas: int = 20,
     seed: int = 0,
-    cap: int = 10**6,
     analysis: Analysis | None = None,
-) -> bool:
+) -> dict:
     """Support part of the fiber is PSD and bounded by twice its degree matrix.
 
     Also checks that the off-support and support parts sum exactly to
-    the full fiber. All quasimomenta are checked in one batch; the
-    CheckFailedError raised names the first violation in quasimomentum
-    order, and at one quasimomentum in the order above (exactness first).
-
-    analysis is the graph's Analysis; without it one is built, scanning
-    at most cap trees.
+    the full fiber. All N_THETAS random quasimomenta are checked in one
+    batch; the CheckFailedError raised names the first violation in
+    quasimomentum order, and at one quasimomentum in the order above
+    (exactness first). The fibers carry no potential, so the tolerances
+    are absolute. Returns the number of quasimomenta.
     """
-    mu = (analysis or analyze(g, cap)).mu
+    mu = (analysis or analyze(g)).mu
     alpha = g.magnetic_form()
     two_b = 2.0 * np.diag(support_degrees(g, mu).astype(float))
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-np.pi, np.pi, size=(n_thetas, g.dim))
+    thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
     full = fiber_stack(g, mu, alpha, thetas)
     delta0, delta_tilde = split_fiber(g, mu, alpha, thetas)
     split_gap = np.abs(full - (delta0 + delta_tilde)).max(axis=(1, 2))
@@ -607,5 +577,4 @@ def verify_positive_splitting(
     )
     if failed.any():
         raise CheckFailedError(_SPLITTING_FAILURES[np.argwhere(failed)[0, 1]])
-    return True
-
+    return {"thetas": N_THETAS}

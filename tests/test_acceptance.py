@@ -117,7 +117,7 @@ def test_criterion_3_band_localization_battery(generator_graphs, battery_graphs)
 def test_criterion_4_gauge_equivalence(generator_graphs, battery_graphs):
     checked = 0
     for i, g in enumerate(generator_graphs + battery_graphs):
-        verify_gauge_equivalence(g, n_thetas=20, seed=i)
+        assert verify_gauge_equivalence(g, seed=i) == {"pairs": 3, "thetas": 20}
         checked += 1
     report(4, True, f"3 pairs x 20 quasimomenta on {checked} graphs agree to 1e-9")
     assert checked == len(generator_graphs) + 100
@@ -129,15 +129,15 @@ def test_criterion_5_perturbation_battery(generator_graphs, battery_graphs):
     vanishing = 0
     for g in generator_graphs:
         g = g.with_phases(rng.uniform(-np.pi, np.pi, g.num_edges))
-        _, rep = verify_perturbation(g, grid_n=41 if g.dim < 3 else 15)
-        if rep.shifted_support_size == 0:
+        rep = verify_perturbation(g, grid_n=41 if g.dim < 3 else 15)
+        if rep["shifted_support_size"] == 0:
             vanishing += 1
             # vanishing shifted phases force spectra equal to 1e-9;
             # verify_perturbation enforces it, the report confirms it
-            assert rep.band_shift_max <= 1e-9
+            assert rep["band_shift_max"] <= 1e-9
     for g in battery_graphs:
-        _, rep = verify_perturbation(g, grid_n=31)
-        survivors += rep.shifted_support_size > 0
+        rep = verify_perturbation(g, grid_n=31)
+        survivors += rep["shifted_support_size"] > 0
     report(
         5,
         True,
@@ -218,7 +218,7 @@ def test_criterion_7_kagome_flat_band(kagome):
 def test_criterion_8_positive_splitting(generator_graphs, battery_graphs):
     checked = 0
     for i, g in enumerate(generator_graphs + battery_graphs):
-        verify_positive_splitting(g, n_thetas=20, seed=i)
+        assert verify_positive_splitting(g, seed=i) == {"thetas": 20}
         checked += 1
     report(8, True, f"support part PSD and degree-bounded on {checked} graphs")
     assert checked == len(generator_graphs) + 100

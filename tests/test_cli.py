@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magspec.cli as cli
+import magspec.fiber_operator as fiber_operator
 import magspec.spectral as spectral
 from magspec import NonFiniteOutputError, dump_graph_json, generate, graph_to_dict, load_graph_json
 from magspec.cli import main
@@ -196,6 +197,95 @@ def test_verify_exit_1_names_failing_check(capsys, kagome_file, monkeypatch):
     assert report["passed"] is False
     failed = [c for c in report["checks"] if not c["passed"]]
     assert failed and failed[0]["name"] == "gauge_equivalence"
+
+
+def test_failed_check_ends_the_battery(capsys, kagome_file, monkeypatch):
+    from magspec import CheckFailedError
+
+    def boom(*args, **kwargs):
+        raise CheckFailedError("synthetic failure")
+
+    monkeypatch.setattr(cli, "verify_positive_splitting", boom)
+    code, out, err = run(capsys, "verify", kagome_file, "--grid", "21")
+    assert code == 1
+    assert err.strip() == "check failed: positive_splitting"
+    report = json.loads(out)
+    assert report["passed"] is False
+    # kagome carries zero phases, so a passing battery would end in bottom_of_spectrum
+    assert [c["name"] for c in report["checks"]] == [
+        "localization_and_measure", "gauge_equivalence", "positive_splitting",
+    ]
+    assert report["checks"][-1] == {
+        "name": "positive_splitting", "passed": False, "detail": "synthetic failure",
+    }
+
+
+@pytest.mark.parametrize("bad_call,message", [
+    (1, "minimal-pair exponent counts (0, 0, 0) disagree with invariants"),
+    (2, "stored pair has fewer nontrivial exponents than the minimum"),
+], ids=["minimal-pair", "stored-pair"])
+def test_exponent_count_mismatch_fails_the_battery(capsys, kagome_file, monkeypatch,
+                                                   bad_call, message):
+    # the minimal pair is counted first, then the stored pair; call bad_call reads zero
+    real = fiber_operator.count_nontrivial_exponents
+    calls = []
+
+    def count(g, b, a, *rest):
+        calls.append(None)
+        return (0, 0, 0) if len(calls) == bad_call else real(g, b, a, *rest)
+
+    for module in (cli, spectral):  # wherever the battery binds it
+        if hasattr(module, "count_nontrivial_exponents"):
+            monkeypatch.setattr(module, "count_nontrivial_exponents", count)
+    code, out, err = run(capsys, "verify", kagome_file, "--grid", "21")
+    assert code == 1
+    assert err.strip() == "check failed: exponent_counts"
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert [c["name"] for c in report["checks"]][-2:] == ["positive_splitting", "exponent_counts"]
+    assert report["checks"][-1] == {"name": "exponent_counts", "passed": False, "detail": message}
+
+
+@pytest.mark.parametrize("q", [1e8, 1e16])
+def test_verify_passes_large_potentials(tmp_path, capsys, q):
+    # eigenvalues of size q are rounded to a few ulp of q, far above 1e-9
+    path = tmp_path / "kagome.json"
+    dump_graph_json(generate("kagome").with_potential([q, 0.0, -q / 2]), path)
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0, err
+    assert json.loads(out)["checks"][-1]["name"] == "bottom_of_spectrum"
+
+
+_OUT_COMMANDS = {
+    "bands": ["bands", "{kagome}", "--grid", "5", "--out", "{out}/b.csv"],
+    "gen": ["gen", "kagome", "--out", "{out}/k.json"],
+    "build-periodic": ["build-periodic", "{kagome}", "--out", "{out}/p.json"],
+    "butterfly": ["butterfly", "{z2}", "--flux-steps", "2", "--grid", "5", "--out", "{out}/x.csv"],
+}
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_in_missing_directory_exits_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          kagome_file, z2_file, command):
+    monkeypatch.setattr(spectral, "fiber_stack", None)  # a sweep would raise TypeError
+    missing = tmp_path / "missing" / "d"
+    argv = [a.format(kagome=kagome_file, z2=z2_file, out=missing) for a in _OUT_COMMANDS[command]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --out directory") and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["bands", "gen"])
+def test_unwritable_out_exits_2(tmp_path, capsys, kagome_file, command):
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    argv = {"bands": ["bands", kagome_file, "--grid", "5"], "gen": ["gen", "kagome"]}[command]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write --out")
 
 
 def test_butterfly_single_step(capsys, z2_file):

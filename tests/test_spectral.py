@@ -282,18 +282,18 @@ def test_finite_torus_expansion_matches_fiber_union():
 
 def test_localization_z2_equality_case(z2):
     rep = verify_band_localization(z2)
-    assert np.allclose(rep.floor_eigenvalues, [0.0])
-    assert rep.support_kappa_plus == 4
-    assert rep.bands[0] == pytest.approx((0.0, 8.0))
-    assert rep.band_widths_sum == pytest.approx(8.0, abs=1e-9)
-    assert rep.bound_4i == 8.0
+    assert np.allclose(rep["floor_eigenvalues"], [0.0])
+    assert rep["support_kappa_plus"] == 4
+    assert rep["bands"][0] == pytest.approx([0.0, 8.0])
+    assert rep["band_widths_sum"] == pytest.approx(8.0, abs=1e-9)
+    assert rep["bound_4I"] == 8.0
 
 
 def test_localization_kagome_windows(kagome):
     rep = verify_band_localization(kagome)
-    assert np.allclose(rep.floor_eigenvalues, [0.0, 3.0, 3.0], atol=1e-9)
-    assert rep.support_kappa_plus == 2
-    assert rep.band_widths_sum <= rep.bound_4i
+    assert np.allclose(rep["floor_eigenvalues"], [0.0, 3.0, 3.0], atol=1e-9)
+    assert rep["support_kappa_plus"] == 2
+    assert rep["band_widths_sum"] <= rep["bound_4I"]
 
 
 def test_localization_decorated_equality(decorated2):
@@ -333,10 +333,10 @@ def test_localization_error_path(z2, monkeypatch):
 
 def test_perturbation_no_shift_equals_phase_free(z2):
     g = z2.with_phases([1.2, -0.4])
-    bounds, rep = verify_perturbation(g, grid_n=41)
-    assert bounds.lambda_min == bounds.lambda_max == bounds.phase_bound == 0.0
-    assert rep.shifted_support_size == 0
-    assert rep.band_shift_max == pytest.approx(0.0, abs=1e-12)
+    rep = verify_perturbation(g, grid_n=41)
+    assert rep["Lambda_1"] == rep["Lambda_nu"] == rep["C_phi"] == 0.0
+    assert rep["shifted_support_size"] == 0
+    assert rep["band_shift_max"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_perturbation_random_battery(battery_graphs):
@@ -353,10 +353,10 @@ def test_perturbation_decorated_cycle_decoration():
     g = g.with_phases([0.0, 0.0, 1.0, 0.7, -0.4])
     rep = invariants(g)
     assert (rep.beta, rep.I, rep.I_alpha, rep.I_mu_phi) == (3, 2, 1, 3)
-    bounds, prep = verify_perturbation(g, grid_n=41)
-    assert prep.shifted_support_size == 2
-    assert bounds.phase_bound > 0
-    assert bounds.lambda_min <= 0 <= bounds.lambda_max
+    prep = verify_perturbation(g, grid_n=41)
+    assert prep["shifted_support_size"] == 2
+    assert prep["C_phi"] > 0
+    assert prep["Lambda_1"] <= 0 <= prep["Lambda_nu"]
 
 
 def test_perturbation_nontrivial_shifted_support():
@@ -364,10 +364,10 @@ def test_perturbation_nontrivial_shifted_support():
     rng = np.random.default_rng(14)
     for _ in range(20):
         g = make_random_graph(rng)
-        bounds, rep = verify_perturbation(g, grid_n=21)
-        if rep.shifted_support_size > 0:
-            assert bounds.phase_bound > 0
-            assert bounds.lambda_max >= bounds.lambda_min
+        rep = verify_perturbation(g, grid_n=21)
+        if rep["shifted_support_size"] > 0:
+            assert rep["C_phi"] > 0
+            assert rep["Lambda_nu"] >= rep["Lambda_1"]
             return
     pytest.skip("no draw produced a surviving shifted phase")
 
@@ -390,6 +390,28 @@ def test_sy_sunada_hexagonal_random_potential(hexagonal):
 def test_sy_sunada_requires_zero_phases(z2):
     with pytest.raises(GraphDataError):
         sy_sunada_check(z2.with_phases([0.5, 0.0]))
+
+
+def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
+    # at |q| = 1e8 the tolerance is 1e-9 * 1e8; a table shifted by twice that still fails
+    import magspec.spectral as spectral
+    from magspec import CheckFailedError
+
+    g = generate("kagome").with_potential([1e8, 0.0, -5e7])
+    assert sy_sunada_check(g, grid_n=21)
+    assert verify_gauge_equivalence(g)
+    real = spectral.eigenvalue_table
+    calls = []
+
+    def first_call_shifted(*args, **kwargs):
+        calls.append(None)
+        return real(*args, **kwargs) + (2 * spectral.MATRIX_TOL * 1e8 if len(calls) == 1 else 0.0)
+
+    monkeypatch.setattr(spectral, "eigenvalue_table", first_call_shifted)
+    assert not sy_sunada_check(g, grid_n=21)  # the table at theta = 0 is the first
+    calls.clear()
+    with pytest.raises(CheckFailedError):
+        verify_gauge_equivalence(g)  # the stored pair's table is the first
 
 
 def test_gauge_and_splitting_verifiers(generator_graphs):

@@ -65,14 +65,14 @@ def test_localization_reports_match_one_shot(analyses, tiny_chunks):
         rep = verify_band_localization(g, grid_n=GRID, analysis=an)
         table = one_shot(g, an.mu, g.magnetic_form(), theta_grid(g.dim, GRID))
         lo, hi = table.min(axis=0), table.max(axis=0)
-        assert np.array_equal(rep.bands, np.stack([lo, hi], axis=1))
-        assert np.array_equal(rep.band_widths_sum, float((hi - lo).sum()))
+        assert np.array_equal(rep["bands"], np.stack([lo, hi], axis=1))
+        assert np.array_equal(rep["band_widths_sum"], float((hi - lo).sum()))
 
 
 def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
     # the reference assembles all four stacks over the whole grid at once
     for g, an in analyses:
-        bounds, rep = verify_perturbation(g, grid_n=GRID, analysis=an)
+        rep = verify_perturbation(g, grid_n=GRID, analysis=an)
         thetas = theta_grid(g.dim, GRID)
         zero = zero_phase_form(g)
         shifted = one_shot(g, an.mu, an.phi_tilde, thetas)
@@ -84,7 +84,7 @@ def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
         shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
         widths = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
         assert np.array_equal(
-            [bounds.lambda_min, bounds.lambda_max, rep.band_shift_max, rep.width_change_max],
+            [rep["Lambda_1"], rep["Lambda_nu"], rep["band_shift_max"], rep["width_change_max"]],
             [x[:, 0].min(), x[:, -1].max(), np.abs(shifts).max(), widths.max()],
         )
 

@@ -96,23 +96,42 @@ def form_sets(g: FundamentalGraph) -> list[tuple]:
     return [(tau, alpha), (alpha, real, tau), (real,), ()]
 
 
+@pytest.fixture(scope="module")
+def walks():
+    """walk(g, *forms): g's reference trees, and per form the cycle-walk support on each.
+
+    Computed once per graph and form values, for the whole module. An
+    entry keeps its graph, so the id it is keyed by is not reused while
+    it is cached.
+    """
+    cache: dict[int, tuple] = {}
+
+    def walk(g: FundamentalGraph, *forms: OneForm) -> tuple[list, list[list[frozenset[int]]]]:
+        if id(g) not in cache:
+            cache[id(g)] = (g, [fc._basis_for_tree(g, t) for t in reference_trees(g)], {})
+        _, trees, supports = cache[id(g)]
+        keys = [(x.values.dtype.str, x.values.shape, x.values.tobytes()) for x in forms]
+        for key, form in zip(keys, forms):
+            if key not in supports:
+                supports[key] = [reference_support(g, form, b) for b in trees]
+        return trees, [supports[key] for key in keys]
+
+    return walk
+
+
 def assert_scans_match_reference(
-    g: FundamentalGraph, form_lists: list[tuple] | None = None
+    walk, g: FundamentalGraph, form_lists: list[tuple] | None = None
 ) -> None:
     """scan_trees of every entry of form_lists (default form_sets(g)) against
     the subset filter and cycle-walk supports on every reference tree."""
-    trees = [fc._basis_for_tree(g, t) for t in reference_trees(g)]
+    trees, _ = walk(g)
     assert len(trees) == spanning_tree_count(g)
-    supports: dict[int, list[frozenset[int]]] = {}  # per form object, per tree
     for forms in form_lists or form_sets(g):
         scan = scan_trees(g, forms)
         assert scan.tree_count == len(trees)
         assert scan.first_tree == trees[0].tree_edges
         assert len(scan.forms) == len(forms)
-        for form, got in zip(forms, scan.forms):
-            if id(form) not in supports:
-                supports[id(form)] = [reference_support(g, form, b) for b in trees]
-            per_tree = supports[id(form)]
+        for got, per_tree in zip(scan.forms, walk(g, *forms)[1]):
             best = min(map(len, per_tree))
             first = next(i for i, s in enumerate(per_tree) if len(s) == best)
             assert got.count == best
@@ -129,22 +148,22 @@ def test_tree_order_matches_subset_filter(scan_graphs):
         assert first_spanning_tree(g).tree_edges == got[0]
 
 
-def test_scan_matches_cycle_walk_reference(scan_graphs):
+def test_scan_matches_cycle_walk_reference(scan_graphs, walks):
     for g in scan_graphs:
-        assert_scans_match_reference(g)
+        assert_scans_match_reference(walks, g)
 
 
-def test_batched_scan_past_one_word():
+def test_batched_scan_past_one_word(walks):
     # 70 vertices and 140 edges: vertex sets and tree keys take several words
     g = harper_model(70, 3)
-    assert_scans_match_reference(g)
+    assert_scans_match_reference(walks, g)
     assert [b.tree_edges for b in enumerate_spanning_trees(g)] == reference_trees(g)
 
 
-def test_batched_scan_needs_no_numpy_2_names(monkeypatch):
+def test_batched_scan_needs_no_numpy_2_names(monkeypatch, walks):
     # pyproject.toml allows numpy>=1.24; np.bitwise_count only exists from 2.0
     monkeypatch.delattr(np, "bitwise_count", raising=False)
-    assert_scans_match_reference(supercell(generate("hexagonal"), SupercellSpec((2, 2))))
+    assert_scans_match_reference(walks, supercell(generate("hexagonal"), SupercellSpec((2, 2))))
 
 
 @pytest.mark.parametrize("states", [1, 2, 3])
@@ -176,7 +195,7 @@ _TOL = fc.ZERO_FLUX_TOL
     (fc.TWO_PI + _TOL * (1 - 1e-3), False), (fc.TWO_PI + _TOL * (1 + 1e-3), True),
     (fc.TWO_PI - _TOL * (1 - 1e-3), False), (fc.TWO_PI - _TOL * (1 + 1e-3), True),
 ])
-def test_near_tolerance_flux_spread_over_a_long_cycle(flux, nonzero):
+def test_near_tolerance_flux_spread_over_a_long_cycle(walks, flux, nonzero):
     # A ring of 12 vertices: every tree has one chord, whose basic cycle is
     # the whole ring, so its flux sums 12 edge values and the scan's
     # potentials sum up to 11. 1e-3 of the tolerance lies far above the
@@ -190,7 +209,7 @@ def test_near_tolerance_flux_spread_over_a_long_cycle(flux, nonzero):
     forms = (g.magnetic_form(), OneForm(np.array([[x] for x in spread + [last]])))
     if flux > 1.0:  # a real flux near 2*pi is plainly nonzero
         forms = forms[:1]
-    assert_scans_match_reference(g, [forms])
+    assert_scans_match_reference(walks, g, [forms])
     for got in scan_trees(g, forms).forms:
         assert got.count == int(nonzero)
         assert got.supports == ({1 << c for c in range(n)} if nonzero else {0})
@@ -224,41 +243,39 @@ def test_int64_potential_guard():
     assert scan_trees(g, (g.index_form(),)).forms[0].count == 1
 
 
-def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs):
+def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs, walks):
     for g in scan_graphs:
-        trees = enumerate_spanning_trees(g)
-        tau = [reference_support(g, g.index_form(), b) for b in trees]
-        alpha = [reference_support(g, g.magnetic_form(), b) for b in trees]
+        trees, (tau, alpha) = walks(g, g.index_form(), g.magnetic_form())
         tau_best, alpha_best = min(map(len, tau)), min(map(len, alpha))
         tau_min = [s for s in tau if len(s) == tau_best]
         alpha_min = [s for s in alpha if len(s) == alpha_best]
         report = invariants(g)
         assert report.I_mu_phi == len(tau_min[0] | alpha_min[0])
-        assert report.I_mu_phi_min == min(len(a | b) for a in tau_min for b in alpha_min)
+        # |a | b| depends only on the two sets: pair the distinct minimal supports
+        assert report.I_mu_phi_min == min(len(a | b) for a in set(tau_min) for b in set(alpha_min))
         assert report.tree_count == len(trees)
 
 
-def first_minimal_tree(g, form, trees):
+def first_minimal_tree(walk, g, form):
     """The reference's first tree with fewest nonzero chord fluxes, and that count."""
-    supports = [reference_support(g, form, b) for b in trees]
+    trees, (supports,) = walk(g, form)
     best = min(map(len, supports))
     return trees[next(i for i, s in enumerate(supports) if len(s) == best)], best
 
 
-def test_minimal_form_is_tree_form_on_first_minimal_tree(scan_graphs, kagome):
+def test_minimal_form_is_tree_form_on_first_minimal_tree(scan_graphs, kagome, walks):
     emb = PeriodicEmbedding(np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]))
     cases = [(kagome, coordinate_form(kagome, emb))]
     cases += [(g, x) for g in scan_graphs[:20] for x in (g.index_form(), g.magnetic_form())]
     for g, x in cases:
-        first, best = first_minimal_tree(g, x, enumerate_spanning_trees(g))
+        first, best = first_minimal_tree(walks, g, x)
         mu, basis, count = minimal_form(g, x)
         assert count == best
         assert basis.tree_edges == first.tree_edges
         assert np.array_equal(mu.values, tree_form(g, x, first).values)
     g = scan_graphs[0]
-    trees = enumerate_spanning_trees(g)
     for got, x in zip(minimal_pair(g), (g.index_form(), g.magnetic_form())):
-        first, _ = first_minimal_tree(g, x, trees)
+        first, _ = first_minimal_tree(walks, g, x)
         assert np.array_equal(got.values, tree_form(g, x, first).values)
 
 
