@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -71,15 +70,6 @@ def _check_out_dir(path: str | None) -> None:
         raise BadParamsError(f"--out directory {Path(path).parent} does not exist")
 
 
-@contextmanager
-def _writing(path: str):
-    """Turn an OSError while writing --out into BadParamsError."""
-    try:
-        yield
-    except OSError as exc:
-        raise BadParamsError(f"cannot write --out {path}: {exc}") from exc
-
-
 def _load(path: str) -> FundamentalGraph:
     g = load_graph_json(path)
     validate(g)
@@ -93,8 +83,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     g = generate(args.kind, d=args.dim, decoration=decoration)
     validate(g)
     if args.out:
-        with _writing(args.out):
-            dump_graph_json(g, args.out)
+        dump_graph_json(g, args.out)
     else:
         _print_json(graph_to_dict(g))
     return 0
@@ -112,8 +101,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     an = analyze(g, cap=args.tree_cap)
     spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
     if args.out:
-        with _writing(args.out):
-            _write_band_csv(g, spec, args.out)
+        _write_band_csv(g, spec, args.out)
     summary = spec.to_dict()
     summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
@@ -205,8 +193,7 @@ def cmd_butterfly(args: argparse.Namespace) -> int:
         lines.append(",".join(cells))
     text = "\n".join(lines) + "\n"
     if args.out:
-        with _writing(args.out):
-            Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         print(text, end="")
     return 0
@@ -216,8 +203,7 @@ def cmd_build_periodic(args: argparse.Namespace) -> int:
     g = _load(args.graph)
     built = build_periodic(g, cap=args.tree_cap)
     if args.out:
-        with _writing(args.out):
-            dump_graph_json(built, args.out)
+        dump_graph_json(built, args.out)
     else:
         _print_json(graph_to_dict(built))
     return 0
@@ -280,6 +266,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (GraphDataError, MagspecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # inputs are read by load_graph_json, so this is a write of --out
+        if not getattr(args, "out", None):
+            raise
+        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -20,8 +20,9 @@ exponent counts of the minimal pair. Each returns the detail dict that
 `verify` prints, or raises CheckFailedError; called without an
 Analysis, it builds one with analyze(g). sy_sunada_check (the
 bottom-of-spectrum property of the phase-free operator) returns a bool.
-Tolerances of comparisons that the potential q enters on both sides are
-scaled by max(1, max |q|).
+Tolerances of comparisons that the potential q enters on both sides
+grow by ROUNDING_ULPS * eps * max |q|, the rounding of eigenvalues of
+size |q|.
 """
 
 from __future__ import annotations
@@ -66,6 +67,8 @@ from .inverse_builder import harper_model
 MATRIX_TOL = 1e-9  # matrix-level facts
 SWEEP_TOL = 1e-6  # quantities extremized over a grid
 HERMITICITY_TOL = 1e-12
+EPS = float(np.finfo(float).eps)
+ROUNDING_ULPS = 64  # rounding allowance, in ulp of max |q|, where q enters both sides
 _CHUNK_BYTES = 4 << 20  # complex fiber stack assembled per sweep chunk
 _TABLE_BUDGET_BYTES = 1 << 28  # largest theta grid or (K, nu) table a sweep may allocate
 
@@ -217,15 +220,15 @@ class BandSpectrum:
         }
 
 
-def _potential_scale(g: FundamentalGraph) -> float:
-    """max(1, max |q|): eigenvalues of size |q| are rounded to a few ulp of |q|."""
-    return max(1.0, float(np.abs(g.potential).max(initial=0.0)))
+def _potential_tol(g: FundamentalGraph, base: float) -> float:
+    """base plus the rounding of eigenvalues of size max |q| (a few ulp each)."""
+    return base + ROUNDING_ULPS * EPS * float(np.abs(g.potential).max(initial=0.0))
 
 
 def _check_spectral_range(g: FundamentalGraph, lo: np.ndarray, hi: np.ndarray) -> None:
     """Band ends must lie in [0, 2 kappa_+], shifted by the potential range."""
     q_lo, q_hi = float(g.potential.min()), float(g.potential.max())
-    tol = MATRIX_TOL * _potential_scale(g)
+    tol = _potential_tol(g, MATRIX_TOL)
     if not (q_lo - tol <= lo.min() and hi.max() <= 2.0 * g.kappa_plus() + q_hi + tol):
         raise CheckFailedError("fiber eigenvalue escaped the a-priori spectral range")
 
@@ -365,8 +368,7 @@ def verify_band_localization(
     """
     mu = (analysis or analyze(g)).mu
     alpha = g.magnetic_form()
-    scale = _potential_scale(g)
-    tol, sweep_tol = MATRIX_TOL * scale, SWEEP_TOL * scale
+    tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
 
     delta0 = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0][0]
     h0 = delta0 + np.diag(g.potential)
@@ -442,8 +444,7 @@ def verify_perturbation(
     lam_max = float(x_eigs[:, -1].max())
     c_bound = phase_perturbation_bound(g, phi_tilde)
     # Both swept spectra carry the potential; the perturbation matrix does not.
-    scale = _potential_scale(g)
-    tol, sweep_tol = MATRIX_TOL * scale, SWEEP_TOL * scale
+    tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
 
     if not np.all(free + lam_min - tol <= shifted):
         raise SandwichViolatedError("lower pointwise sandwich violated")
@@ -509,7 +510,7 @@ def sy_sunada_check(g: FundamentalGraph, grid_n: int | None = None) -> bool:
     zero = zero_phase_form(g)
     at_zero = eigenvalue_table(g, tau, zero, np.zeros((1, g.dim)))[0, 0]
     table = eigenvalue_table(g, tau, zero, _grid(g, grid_n)[1])
-    return bool(at_zero <= table[:, 0].min() + MATRIX_TOL * _potential_scale(g))
+    return bool(at_zero <= table[:, 0].min() + _potential_tol(g, MATRIX_TOL))
 
 
 def verify_gauge_equivalence(
@@ -521,8 +522,8 @@ def verify_gauge_equivalence(
 
     Compares the stored pair, the minimal pair, and the pair gauged to
     vanish on the first spanning tree, at N_THETAS random quasimomenta.
-    Raises CheckFailedError on disagreement beyond 1e-9 (times the
-    potential scale). Returns the numbers of pairs and quasimomenta.
+    Raises CheckFailedError on disagreement beyond 1e-9 (plus the
+    rounding of the potential). Returns the numbers of pairs and quasimomenta.
     """
     an = analysis or analyze(g)
     tau, alpha = g.index_form(), g.magnetic_form()
@@ -532,8 +533,9 @@ def verify_gauge_equivalence(
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
     tables = [eigenvalue_table(g, b, a, thetas) for b, a in pairs]
+    tol = _potential_tol(g, MATRIX_TOL)
     for other in tables[1:]:
-        if not np.max(np.abs(other - tables[0])) <= MATRIX_TOL * _potential_scale(g):
+        if not np.max(np.abs(other - tables[0])) <= tol:
             raise CheckFailedError("flux-equivalent pairs produced different fiber spectra")
     return {"pairs": len(pairs), "thetas": N_THETAS}
 
