@@ -35,6 +35,7 @@ from .graph_model import (
 )
 from .inverse_builder import build_periodic, coprime_fluxes
 from .spectral import (
+    Analysis,
     analyze,
     band_sweep,
     default_grid_n,
@@ -98,6 +99,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 def cmd_bands(args: argparse.Namespace) -> int:
     g = _load(args.graph)
+    if not 0.0 <= args.flat_tol < float("inf"):
+        raise BadParamsError(f"--flat-tol must be finite and nonnegative, got {args.flat_tol}")
     an = analyze(g, cap=args.tree_cap)
     spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
     if args.out:
@@ -112,14 +115,15 @@ def _write_band_csv(g: FundamentalGraph, spec, path: str) -> None:
     header = [f"theta_{s + 1}" for s in range(g.dim)] + [
         f"lambda_{n + 1}" for n in range(g.num_vertices)
     ]
+    row = ",".join(["{:.12g}"] * len(header))  # _fmt on every cell, one call per row
     lines = [",".join(header)]
     for theta, eigs in zip(spec.thetas, spec.eigenvalues):
-        lines.append(",".join(_fmt(x) for x in list(theta) + list(eigs)))
+        lines.append(row.format(*theta.tolist(), *eigs.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _bottom_of_spectrum(g: FundamentalGraph, grid_n: int | None) -> dict:
-    if not sy_sunada_check(g, grid_n=grid_n):
+def _bottom_of_spectrum(g: FundamentalGraph, grid_n: int | None, an: Analysis) -> dict:
+    if not sy_sunada_check(g, grid_n=grid_n, analysis=an):
         raise CheckFailedError("first band bottom is not attained at theta = 0")
     return {"attained_at_zero": True}
 
@@ -138,7 +142,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("perturbation_sandwich", partial(verify_perturbation, g, grid_n=grid, analysis=an)),
     ]
     if not g.magnetic_form().support():
-        battery.append(("bottom_of_spectrum", partial(_bottom_of_spectrum, g, grid)))
+        battery.append(("bottom_of_spectrum", partial(_bottom_of_spectrum, g, grid, an)))
     checks: list[dict] = []
     for name, check in battery:  # stops at the first failed check
         try:

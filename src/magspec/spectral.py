@@ -20,6 +20,12 @@ exponent counts of the minimal pair. Each returns the detail dict that
 `verify` prints, or raises CheckFailedError; called without an
 Analysis, it builds one with analyze(g). sy_sunada_check (the
 bottom-of-spectrum property of the phase-free operator) returns a bool.
+The grid checks share eigenvalue tables through their Analysis: each
+distinct (b, a, grid) table is swept once while the forms repeat byte
+for byte, and an Analysis holds one table at a time. On a zero-phase
+graph band localization's (mu, alpha) table serves the perturbation
+sandwich (whose shifted phases then vanish) and sy_sunada_check's
+(mu, 0) sweep, so verify solves one grid instead of three.
 Tolerances of comparisons that the potential q enters on both sides
 grow by ROUNDING_ULPS * eps * max |q|, the rounding of eigenvalues of
 size |q|.
@@ -29,7 +35,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,13 +83,14 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
     Rejects matrices whose anti-Hermitian part exceeds
-    1e-12 * (1 + norm) with NotHermitianError.
+    1e-12 * (1 + max |m_ij|), or that hold a NaN, with NotHermitianError.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitianError("expected a square matrix")
-    scale = 1.0 + np.linalg.norm(m)
-    if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * scale:
+    # the entrywise max cannot overflow where a norm of huge entries does
+    scale = 1.0 + np.max(np.abs(m), initial=0.0)
+    if not np.max(np.abs(m - m.conj().T), initial=0.0) <= HERMITICITY_TOL * scale:
         raise NotHermitianError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 
@@ -334,6 +341,8 @@ class Analysis:
     phi: OneForm  # minimal phase-class form
     theta0: np.ndarray  # quasimomentum shift of theta0_reduction
     phi_tilde: OneForm  # phi shifted by theta0
+    # the last grid table of _grid_table: its graph, key and (K, nu) table
+    shared: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
@@ -347,6 +356,24 @@ def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
     mu, phi = minimal_pair(g, scan=scan)
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
     return Analysis(report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
+
+
+def _grid_table(
+    g: FundamentalGraph, an: Analysis, b: OneForm, a: OneForm, grid_n: int | None
+) -> np.ndarray:
+    """eigenvalue_table of (b, a) with the potential over the theta grid, shared through an.
+
+    The table is reused only while g is the same object and b, a and the
+    grid size repeat byte for byte (so a -0.0 phase never meets a 0.0
+    one). A miss drops the held table before sweeping, so an holds at
+    most one.
+    """
+    n, thetas = _grid(g, grid_n)
+    key = (b.values.tobytes(), a.values.tobytes(), n)
+    if an.shared.get("graph") is not g or an.shared.get("key") != key:
+        an.shared.clear()
+        an.shared.update(graph=g, key=key, table=eigenvalue_table(g, b, a, thetas))
+    return an.shared["table"]
 
 
 def verify_band_localization(
@@ -366,7 +393,8 @@ def verify_band_localization(
     not a failure of the underlying mathematics). Returns the floors,
     the support's kappa_+, the width sum, both bounds and the grid bands.
     """
-    mu = (analysis or analyze(g)).mu
+    an = analysis or analyze(g)
+    mu = an.mu
     alpha = g.magnetic_form()
     tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
 
@@ -375,8 +403,7 @@ def verify_band_localization(
     floors = hermitian_eigenvalues(h0)
     kplus = int(support_degrees(g, mu).max()) if mu.support() else 0
 
-    _, thetas = _grid(g, grid_n)
-    table = eigenvalue_table(g, mu, alpha, thetas)
+    table = _grid_table(g, an, mu, alpha, grid_n)
 
     low_ok = np.all(floors[None, :] - tol <= table)
     high_ok = np.all(table <= floors[None, :] + 2.0 * kplus + tol)
@@ -419,29 +446,29 @@ def verify_perturbation(
     """
     an = analysis or analyze(g)
     mu, phi_tilde = an.mu, an.phi_tilde
-    _, thetas = _grid(g, grid_n)
-    zero = zero_phase_form(g)
-    diag = np.arange(g.num_vertices)
-    same = not np.any(phi_tilde.values)  # then both fibers are equal bit for bit
+    if not np.any(phi_tilde.values):
+        # both fibers are equal bit for bit and the perturbation matrix is zero
+        shifted = free = _grid_table(g, an, mu, phi_tilde, grid_n)
+        lam_min = lam_max = 0.0
+    else:
+        _, thetas = _grid(g, grid_n)
+        zero = zero_phase_form(g)
+        diag = np.arange(g.num_vertices)
 
-    def solve(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # Each stack is built once without the potential; adding it to the
-        # diagonal afterwards is exactly what fiber_stack(with_potential=True) does.
-        s_a = fiber_stack(g, mu, phi_tilde, th)
-        if same:
+        def solve(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # Each stack is built once without the potential; adding it to the
+            # diagonal afterwards is exactly what fiber_stack(with_potential=True) does.
+            s_a = fiber_stack(g, mu, phi_tilde, th)
+            s_0 = fiber_stack(g, mu, zero, th)
+            x_eigs = np.linalg.eigvalsh(s_a - s_0)
             s_a[:, diag, diag] += g.potential
-            shifted = np.linalg.eigvalsh(s_a)
-            return np.zeros_like(shifted), shifted, shifted
-        s_0 = fiber_stack(g, mu, zero, th)
-        x_eigs = np.linalg.eigvalsh(s_a - s_0)
-        s_a[:, diag, diag] += g.potential
-        s_0[:, diag, diag] += g.potential
-        return x_eigs, np.linalg.eigvalsh(s_a), np.linalg.eigvalsh(s_0)
+            s_0[:, diag, diag] += g.potential
+            return x_eigs, np.linalg.eigvalsh(s_a), np.linalg.eigvalsh(s_0)
 
-    x_eigs, shifted, free = _sweep(thetas, g.num_vertices, solve, tables=3)
-
-    lam_min = float(x_eigs[:, 0].min())
-    lam_max = float(x_eigs[:, -1].max())
+        an.shared.clear()  # the three tables below set the peak; hold no fourth
+        x_eigs, shifted, free = _sweep(thetas, g.num_vertices, solve, tables=3)
+        lam_min = float(x_eigs[:, 0].min())
+        lam_max = float(x_eigs[:, -1].max())
     c_bound = phase_perturbation_bound(g, phi_tilde)
     # Both swept spectra carry the potential; the perturbation matrix does not.
     tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
@@ -498,18 +525,24 @@ def verify_exponent_counts(g: FundamentalGraph, analysis: Analysis | None = None
     return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
 
 
-def sy_sunada_check(g: FundamentalGraph, grid_n: int | None = None) -> bool:
+def sy_sunada_check(
+    g: FundamentalGraph,
+    grid_n: int | None = None,
+    analysis: Analysis | None = None,
+) -> bool:
     """Bottom of the first band of the phase-free operator sits at theta = 0.
 
-    Defined only for graphs with zero phases; the potential may be
-    arbitrary.
+    Defined only for graphs with zero phases (GraphDataError otherwise);
+    the potential may be arbitrary. Sweeps the fiber of (mu, 0), which an
+    integer gauge conjugates to that of (tau, 0) at every theta, so on a
+    graph whose phases are all +0.0 it reads band localization's table.
     """
     if g.magnetic_form().support():
         raise GraphDataError("bottom-of-spectrum check requires zero phases")
-    tau = g.index_form()
+    an = analysis or analyze(g)
     zero = zero_phase_form(g)
-    at_zero = eigenvalue_table(g, tau, zero, np.zeros((1, g.dim)))[0, 0]
-    table = eigenvalue_table(g, tau, zero, _grid(g, grid_n)[1])
+    at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
+    table = _grid_table(g, an, an.mu, zero, grid_n)
     return bool(at_zero <= table[:, 0].min() + _potential_tol(g, MATRIX_TOL))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +151,19 @@ def test_bands_deterministic_output(capsys, kagome_file):
     assert json.loads(out1)["flat"] == [False, False, True]
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+def test_bands_refuses_a_bad_flat_tol_before_the_scan(capsys, monkeypatch, kagome_file, value):
+    # nan and -1 used to print "flat": false for kagome's flat third band
+    def no_scan(*args, **kwargs):
+        raise AssertionError("bands scanned trees before refusing --flat-tol")
+
+    monkeypatch.setattr(cli, "analyze", no_scan)
+    code, out, err = run(capsys, "bands", kagome_file, f"--flat-tol={value}", "--grid", "21")
+    assert code == 2
+    assert out == ""
+    assert "--flat-tol" in err
+
+
 def test_verify_generators_pass(tmp_path, capsys):
     for kind, d, grid in (("zd", 1, 41), ("zd", 2, 31), ("hexagonal", None, 31),
                           ("kagome", None, 31), ("decorated", 2, 31)):
@@ -246,13 +260,17 @@ def test_exponent_count_mismatch_fails_the_battery(capsys, kagome_file, monkeypa
     assert report["checks"][-1] == {"name": "exponent_counts", "passed": False, "detail": message}
 
 
-@pytest.mark.parametrize("q", [1e8, 1e16])
+@pytest.mark.parametrize("q", [1e8, 1e16, 1e300])
 def test_verify_passes_large_potentials(tmp_path, capsys, q):
-    # eigenvalues of size q are rounded to a few ulp of q, far above 1e-9
+    # eigenvalues of size q are rounded to a few ulp of q, far above 1e-9; at
+    # 1e300 the Hermiticity scale of the localization floors once overflowed
     path = tmp_path / "kagome.json"
     dump_graph_json(generate("kagome").with_potential([q, 0.0, -q / 2]), path)
-    code, out, err = run(capsys, "verify", str(path))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", str(path))
     assert code == 0, err
+    assert err == ""
     assert json.loads(out)["checks"][-1]["name"] == "bottom_of_spectrum"
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,12 @@ def test_hermitian_eigenvalues_rejects_non_hermitian():
         hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(NotHermitianError):
         hermitian_eigenvalues(np.zeros((2, 3)))
+    # a norm of 1e300 entries overflows to inf, and NaN fails every comparison
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in ([[1e300, 1e290], [0.0, -5e299]], [[np.nan, 0.0], [0.0, np.nan]]):
+            with pytest.raises(NotHermitianError):
+                hermitian_eigenvalues(np.array(m))
 
 
 def test_hermitian_eigenvalues_vs_charpoly_oracle():

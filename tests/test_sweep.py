@@ -3,13 +3,17 @@
 Cutting the grid into chunks, serially or over a thread pool, must give
 the same bits as one eigensolve over the whole fiber stack; memory must
 stay bounded by the eigenvalue table; oversize grids are refused before
-anything is allocated; and each CLI command scans spanning trees once.
+anything is allocated; each CLI command scans spanning trees once; and
+verify sweeps each distinct (b, a, grid) table once, sharing a table only
+between byte-identical forms.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +22,12 @@ import magspec.fiber_operator as fiber_operator
 import magspec.spectral as spectral
 from magspec import (
     CheckFailedError,
+    FundamentalGraph,
     GridTooCoarseError,
     GridTooLargeError,
+    OneForm,
     SandwichViolatedError,
+    SupercellSpec,
     analyze,
     band_sweep,
     dump_graph_json,
@@ -28,9 +35,14 @@ from magspec import (
     generate,
     harper_model,
     scan_trees,
+    supercell,
+    sy_sunada_check,
     theta_grid,
     verify_band_localization,
+    verify_exponent_counts,
+    verify_gauge_equivalence,
     verify_perturbation,
+    verify_positive_splitting,
     zero_phase_form,
 )
 from magspec.cli import main
@@ -50,8 +62,14 @@ def tiny_chunks(request, monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def analyses(battery_graphs):
+def scanned(battery_graphs):
     return [(g, analyze(g)) for g in battery_graphs]
+
+
+@pytest.fixture
+def analyses(scanned):
+    # a fresh copy holds no shared table, so every test and param sweeps its own
+    return [(g, replace(an)) for g, an in scanned]
 
 
 def test_band_sweep_tables_match_one_shot(analyses, tiny_chunks):
@@ -180,6 +198,105 @@ def test_command_scans_trees_once(tmp_path, capsys, monkeypatch, command):
     assert main([command, str(path), "--grid", "21"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def count_grid_sweeps(monkeypatch, grid_n, dim):
+    """Record the phase form of every grid-size eigenvalue_table call, and each three-table sweep."""
+    tables, triples = [], []
+    real_table, real_sweep = spectral.eigenvalue_table, spectral._sweep
+
+    def table(g, b, a, thetas, with_potential=True):
+        if np.atleast_2d(thetas).shape[0] == grid_n**dim:
+            tables.append(a.values.tobytes())
+        return real_table(g, b, a, thetas, with_potential)
+
+    def sweep(thetas, nu, solve, tables=1):
+        if tables == 3:
+            triples.append(thetas.shape[0])
+        return real_sweep(thetas, nu, solve, tables)
+
+    monkeypatch.setattr(spectral, "eigenvalue_table", table)
+    monkeypatch.setattr(spectral, "_sweep", sweep)
+    return tables, triples
+
+
+@pytest.mark.parametrize(
+    "name, sweeps, triples",
+    [("kagome", 1, 0), ("hex-2x2", 1, 0), ("phased-kagome", 1, 1)],
+)
+def test_verify_sweeps_each_distinct_table_once(tmp_path, capsys, monkeypatch, name, sweeps, triples):
+    g = {
+        "kagome": generate("kagome"),
+        "hex-2x2": supercell(generate("hexagonal"), SupercellSpec((2, 2))),
+        "phased-kagome": generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)),
+    }[name]
+    path = tmp_path / f"{name}.json"
+    dump_graph_json(g, path)
+    tables, three = count_grid_sweeps(monkeypatch, 21, g.dim)
+    assert main(["verify", str(path), "--grid", "21"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert (len(tables), len(three)) == (sweeps, triples)
+
+
+def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_graphs):
+    # each reference check gets its own fresh Analysis, so no table passes between them
+    for g in generator_graphs:
+        path = tmp_path / "g.json"
+        dump_graph_json(g, path)
+        assert main(["verify", str(path), "--grid", "21"]) == 0
+        got = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        want = {
+            "localization_and_measure": verify_band_localization(g, 21, analyze(g)),
+            "gauge_equivalence": verify_gauge_equivalence(g, analysis=analyze(g)),
+            "positive_splitting": verify_positive_splitting(g, analysis=analyze(g)),
+            "exponent_counts": verify_exponent_counts(g, analysis=analyze(g)),
+            "perturbation_sandwich": verify_perturbation(g, 21, analyze(g)),
+            "bottom_of_spectrum": {"attained_at_zero": sy_sunada_check(g, 21, analyze(g))},
+        }
+        assert got == json.loads(json.dumps(want))
+
+
+def test_shared_table_is_keyed_by_graph_and_grid():
+    g = generate("kagome")
+    h = g.with_potential([1.0, 0.0, -1.0])  # the same forms on another operator
+    an = analyze(g)
+    for graph, n in ((g, 13), (g, 21), (h, 21), (g, 21)):
+        verify_band_localization(graph, n, an)
+        want = one_shot(graph, an.mu, graph.magnetic_form(), theta_grid(2, n))
+        assert np.array_equal(an.shared["table"], want)
+
+
+def test_phased_perturbation_drops_the_shared_table_before_its_sweep(monkeypatch):
+    # the three tables set verify's peak memory; localization's table must not add to it
+    g = generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6))
+    an = analyze(g)
+    verify_band_localization(g, 21, an)
+    held = []
+    real_sweep = spectral._sweep
+
+    def sweep(thetas, nu, solve, tables=1):
+        held.append(bool(an.shared))
+        return real_sweep(thetas, nu, solve, tables)
+
+    monkeypatch.setattr(spectral, "_sweep", sweep)
+    verify_perturbation(g, 21, an)
+    assert held == [False]
+
+
+def test_negative_zero_phases_share_no_table_with_positive_zero(tmp_path, capsys, monkeypatch):
+    # magnetic forms reduce -0.0 to 0.0, so only an unreduced form can carry it
+    g = generate("kagome")
+    path = tmp_path / "kagome.json"
+    dump_graph_json(g, path)
+    assert main(["verify", str(path), "--grid", "21"]) == 0
+    want = capsys.readouterr().out
+    neg = OneForm(np.full((g.num_edges, 1), -0.0))
+    monkeypatch.setattr(FundamentalGraph, "magnetic_form", lambda self: neg)
+    tables, _ = count_grid_sweeps(monkeypatch, 21, g.dim)
+    assert main(["verify", str(path), "--grid", "21"]) == 0
+    assert capsys.readouterr().out == want
+    assert tables[0] == neg.values.tobytes()  # band localization's table
+    assert len(tables) == len(set(tables)) == 2  # one table per distinct phase bytes
 
 
 def splitting_loop(g, mu, n_thetas=20, seed=0):
