@@ -9,11 +9,11 @@ fundamental graph by
 
 for a pair of 1-forms: b with the fluxes of the translation-index form
 and a with the fluxes (mod 2*pi) of the phase form. Different pairs in
-those flux classes give unitarily equivalent fibers, conjugated by a
-diagonal gauge built from tree-path weights. Picking minimal-support
+those flux classes give fibers conjugated entry for entry by a diagonal
+gauge of tree-path weights (gauge_weights). Picking minimal-support
 forms and shifting theta by a fixed offset removes all phase content
-outside a small edge set; the remainder enters the perturbation matrix
-that controls band movement under the magnetic field.
+outside a small edge set; the fiber with those phases minus the one
+without controls band movement under the magnetic field.
 """
 
 from __future__ import annotations
@@ -53,8 +53,12 @@ class GaugeWeights:
     w_a: np.ndarray
 
     def diagonal_unitary(self, theta: np.ndarray) -> np.ndarray:
-        """Diagonal entries exp(i (w_a(v) + <w_b(v), theta>))."""
-        return np.exp(1j * (self.w_a + self.w_b @ np.asarray(theta, dtype=float)))
+        """Diagonal entries exp(i (w_a(v) + <w_b(v), theta>)), (nu,) for one theta.
+
+        A (K, d) batch gives (K, nu) rows, each bit for bit the call on that row.
+        """
+        th = np.asarray(theta, dtype=float)[..., None, :]
+        return np.exp(1j * (self.w_a + (self.w_b * th).sum(axis=-1)))
 
 
 def _check_forms(g: FundamentalGraph, b: OneForm, a: OneForm) -> None:
@@ -224,16 +228,6 @@ def theta0_reduction(
         keep[eid] = False
     phi_tilde = OneForm(np.where(keep, raw, 0.0), magnetic=True)
     return theta0, phi_tilde
-
-
-def perturbation_matrix(
-    g: FundamentalGraph, mu: OneForm, phi_tilde: OneForm, theta: Sequence[float]
-) -> np.ndarray:
-    """Difference between the shifted-phase fiber and the phase-free fiber.
-
-    Hermitian; identically zero when the shifted phase form vanishes.
-    """
-    return fiber_matrix(g, mu, phi_tilde, theta) - fiber_matrix(g, mu, zero_phase_form(g), theta)
 
 
 def phase_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import BadMultipliersError, FluxImageNotFullLatticeError, NotMinimalError
 from .fiber_operator import _integer_form_values
 from .forms_cycles import lattice_image_check, minimal_form
-from .graph_model import Edge, FundamentalGraph, OneForm, PeriodicEmbedding, generate
+from .graph_model import Edge, FundamentalGraph, OneForm, generate
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,6 @@ class SupercellSpec:
     """Diagonal period multipliers, one positive integer per dimension."""
 
     multipliers: tuple[int, ...]
-
-
-def default_embedding(g: FundamentalGraph) -> PeriodicEmbedding:
-    """Deterministic distinct in-cell positions: vertex j at ((j+1)/(nu+1), 0, ...)."""
-    pos = np.zeros((g.num_vertices, g.dim))
-    pos[:, 0] = (np.arange(g.num_vertices) + 1) / (g.num_vertices + 1)
-    return PeriodicEmbedding(pos)
 
 
 def build_periodic(

@@ -15,11 +15,12 @@ The verify_* functions turn the structural facts about these operators
 into numerical checks: band localization against the off-support
 operator, the support-size bound on the total band measure, the
 perturbation sandwich under a magnetic field, positivity of the
-support part of the fiber, gauge invariance of fiber spectra, and the
-exponent counts of the minimal pair. Each returns the detail dict that
-`verify` prints, or raises CheckFailedError; called without an
-Analysis, it builds one with analyze(g). sy_sunada_check (the
-bottom-of-spectrum property of the phase-free operator) returns a bool.
+support part of the fiber, the gauge identity of fibers (entry for
+entry, through gauge_weights), and the exponent counts of the minimal
+pair. Each returns the detail dict that `verify` prints, or raises
+CheckFailedError; called without an Analysis, it builds one with
+analyze(g). sy_sunada_check (the bottom-of-spectrum property of the
+phase-free operator) returns a bool.
 The grid checks share eigenvalue tables through their Analysis: each
 distinct (b, a, grid) table is swept once while the forms repeat byte
 for byte, and an Analysis holds one table at a time. On a zero-phase
@@ -42,6 +43,7 @@ import numpy as np
 
 from .errors import (
     CheckFailedError,
+    FluxMismatchError,
     GraphDataError,
     GridTooCoarseError,
     GridTooLargeError,
@@ -53,6 +55,7 @@ from .errors import (
 from .fiber_operator import (
     count_nontrivial_exponents,
     fiber_stack,
+    gauge_weights,
     phase_perturbation_bound,
     split_fiber,
     support_degrees,
@@ -551,26 +554,34 @@ def verify_gauge_equivalence(
     seed: int = 0,
     analysis: Analysis | None = None,
 ) -> dict:
-    """Sorted fiber spectra agree across flux-equivalent form pairs.
+    """The diagonal gauge conjugates flux-equivalent fibers entry for entry.
 
-    Compares the stored pair, the minimal pair, and the pair gauged to
-    vanish on the first spanning tree, at N_THETAS random quasimomenta.
-    Raises CheckFailedError on disagreement beyond 1e-9 (plus the
-    rounding of the potential). Returns the numbers of pairs and quasimomenta.
+    Checks conj(D) H(b, a) D == H(tau, alpha) at N_THETAS random
+    quasimomenta for the minimal pair and the pair gauged to vanish on
+    the first spanning tree, with D from gauge_weights(g, b, a); equal
+    spectra follow. The fibers leave out the potential, a diagonal that
+    D leaves unchanged, so the tolerance is an absolute 1e-9. Raises
+    CheckFailedError beyond it, or when a pair is not flux-equivalent.
+    Returns the numbers of pairs (the stored one included) and thetas.
     """
     an = analysis or analyze(g)
     tau, alpha = g.index_form(), g.magnetic_form()
     first = first_spanning_tree(g)
-    pairs = [(tau, alpha), (an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
+    pairs = [(an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
 
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
-    tables = [eigenvalue_table(g, b, a, thetas) for b, a in pairs]
-    tol = _potential_tol(g, MATRIX_TOL)
-    for other in tables[1:]:
-        if not np.max(np.abs(other - tables[0])) <= tol:
-            raise CheckFailedError("flux-equivalent pairs produced different fiber spectra")
-    return {"pairs": len(pairs), "thetas": N_THETAS}
+    stored = fiber_stack(g, tau, alpha, thetas)
+    for b, a in pairs:
+        try:
+            weights = gauge_weights(g, b, a)
+        except FluxMismatchError as exc:
+            raise CheckFailedError(f"a scanned pair is not flux-equivalent: {exc}") from exc
+        d = weights.diagonal_unitary(thetas)
+        conjugated = np.conj(d)[:, :, None] * fiber_stack(g, b, a, thetas) * d[:, None, :]
+        if not np.max(np.abs(conjugated - stored)) <= MATRIX_TOL:
+            raise CheckFailedError("the gauge does not conjugate flux-equivalent fibers")
+    return {"pairs": 1 + len(pairs), "thetas": N_THETAS}
 
 
 _SPLITTING_FAILURES = (

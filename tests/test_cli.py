@@ -213,6 +213,24 @@ def test_verify_exit_1_names_failing_check(capsys, kagome_file, monkeypatch):
     assert failed and failed[0]["name"] == "gauge_equivalence"
 
 
+def test_pair_outside_the_flux_class_is_a_failed_gauge_check(capsys, kagome_file, monkeypatch):
+    # gauge_weights raises FluxMismatchError, an input error, but the pairs of the
+    # gauge check come from the scan, so a mismatch is a fault of the implementation
+    from magspec.graph_model import OneForm
+
+    real = spectral.tree_form
+
+    def doubled_index(g, form, basis):
+        out = real(g, form, basis)
+        return out if out.magnetic else OneForm(2 * out.values)
+
+    monkeypatch.setattr(spectral, "tree_form", doubled_index)
+    code, out, err = run(capsys, "verify", kagome_file, "--grid", "21")
+    assert code == 1
+    assert err.strip() == "check failed: gauge_equivalence"
+    assert "not flux-equivalent" in json.loads(out)["checks"][-1]["detail"]
+
+
 def test_failed_check_ends_the_battery(capsys, kagome_file, monkeypatch):
     from magspec import CheckFailedError
 

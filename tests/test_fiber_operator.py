@@ -15,7 +15,6 @@ from magspec import (
     generate,
     invariants,
     minimal_pair,
-    perturbation_matrix,
     phase_perturbation_bound,
     split_fiber,
     support_degrees,
@@ -157,10 +156,14 @@ def test_gauge_conjugation_identity():
         w = gauge_weights(g, mu, phi)
         assert np.max(np.abs(w.w_b - np.rint(w.w_b))) < 1e-9  # integer weights
         tau, alpha = g.index_form(), g.magnetic_form()
-        for theta in rng.uniform(-np.pi, np.pi, (20, g.dim)):
+        thetas = rng.uniform(-np.pi, np.pi, (20, g.dim))
+        batch = w.diagonal_unitary(thetas)
+        assert batch.shape == (20, g.num_vertices)
+        for theta, d_row in zip(thetas, batch):
             m_min = fiber_matrix(g, mu, phi, theta)
             m_tau = fiber_matrix(g, tau, alpha, theta)
             d = w.diagonal_unitary(theta)
+            assert np.array_equal(d_row, d)  # the batch is its row-by-row calls
             conjugated = np.conj(d)[:, None] * m_min * d[None, :]
             assert np.allclose(conjugated, m_tau, atol=1e-9)
             got = np.linalg.eigvalsh(m_min)
@@ -280,12 +283,14 @@ def test_theta0_no_independent_subset():
 
 
 # -- perturbation operator ----------------------------------------------------------------
+# verify_perturbation sweeps the shifted-phase fiber minus the phase-free fiber
 
 
 def test_perturbation_zero_when_no_shifted_phase(kagome):
     mu, phi = minimal_pair(kagome)
     _, phi_tilde = theta0_reduction(kagome, mu, phi)
-    x = perturbation_matrix(kagome, mu, phi_tilde, [0.3, -0.8])
+    zero, theta = zero_phase_form(kagome), [0.3, -0.8]
+    x = fiber_matrix(kagome, mu, phi_tilde, theta) - fiber_matrix(kagome, mu, zero, theta)
     assert np.max(np.abs(x)) == 0.0
 
 
@@ -296,7 +301,7 @@ def test_perturbation_matches_row_sum_oracle():
         mu, phi = minimal_pair(g)
         _, phi_tilde = theta0_reduction(g, mu, phi)
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        got = perturbation_matrix(g, mu, phi_tilde, theta)
+        got = fiber_matrix(g, mu, phi_tilde, theta) - fiber_matrix(g, mu, zero_phase_form(g), theta)
         want = perturbation_oracle(g, mu, phi_tilde, theta)
         assert np.allclose(got, want, atol=1e-12)
         assert np.allclose(got, got.conj().T, atol=1e-12)
@@ -308,7 +313,7 @@ def test_perturbation_single_edge_pi_entries():
     g = FundamentalGraph(dim=1, num_vertices=2, edges=(Edge(0, 1, (0,)),))
     mu = g.index_form()
     phi_tilde = OneForm(np.array([[math.pi]]), magnetic=True)
-    x = perturbation_matrix(g, mu, phi_tilde, [0.4])
+    x = fiber_matrix(g, mu, phi_tilde, [0.4]) - fiber_matrix(g, mu, zero_phase_form(g), [0.4])
     assert abs(x[0, 1]) == pytest.approx(2.0)
     assert abs(x[1, 0]) == pytest.approx(2.0)
 

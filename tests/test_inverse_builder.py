@@ -10,9 +10,7 @@ from magspec import (
     SupercellSpec,
     band_sweep,
     build_periodic,
-    coordinate_form,
     coprime_fluxes,
-    default_embedding,
     fiber_matrix,
     generate,
     harper_model,
@@ -99,12 +97,6 @@ def test_build_periodic_rejects_non_minimal_form():
     fat = OneForm(g.index_matrix() + grad)
     with pytest.raises(NotMinimalError):
         build_periodic(g, mu=fat)
-
-
-def test_default_embedding_is_admissible(kagome):
-    emb = default_embedding(kagome)
-    kappa = coordinate_form(kagome, emb)  # raises if malformed
-    assert kappa.values.shape == (6, 2)
 
 
 # -- supercells ------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from magspec import (
     GridTooCoarseError,
     NonFinitePotentialError,
     NotHermitianError,
+    analyze,
     band_sweep,
     eigenvalue_table,
     fiber_matrix,
@@ -27,6 +28,8 @@ from magspec import (
     verify_positive_splitting,
     zero_phase_form,
 )
+
+from magspec.graph_model import OneForm
 
 from conftest import make_random_graph
 
@@ -400,7 +403,9 @@ def test_sy_sunada_requires_zero_phases(z2):
 
 
 def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
-    # at |q| = 1e8 the scaled tolerance (about 1.4e-6) still catches a table shifted by 1e-3
+    # at |q| = 1e8 the scaled tolerance (about 1.4e-6) still catches a table shifted
+    # by 1e-3, and the gauge identity, whose fibers leave the potential out, still
+    # catches one fiber entry shifted by 1e-3
     import magspec.spectral as spectral
     from magspec import CheckFailedError
 
@@ -416,15 +421,80 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigenvalue_table", first_call_shifted)
     assert not sy_sunada_check(g, grid_n=21)  # the table at theta = 0 is the first
-    calls.clear()
+
+    real_stack = spectral.fiber_stack
+    stacks = []
+
+    def first_entry_shifted(*args, **kwargs):
+        stacks.append(real_stack(*args, **kwargs))
+        if len(stacks) == 1:
+            stacks[0][0, 0, 0] += 1e-3
+        return stacks[-1]
+
+    monkeypatch.setattr(spectral, "fiber_stack", first_entry_shifted)
     with pytest.raises(CheckFailedError):
-        verify_gauge_equivalence(g)  # the stored pair's table is the first
+        verify_gauge_equivalence(g)  # the stored pair's stack is the first
+    assert len(stacks) == 2  # the first pair failed
 
 
 def test_gauge_and_splitting_verifiers(generator_graphs):
     for g in generator_graphs:
         assert verify_gauge_equivalence(g)
         assert verify_positive_splitting(g)
+
+
+# -- wrong fibers that keep every spectrum: the gauge identity must catch them ----------
+
+FIBER_MUTANTS = {
+    "transposed": lambda real: lambda g, b, a, th, **kw: real(g, b, a, th, **kw).transpose(0, 2, 1),
+    "phases-dropped": lambda real: lambda g, b, a, th, **kw: real(
+        g, b, zero_phase_form(g), th, **kw
+    ),
+    "phase-sign-flipped": lambda real: lambda g, b, a, th, **kw: real(
+        g, b, OneForm(-a.values, magnetic=True), th, **kw
+    ),
+}
+
+
+@pytest.fixture(params=list(FIBER_MUTANTS))
+def fiber_mutant(request, monkeypatch):
+    """fiber_stack replaced by a wrong assembly wherever the library calls it."""
+    import magspec.fiber_operator as fiber_operator
+    import magspec.spectral as spectral
+
+    mutant = FIBER_MUTANTS[request.param](fiber_operator.fiber_stack)
+    monkeypatch.setattr(fiber_operator, "fiber_stack", mutant)
+    monkeypatch.setattr(spectral, "fiber_stack", mutant)
+
+
+@pytest.fixture(scope="module")
+def battery_analyses(battery_graphs):
+    return [analyze(g) for g in battery_graphs]
+
+
+def test_gauge_identity_catches_wrong_fibers_on_the_battery(
+    fiber_mutant, battery_graphs, battery_analyses
+):
+    from magspec import CheckFailedError
+
+    caught = 0
+    for i, (g, an) in enumerate(zip(battery_graphs, battery_analyses)):
+        try:
+            verify_gauge_equivalence(g, seed=i, analysis=an)
+        except CheckFailedError:
+            caught += 1
+    # 80 of 100 for each mutant; on the rest both non-stored pairs have zero gauge weights
+    assert caught >= 75
+
+
+def test_verify_fails_wrong_fibers_on_phased_kagome(fiber_mutant, tmp_path, capsys):
+    from magspec import dump_graph_json
+    from magspec.cli import main
+
+    path = tmp_path / "phased-kagome.json"
+    dump_graph_json(generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)), path)
+    assert main(["verify", str(path), "--grid", "21"]) == 1
+    assert capsys.readouterr().err.strip() == "check failed: gauge_equivalence"
 
 
 @pytest.mark.parametrize(
