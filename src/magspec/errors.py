@@ -34,10 +34,6 @@ class AlphaOutOfRangeError(GraphDataError):
     pass
 
 
-class InconsistentEmbeddingError(GraphDataError):
-    pass
-
-
 class BadParamsError(GraphDataError):
     pass
 

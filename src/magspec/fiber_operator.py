@@ -31,11 +31,11 @@ from .errors import (
     NoIndependentSubsetError,
 )
 from .forms_cycles import (
+    _first_tree,
+    _nonzero_phase,
     _tree_adjacency,
     _tree_path,
-    first_spanning_tree,
     integer_determinant,
-    tree_form,
 )
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
@@ -44,11 +44,10 @@ from .graph_model import FundamentalGraph, OneForm, reduce_angles
 class GaugeWeights:
     """Vertex weights of the diagonal gauge between two fiber representations.
 
-    w_b maps vertices to R^d, w_a to R (defined mod 2*pi); both vanish
-    at the base vertex.
+    w_b maps vertices to R^d (integer for integer forms), w_a to R
+    (defined mod 2*pi); both vanish at the base vertex.
     """
 
-    base_vertex: int
     w_b: np.ndarray
     w_a: np.ndarray
 
@@ -144,27 +143,35 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> G
     """Tree-path gauge weights relating (b, a) fibers to (index, phase) fibers.
 
     The weights are the potentials of (index - b) and (alpha - a) on the
-    first spanning tree, shifted to vanish at v0. They are well defined
-    only when b and a carry the fluxes of the stored index and phase
-    forms; this is verified on every chord cycle (the phase modulo
-    2*pi) and a violation raises FluxMismatchError.
+    first spanning tree, shifted to vanish at v0; integer forms give
+    exact int64 weights. They are well defined only when b and a carry
+    the fluxes of the stored index and phase forms. The flux of diff
+    through the basic cycle of an edge (t, h) is diff(edge) + w(t) - w(h),
+    zero on tree edges; it is checked exactly for integer forms and
+    against ZERO_FLUX_TOL modulo 2*pi for the phase, and a violation
+    raises FluxMismatchError naming the lowest bad chord.
     """
     _check_forms(g, b, a)
-    diff_b = OneForm(g.index_form().values - b.values)
-    diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True)
-    basis = first_spanning_tree(g)
-    bad_b, bad_a = (set(tree_form(g, x, basis).support()) for x in (diff_b, diff_a))
+    tree = _first_tree(g)
+    adj = _tree_adjacency(g, tree)
+    # row v: the signed tree path v0 -> v
+    paths = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
+    for v in range(g.num_vertices):
+        for eid, sign in _tree_path(adj, v0, v):
+            paths[v, eid] = sign
+    diff_b = g.index_matrix() - b.values
+    diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True).values[:, 0]
+    w_b, w_a = paths @ diff_b, paths @ diff_a
+    ends = np.array([(e.tail, e.head) for e in g.edges], dtype=np.intp).reshape(-1, 2)
+    t, h = ends[:, 0], ends[:, 1]
+    bad_b = set(OneForm(diff_b + w_b[t] - w_b[h]).support())
+    bad_a = set(np.flatnonzero(_nonzero_phase(diff_a + w_a[t] - w_a[h])).tolist())
     if bad_b or bad_a:
         chord = min(bad_b | bad_a)
         what = "form" if chord in bad_b else "phase form"
         whom = "the index form" if chord in bad_b else "the stored phases"
         raise FluxMismatchError(f"{what} is not flux-equivalent to {whom} (chord {chord})")
-    adj = _tree_adjacency(g, basis.tree_edges)
-    paths = np.zeros((g.num_vertices, g.num_edges))  # row v: the signed tree path v0 -> v
-    for v in range(g.num_vertices):
-        for eid, sign in _tree_path(adj, v0, v):
-            paths[v, eid] = sign
-    return GaugeWeights(base_vertex=v0, w_b=paths @ diff_b.values, w_a=paths @ diff_a.values[:, 0])
+    return GaugeWeights(w_b=w_b, w_a=w_a)
 
 
 # -- theta-shift reduction ------------------------------------------------------

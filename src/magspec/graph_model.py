@@ -29,7 +29,6 @@ from .errors import (
     BettiBelowRankError,
     DisconnectedGraphError,
     GraphDataError,
-    InconsistentEmbeddingError,
     IndexOverflowError,
     NonFinitePotentialError,
 )
@@ -239,30 +238,8 @@ class FundamentalGraph:
         return self.vertex_names[v] if self.vertex_names else str(v)
 
 
-@dataclass(frozen=True, eq=False)
-class PeriodicEmbedding:
-    """Per-vertex fractional positions (lattice-basis coordinates in [0,1)^d)."""
-
-    positions: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        p.setflags(write=False)
-        object.__setattr__(self, "positions", p)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    num_vertices: int
-    num_edges: int
-    beta: int
-    degrees: tuple[int, ...]
-    kappa_plus: int
-    connected: bool
-
-
-def validate(g: FundamentalGraph) -> ValidationReport:
-    """Check structural invariants and summarize the graph.
+def validate(g: FundamentalGraph) -> None:
+    """Check the structural invariants of the graph.
 
     Raises BadParamsError, BadIndexLengthError, IndexOverflowError,
     AlphaOutOfRangeError, NonFinitePotentialError,
@@ -293,42 +270,6 @@ def validate(g: FundamentalGraph) -> ValidationReport:
             f"first Betti number {g.beta} is below the lattice rank {g.dim}; "
             "the index fluxes cannot span Z^d"
         )
-    deg = g.degrees()
-    return ValidationReport(
-        num_vertices=g.num_vertices,
-        num_edges=g.num_edges,
-        beta=g.beta,
-        degrees=tuple(int(d) for d in deg),
-        kappa_plus=int(deg.max()),
-        connected=True,
-    )
-
-
-def coordinate_form(g: FundamentalGraph, emb: PeriodicEmbedding) -> OneForm:
-    """Edge-coordinate 1-form of an embedding.
-
-    For a canonical edge (u, v) with index m the value is
-    position(v) + m - position(u), in lattice-basis coordinates. Any
-    in-cell embedding has the same cycle fluxes as the index form, so
-    consistency reduces to the embedding being well formed: positions
-    of shape (nu, d), inside [0,1)^d, pairwise distinct.
-    """
-    p = emb.positions
-    if p.shape != (g.num_vertices, g.dim):
-        raise InconsistentEmbeddingError(
-            f"positions shape {p.shape} does not match (nu, d)=({g.num_vertices}, {g.dim})"
-        )
-    if np.any(p < 0.0) or np.any(p >= 1.0):
-        raise InconsistentEmbeddingError("positions must lie in [0, 1)^d")
-    rows = {tuple(row) for row in p.tolist()}
-    if len(rows) != g.num_vertices:
-        raise InconsistentEmbeddingError("vertex positions must be distinct")
-    idx = g.index_matrix().astype(float)
-    tails = np.array([e.tail for e in g.edges], dtype=int)
-    heads = np.array([e.head for e in g.edges], dtype=int)
-    if g.num_edges == 0:
-        return OneForm(np.zeros((0, g.dim)))
-    return OneForm(p[heads] + idx - p[tails])
 
 
 # -- generators ---------------------------------------------------------------
@@ -339,14 +280,15 @@ def _unit_index(d: int, s: int) -> tuple[int, ...]:
 
 
 def generate(kind: str, d: int | None = None,
-             decoration: "FundamentalGraph | Sequence[tuple[int, int]] | None" = None,
+             decoration: Sequence[tuple[int, int]] | None = None,
              ) -> FundamentalGraph:
     """Build one of the stock fundamental graphs.
 
     kind 'zd' needs d >= 1; 'hexagonal' and 'kagome' are fixed at d=2;
-    'decorated' glues a finite connected graph (vertex 0 is the gluing
-    point, all its edges get index 0) onto the d-dimensional lattice
-    vertex that carries the d unit-index loops.
+    'decorated' glues a finite connected graph, given as (tail, head)
+    pairs (vertex 0 is the gluing point, all its edges get index 0),
+    onto the d-dimensional lattice vertex that carries the d unit-index
+    loops.
     """
     if kind == "zd":
         if d is None or d < 1:
@@ -383,12 +325,7 @@ def generate(kind: str, d: int | None = None,
     if kind == "decorated":
         if d is None or d < 1:
             raise BadParamsError("decorated requires d >= 1")
-        if decoration is None:
-            pairs: list[tuple[int, int]] = [(0, 1)]
-        elif isinstance(decoration, FundamentalGraph):
-            pairs = [(e.tail, e.head) for e in decoration.edges]
-        else:
-            pairs = [(int(a), int(b)) for a, b in decoration]
+        pairs = [(0, 1)] if decoration is None else [(int(a), int(b)) for a, b in decoration]
         nv = max((max(a, b) for a, b in pairs), default=0) + 1
         zero = tuple(0 for _ in range(d))
         edges = tuple(Edge(0, 0, _unit_index(d, s)) for s in range(d)) + tuple(

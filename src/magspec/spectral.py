@@ -19,8 +19,8 @@ support part of the fiber, the gauge identity of fibers (entry for
 entry, through gauge_weights), and the exponent counts of the minimal
 pair. Each returns the detail dict that `verify` prints, or raises
 CheckFailedError; called without an Analysis, it builds one with
-analyze(g). sy_sunada_check (the bottom-of-spectrum property of the
-phase-free operator) returns a bool.
+analyze(g). sy_sunada_check, the bottom-of-spectrum property of the
+phase-free operator, follows the same contract.
 The grid checks share eigenvalue tables through their Analysis: each
 distinct (b, a, grid) table is swept once while the forms repeat byte
 for byte, and an Analysis holds one table at a time. On a zero-phase
@@ -182,12 +182,11 @@ def eigenvalue_table(
     b: OneForm,
     a: OneForm,
     thetas: np.ndarray,
-    with_potential: bool = True,
 ) -> np.ndarray:
-    """(K, nu) sorted fiber eigenvalues, one row per quasimomentum, swept in chunks."""
+    """(K, nu) sorted eigenvalues of fibers with the potential, a row per theta, in chunks."""
 
     def solve(th: np.ndarray) -> tuple[np.ndarray]:
-        return (np.linalg.eigvalsh(fiber_stack(g, b, a, th, with_potential=with_potential)),)
+        return (np.linalg.eigvalsh(fiber_stack(g, b, a, th, with_potential=True)),)
 
     return _sweep(np.atleast_2d(thetas), g.num_vertices, solve)[0]
 
@@ -214,8 +213,6 @@ def union_measure(intervals: Sequence[Sequence[float]]) -> float:
 class BandSpectrum:
     """Grid-approximated band structure of one operator."""
 
-    grid_n: int
-    flat_tol: float
     bands: np.ndarray  # (nu, 2) per-band [min, max]
     flat: tuple[bool, ...]
     measure: float
@@ -258,15 +255,13 @@ def band_sweep(
     """
     b = b if b is not None else g.index_form()
     a = a if a is not None else g.magnetic_form()
-    n, thetas = _grid(g, grid_n)
+    _, thetas = _grid(g, grid_n)
     table = eigenvalue_table(g, b, a, thetas)
     lo, hi = table.min(axis=0), table.max(axis=0)
     _check_spectral_range(g, lo, hi)
     bands = np.stack([lo, hi], axis=1)
     flat = tuple(bool(w < flat_tol) for w in hi - lo)
     return BandSpectrum(
-        grid_n=n,
-        flat_tol=flat_tol,
         bands=bands,
         flat=flat,
         measure=union_measure(bands),
@@ -532,13 +527,15 @@ def sy_sunada_check(
     g: FundamentalGraph,
     grid_n: int | None = None,
     analysis: Analysis | None = None,
-) -> bool:
+) -> dict:
     """Bottom of the first band of the phase-free operator sits at theta = 0.
 
     Defined only for graphs with zero phases (GraphDataError otherwise);
     the potential may be arbitrary. Sweeps the fiber of (mu, 0), which an
     integer gauge conjugates to that of (tau, 0) at every theta, so on a
     graph whose phases are all +0.0 it reads band localization's table.
+    Raises CheckFailedError when the first band dips below its value at
+    theta = 0 by more than the tolerance; returns {"attained_at_zero": True}.
     """
     if g.magnetic_form().support():
         raise GraphDataError("bottom-of-spectrum check requires zero phases")
@@ -546,7 +543,9 @@ def sy_sunada_check(
     zero = zero_phase_form(g)
     at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
     table = _grid_table(g, an, an.mu, zero, grid_n)
-    return bool(at_zero <= table[:, 0].min() + _potential_tol(g, MATRIX_TOL))
+    if not at_zero <= table[:, 0].min() + _potential_tol(g, MATRIX_TOL):
+        raise CheckFailedError("first band bottom is not attained at theta = 0")
+    return {"attained_at_zero": True}
 
 
 def verify_gauge_equivalence(

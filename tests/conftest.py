@@ -1,6 +1,7 @@
-"""Shared fixtures: stock lattices, a small finite test graph, and a
-seeded factory of random connected fundamental graphs whose index
-fluxes span the full integer lattice."""
+"""Shared fixtures: stock lattices, a small finite test graph, a
+coordinate form of vertex positions, and a seeded factory of random
+connected fundamental graphs whose index fluxes span the full integer
+lattice."""
 
 from __future__ import annotations
 
@@ -13,7 +14,20 @@ from magspec import MagspecError, enumerate_spanning_trees, generate, lattice_im
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 from magspec.forms_cycles import chord_flux_matrix
-from magspec.graph_model import Edge, FundamentalGraph
+from magspec.graph_model import Edge, FundamentalGraph, OneForm
+
+# in-cell positions of the kagome vertices v1, v2, v3
+KAGOME_POSITIONS = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]])
+
+
+def coordinate_form(g: FundamentalGraph, positions: np.ndarray) -> OneForm:
+    """Edge-coordinate form of vertex positions: p(head) + index - p(tail).
+
+    Real valued and flux-equivalent to the index form for any positions.
+    """
+    tails = [e.tail for e in g.edges]
+    heads = [e.head for e in g.edges]
+    return OneForm(positions[heads] + g.index_matrix() - positions[tails])
 
 
 def diamond_graph() -> FundamentalGraph:

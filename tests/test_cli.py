@@ -252,6 +252,24 @@ def test_failed_check_ends_the_battery(capsys, kagome_file, monkeypatch):
     }
 
 
+def test_failed_bottom_of_spectrum_check(capsys, kagome_file, monkeypatch):
+    # the bottom check's theta = 0 solve is the battery's only one-row eigenvalue table
+    real = spectral.eigenvalue_table
+
+    def raised_at_zero(g, b, a, thetas):
+        return real(g, b, a, thetas) + (1e-3 if len(thetas) == 1 else 0.0)
+
+    monkeypatch.setattr(spectral, "eigenvalue_table", raised_at_zero)
+    code, out, err = run(capsys, "verify", kagome_file, "--grid", "21")
+    assert (code, err) == (1, "check failed: bottom_of_spectrum\n")
+    report = json.loads(out)
+    assert [c["passed"] for c in report["checks"]] == [True] * 5 + [False]
+    assert report["checks"][-1] == {
+        "name": "bottom_of_spectrum", "passed": False,
+        "detail": "first band bottom is not attained at theta = 0",
+    }
+
+
 @pytest.mark.parametrize("bad_call,message", [
     (1, "minimal-pair exponent counts (0, 0, 0) disagree with invariants"),
     (2, "stored pair has fewer nontrivial exponents than the minimum"),
@@ -370,6 +388,31 @@ def test_verify_rejects_negative_seed_before_the_scan(capsys, monkeypatch, kagom
     assert code == 2
     assert out == ""
     assert "--seed" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bands"])
+def test_verify_and_bands_validate_once(tmp_path, capsys, monkeypatch, kagome_file, command):
+    import sys
+
+    from magspec.graph_model import validate
+
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return validate(g)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("magspec") and getattr(mod, "validate", None) is validate:
+            monkeypatch.setattr(mod, "validate", counted)
+    code, _, _ = run(capsys, command, kagome_file, "--grid", "21")
+    assert (code, len(calls)) == (0, 1)
+    # an invalid graph exits 2 with the message of a command that validates on load
+    bad = _write_loop_graph(tmp_path, "1", "NaN")
+    _, _, want = run(capsys, "invariants", bad)
+    calls.clear()
+    assert run(capsys, command, bad) == (2, "", want)
+    assert want == "error: vertex potentials must be finite\n" and len(calls) == 1
 
 
 def test_butterfly_refuses_over_budget_grid_before_any_solve(capsys, monkeypatch, z2_file):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from magspec import (
     count_nontrivial_exponents,
     enumerate_spanning_trees,
     fiber_matrix,
+    first_spanning_tree,
     fiber_stack,
     gauge_weights,
     generate,
@@ -204,6 +206,63 @@ def test_gauge_weights_reject_wrong_flux_class(kagome):
     )
     with pytest.raises(FluxMismatchError):
         gauge_weights(kagome, kagome.index_form(), shifted)
+
+
+def test_gauge_weights_index_channel_is_exact_in_int64(kagome):
+    # w_b(v1) = 2**55 + 1 is not a float64, so float potentials would round
+    # it and could miss a chord flux that is off by one
+    edges = list(kagome.edges)
+    edges[1] = replace(edges[1], index=(2**55 + 1, 0))
+    edges[4] = replace(edges[4], index=(1 - 2**55, -1), alpha=0.3)
+    g = replace(kagome, edges=tuple(edges))
+    first = first_spanning_tree(g)
+    assert first.tree_edges == (0, 1)
+    b, a = tree_form(g, g.index_form(), first), tree_form(g, g.magnetic_form(), first)
+    w = gauge_weights(g, b, a)
+    assert w.w_b.dtype == np.int64
+    assert w.w_b.tolist() == [[0, 0], [2**55 + 1, 0], [0, 0]]
+    off_by_one = b.values.copy()
+    off_by_one[5, 0] += 1
+    with pytest.raises(FluxMismatchError, match=r"^form is not flux-equivalent to the index form \(chord 5\)$"):
+        gauge_weights(g, OneForm(off_by_one), a)
+
+
+def cycle_walk_mismatch(g, b, a):
+    """The FluxMismatchError text derived by walking the basic cycles of the first tree, or None."""
+    first = first_spanning_tree(g)
+    bad_b = set(tree_form(g, OneForm(g.index_matrix() - b.values), first).support())
+    diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True)
+    bad_a = set(tree_form(g, diff_a, first).support())
+    if not bad_b | bad_a:
+        return None
+    chord = min(bad_b | bad_a)
+    if chord in bad_b:
+        return f"form is not flux-equivalent to the index form (chord {chord})"
+    return f"phase form is not flux-equivalent to the stored phases (chord {chord})"
+
+
+def test_gauge_weights_name_the_chord_the_cycle_walk_names(battery_graphs):
+    # one edge of the minimal pair changed at a time: index + 1, or phase + 1e-6;
+    # a change on a bridge moves no flux, and both derivations accept it
+    raised = 0
+    for g in battery_graphs:
+        mu, phi = minimal_pair(g)
+        for eid in range(g.num_edges):
+            for channel in range(2):
+                b, a = mu.values.copy(), phi.values.copy()
+                if channel == 0:
+                    b[eid, 0] += 1
+                else:
+                    a[eid, 0] += 1e-6
+                b, a = OneForm(b), OneForm(a, magnetic=True)
+                try:
+                    gauge_weights(g, b, a)
+                    got = None
+                except FluxMismatchError as exc:
+                    got = str(exc)
+                    raised += 1
+                assert got == cycle_walk_mismatch(g, b, a)
+    assert raised > 1000
 
 
 # -- theta-shift reduction --------------------------------------------------------------

@@ -9,7 +9,6 @@ from magspec import (
     FluxImageNotFullLatticeError,
     OpenPathError,
     TreeCountExceedsCapError,
-    coordinate_form,
     enumerate_spanning_trees,
     flux,
     generate,
@@ -21,9 +20,9 @@ from magspec import (
     smith_normal_form,
     spanning_tree_count,
 )
-from magspec.graph_model import Edge, FundamentalGraph, OneForm, PeriodicEmbedding
+from magspec.graph_model import Edge, FundamentalGraph, OneForm
 
-from conftest import diamond_graph, make_random_graph
+from conftest import KAGOME_POSITIONS, coordinate_form, diamond_graph, make_random_graph
 
 
 # -- independent oracles -------------------------------------------------------
@@ -169,8 +168,7 @@ def test_flux_open_path_errors(kagome):
 
 
 def kagome_coordinate_form(kagome):
-    emb = PeriodicEmbedding(np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]))
-    return coordinate_form(kagome, emb)
+    return coordinate_form(kagome, KAGOME_POSITIONS)
 
 
 def test_kagome_coordinate_form_minimal_count(kagome):

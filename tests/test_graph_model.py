@@ -10,11 +10,8 @@ from magspec import (
     BadParamsError,
     DisconnectedGraphError,
     GraphDataError,
-    InconsistentEmbeddingError,
     IndexOverflowError,
     NonFinitePotentialError,
-    PeriodicEmbedding,
-    coordinate_form,
     dump_graph_json,
     enumerate_spanning_trees,
     flux,
@@ -28,7 +25,7 @@ from magspec import (
 )
 from magspec.graph_model import Edge, FundamentalGraph
 
-from conftest import diamond_graph
+from conftest import KAGOME_POSITIONS, coordinate_form, diamond_graph
 
 
 # -- angle reduction -----------------------------------------------------------
@@ -52,20 +49,23 @@ def test_reduce_angle_is_mod_2pi(x):
 
 
 def test_validate_z2():
-    rep = validate(generate("zd", 2))
-    assert (rep.num_vertices, rep.beta, rep.kappa_plus) == (1, 2, 4)
+    g = generate("zd", 2)
+    assert validate(g) is None
+    assert (g.num_vertices, g.beta, g.kappa_plus()) == (1, 2, 4)
 
 
 def test_validate_diamond_graph():
-    rep = validate(diamond_graph())
-    assert rep.num_vertices == 5
-    assert rep.num_edges == 7
-    assert rep.beta == 3
+    g = diamond_graph()
+    assert validate(g) is None
+    assert (g.num_vertices, g.num_edges, g.beta) == (5, 7, 3)
+    assert g.is_connected()
 
 
 def test_validate_kagome():
-    rep = validate(generate("kagome"))
-    assert (rep.num_vertices, rep.beta, rep.kappa_plus) == (3, 4, 4)
+    g = generate("kagome")
+    assert validate(g) is None
+    assert (g.num_vertices, g.beta, g.kappa_plus()) == (3, 4, 4)
+    assert list(g.degrees()) == [4, 4, 4]
 
 
 def test_loop_counts_twice_in_degree():
@@ -133,28 +133,8 @@ def test_magnetic_form_reduced_and_antisymmetric():
 # -- coordinate form -------------------------------------------------------------
 
 
-def test_coordinate_form_z1_loop():
-    g = generate("zd", 1)
-    emb = PeriodicEmbedding(np.zeros((1, 1)))
-    kappa = coordinate_form(g, emb)
-    assert kappa.values[0, 0] == pytest.approx(1.0)
-
-
-def kagome_embedding() -> PeriodicEmbedding:
-    # vertex order v1, v2, v3
-    return PeriodicEmbedding(np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]))
-
-
-def test_coordinate_form_kagome_inner_edge(kagome):
-    kappa = coordinate_form(kagome, kagome_embedding())
-    # edge 0 is the in-cell edge v1 -> v3: position difference (1/2, 0)
-    assert np.allclose(kappa.values[0], [0.5, 0.0])
-    for eid in range(kagome.num_edges):
-        assert np.allclose(kappa.value(eid, -1), -kappa.value(eid, 1))
-
-
 def test_coordinate_form_flux_matches_index_flux(kagome):
-    kappa = coordinate_form(kagome, kagome_embedding())
+    kappa = coordinate_form(kagome, KAGOME_POSITIONS)
     tau = kagome.index_form()
     for basis in enumerate_spanning_trees(kagome):
         for cycle in basis.cycles:
@@ -165,25 +145,12 @@ def test_coordinate_form_flux_matches_index_flux(kagome):
 def test_invariant_is_embedding_independent(kagome):
     from magspec import minimal_form
 
-    other = PeriodicEmbedding(np.array([[0.1, 0.2], [0.3, 0.7], [0.8, 0.4]]))
+    other = np.array([[0.1, 0.2], [0.3, 0.7], [0.8, 0.4]])
     counts = []
-    for emb in (kagome_embedding(), other):
-        _, _, beta_x = minimal_form(kagome, coordinate_form(kagome, emb))
+    for positions in (KAGOME_POSITIONS, other):
+        _, _, beta_x = minimal_form(kagome, coordinate_form(kagome, positions))
         counts.append(beta_x)
     assert counts[0] == counts[1] == 3
-
-
-@pytest.mark.parametrize(
-    "positions",
-    [
-        np.array([[0.0, 0.0], [0.0, 0.5]]),  # wrong shape
-        np.array([[0.0, 0.0], [0.0, 0.5], [1.2, 0.0]]),  # out of cell
-        np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]),  # duplicate
-    ],
-)
-def test_coordinate_form_rejects_bad_embeddings(kagome, positions):
-    with pytest.raises(InconsistentEmbeddingError):
-        coordinate_form(kagome, PeriodicEmbedding(positions))
 
 
 # -- generators -------------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import magspec
@@ -37,3 +38,12 @@ def test_benchmark_trace_hooks_resolve():
     ]
     assert len(hooks) > 20
     assert not missing, f"functions traced by the benchmark are gone: {missing}"
+
+
+def test_readme_python_example_runs():
+    # the library example runs as written, so a name it uses cannot leave the
+    # package while the docs still show it
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(readme), "exec"), {})

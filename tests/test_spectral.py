@@ -191,9 +191,8 @@ def test_eigenvalue_rows_sorted(kagome):
 def test_phase_free_fiber_kernel_at_zero(generator_graphs):
     for g in generator_graphs:
         lam0 = eigenvalue_table(
-            g, g.index_form(), zero_phase_form(g), np.zeros((1, g.dim)),
-            with_potential=False,
-        )[0, 0]
+            g, g.index_form(), zero_phase_form(g), np.zeros((1, g.dim))
+        )[0, 0]  # the generators carry no potential
         assert abs(lam0) < 1e-9
         # the kernel vector is the constant function
         m0 = fiber_matrix(g, g.index_form(), zero_phase_form(g), np.zeros(g.dim))
@@ -280,10 +279,7 @@ def test_finite_torus_expansion_matches_fiber_union():
         cases.append((g, (3, 2)[: g.dim]))
     for g, reps in cases:
         direct = np.linalg.eigvalsh(torus_expansion(g, reps))
-        table = eigenvalue_table(
-            g, g.index_form(), g.magnetic_form(), torus_momenta(reps),
-            with_potential=True,
-        )
+        table = eigenvalue_table(g, g.index_form(), g.magnetic_form(), torus_momenta(reps))
         assert np.allclose(np.sort(table.reshape(-1)), direct, atol=1e-9)
 
 
@@ -387,14 +383,14 @@ def test_perturbation_nontrivial_shifted_support():
 
 def test_sy_sunada_generators(generator_graphs):
     for g in generator_graphs:
-        assert sy_sunada_check(g, grid_n=21 if g.dim == 3 else 41)
+        assert sy_sunada_check(g, grid_n=21 if g.dim == 3 else 41) == {"attained_at_zero": True}
 
 
 def test_sy_sunada_hexagonal_random_potential(hexagonal):
     rng = np.random.default_rng(15)
     for _ in range(5):
         g = hexagonal.with_potential(rng.uniform(-2, 2, 2))
-        assert sy_sunada_check(g, grid_n=41)
+        assert sy_sunada_check(g, grid_n=41) == {"attained_at_zero": True}
 
 
 def test_sy_sunada_requires_zero_phases(z2):
@@ -410,7 +406,7 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
     from magspec import CheckFailedError
 
     g = generate("kagome").with_potential([1e8, 0.0, -5e7])
-    assert sy_sunada_check(g, grid_n=21)
+    assert sy_sunada_check(g, grid_n=21) == {"attained_at_zero": True}
     assert verify_gauge_equivalence(g)
     real = spectral.eigenvalue_table
     calls = []
@@ -420,7 +416,8 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
         return real(*args, **kwargs) + (1e-3 if len(calls) == 1 else 0.0)
 
     monkeypatch.setattr(spectral, "eigenvalue_table", first_call_shifted)
-    assert not sy_sunada_check(g, grid_n=21)  # the table at theta = 0 is the first
+    with pytest.raises(CheckFailedError, match="first band bottom is not attained at theta = 0"):
+        sy_sunada_check(g, grid_n=21)  # the table at theta = 0 is the first
 
     real_stack = spectral.fiber_stack
     stacks = []

@@ -23,7 +23,6 @@ from magspec import (
     IndexOverflowError,
     OneForm,
     SupercellSpec,
-    coordinate_form,
     dump_graph_json,
     enumerate_spanning_trees,
     first_spanning_tree,
@@ -40,7 +39,9 @@ from magspec import (
     tree_form,
 )
 from magspec.cli import main
-from magspec.graph_model import Edge, FundamentalGraph, PeriodicEmbedding
+from magspec.graph_model import Edge, FundamentalGraph
+
+from conftest import KAGOME_POSITIONS, coordinate_form
 
 
 def reference_trees(g: FundamentalGraph) -> list[tuple[int, ...]]:
@@ -264,8 +265,7 @@ def first_minimal_tree(walk, g, form):
 
 
 def test_minimal_form_is_tree_form_on_first_minimal_tree(scan_graphs, kagome, walks):
-    emb = PeriodicEmbedding(np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]]))
-    cases = [(kagome, coordinate_form(kagome, emb))]
+    cases = [(kagome, coordinate_form(kagome, KAGOME_POSITIONS))]
     cases += [(g, x) for g in scan_graphs[:20] for x in (g.index_form(), g.magnetic_form())]
     for g, x in cases:
         first, best = first_minimal_tree(walks, g, x)
