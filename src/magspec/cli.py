@@ -114,11 +114,11 @@ def _write_band_csv(g: FundamentalGraph, spec, path: str) -> None:
     header = [f"theta_{s + 1}" for s in range(g.dim)] + [
         f"lambda_{n + 1}" for n in range(g.num_vertices)
     ]
-    row = ",".join(["{:.12g}"] * len(header))  # _fmt on every cell, one call per row
-    lines = [",".join(header)]
-    for theta, eigs in zip(spec.thetas, spec.eigenvalues):
-        lines.append(row.format(*theta.tolist(), *eigs.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["{:.12g}"] * len(header)) + "\n"  # _fmt on every cell, one call per row
+    with Path(path).open("w", encoding="utf-8") as f:  # row by row: the text is never held whole
+        f.write(",".join(header) + "\n")
+        for theta, eigs in zip(spec.thetas, spec.eigenvalues):
+            f.write(row.format(*theta.tolist(), *eigs.tolist()))
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

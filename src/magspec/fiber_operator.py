@@ -139,11 +139,11 @@ def fiber_matrix(
 # -- gauge transformation -------------------------------------------------------
 
 
-def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> GaugeWeights:
+def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
     """Tree-path gauge weights relating (b, a) fibers to (index, phase) fibers.
 
     The weights are the potentials of (index - b) and (alpha - a) on the
-    first spanning tree, shifted to vanish at v0; integer forms give
+    first spanning tree, vanishing at vertex 0; integer forms give
     exact int64 weights. They are well defined only when b and a carry
     the fluxes of the stored index and phase forms. The flux of diff
     through the basic cycle of an edge (t, h) is diff(edge) + w(t) - w(h),
@@ -154,10 +154,10 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm, v0: int = 0) -> G
     _check_forms(g, b, a)
     tree = _first_tree(g)
     adj = _tree_adjacency(g, tree)
-    # row v: the signed tree path v0 -> v
+    # row v: the signed tree path 0 -> v
     paths = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
     for v in range(g.num_vertices):
-        for eid, sign in _tree_path(adj, v0, v):
+        for eid, sign in _tree_path(adj, 0, v):
             paths[v, eid] = sign
     diff_b = g.index_matrix() - b.values
     diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True).values[:, 0]
@@ -277,14 +277,14 @@ def support_degrees(g: FundamentalGraph, mu: OneForm) -> np.ndarray:
 
 
 def count_nontrivial_exponents(
-    g: FundamentalGraph, b: OneForm, a: OneForm, tol: float = 1e-9
+    g: FundamentalGraph, b: OneForm, a: OneForm
 ) -> tuple[int, int, int]:
     """Oriented-edge counts of quasimomentum-, phase- and jointly nontrivial exponents.
 
     An exponent is trivial when it equals 1 identically: the phase part
-    iff the reduced value is within tol of zero, the quasimomentum part
-    iff the index-class value vanishes.
+    iff the reduced value is within SUPPORT_TOL of zero, the
+    quasimomentum part iff the index-class value vanishes.
     """
-    b_supp = set(b.support(tol))
-    a_supp = set(a.support(tol))
+    b_supp = set(b.support())
+    a_supp = set(a.support())
     return 2 * len(b_supp), 2 * len(a_supp), 2 * len(b_supp | a_supp)

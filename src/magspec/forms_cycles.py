@@ -9,13 +9,12 @@ on exactly those chords. Minimality is certified by exhaustive tree
 enumeration, never by a rational-independence heuristic.
 
 All integer computations (tree counts, lattice spans) are exact:
-fraction-free determinants and a hand-rolled Smith normal form over
-Python integers.
+fraction-free determinants and a column reduction over Python
+integers.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
@@ -54,6 +53,9 @@ class SpanningTreeBasis:
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """What `invariants` returns. lattice_image_ok is always true in a
+    returned report (a sublattice image raises); the JSON output keeps it."""
+
     beta: int
     d: int
     I: int
@@ -95,79 +97,15 @@ def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
     return sign * M[-1][-1]
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns min(m, n) nonnegative integers d_1 | d_2 | ... with any
-    zeros trailing. Exact over Python integers.
-    """
-    M = [[int(v) for v in row] for row in matrix]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    diag: list[int] = []
-    t = 0
-    while t < m and t < n:
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = M[i][j]
-                if v and (piv is None or abs(v) < abs(M[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        while piv is not None:
-            i0, j0 = piv
-            if i0 != t:
-                M[t], M[i0] = M[i0], M[t]
-            if j0 != t:
-                for row in M:
-                    row[t], row[j0] = row[j0], row[t]
-            p = M[t][t]
-            for i in range(t + 1, m):
-                q = M[i][t] // p
-                if q:
-                    for j in range(t, n):
-                        M[i][j] -= q * M[t][j]
-            for j in range(t + 1, n):
-                q = M[t][j] // p
-                if q:
-                    for i in range(t, m):
-                        M[i][j] -= q * M[i][t]
-            # leftover row/column entries are remainders smaller than |p|;
-            # promote the smallest and eliminate again until clean
-            piv = None
-            best = None
-            for i in range(t + 1, m):
-                if M[i][t] and (best is None or abs(M[i][t]) < best):
-                    piv, best = (i, t), abs(M[i][t])
-            for j in range(t + 1, n):
-                if M[t][j] and (best is None or abs(M[t][j]) < best):
-                    piv, best = (t, j), abs(M[t][j])
-        diag.append(abs(M[t][t]))
-        t += 1
-    # diagonal is equivalent to the chain form: replace (a, b) by (gcd, lcm)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(diag) - 1):
-            a, b = diag[k], diag[k + 1]
-            if a and b % a != 0:
-                g = math.gcd(a, b)
-                diag[k], diag[k + 1] = g, a * b // g
-                changed = True
-    diag += [0] * (min(m, n) - len(diag))
-    return diag
-
-
-def integer_rank(matrix: Sequence[Sequence[int]]) -> int:
-    return sum(1 for v in smith_normal_form(matrix) if v != 0)
-
-
 def lattice_image_check(flux_matrix: np.ndarray) -> bool:
     """True iff the integer column span of a d x k matrix is all of Z^d.
 
-    Decided by the Smith normal form: the span is full exactly when
-    there are d elementary divisors and all equal 1.
+    Decided by one exact column reduction over Python integers.
+    Subtracting an integer multiple of one column from another keeps the
+    span. Row by row, Euclid over the columns not yet used as pivots
+    leaves one column nonzero in that row, the pivot. The span is Z^d
+    exactly when all d pivots are +-1; a row with no nonzero entry left
+    means the rank is below d.
     """
     mat = np.asarray(flux_matrix)
     if mat.ndim != 2:
@@ -177,10 +115,23 @@ def lattice_image_check(flux_matrix: np.ndarray) -> bool:
         if mat.size and np.max(np.abs(mat - rounded)) > 1e-9:
             raise ValueError("flux matrix must be integer valued")
         mat = rounded
-    mat = mat.astype(np.int64)
-    d = mat.shape[0]
-    divisors = [v for v in smith_normal_form(mat) if v != 0]
-    return len(divisors) == d and all(v == 1 for v in divisors)
+    cols = mat.astype(np.int64).T.tolist()
+    for r in range(mat.shape[0]):
+        while True:
+            live = [c for c in cols if c[r]]
+            if not live:
+                return False
+            pivot = min(live, key=lambda c: abs(c[r]))
+            if len(live) == 1:
+                break
+            for c in live:
+                if c is not pivot:
+                    q = c[r] // pivot[r]
+                    c[:] = [x - q * y for x, y in zip(c, pivot)]
+        if abs(pivot[r]) != 1:
+            return False
+        cols.remove(pivot)
+    return True
 
 
 # -- spanning trees ------------------------------------------------------------
@@ -676,7 +627,6 @@ def chord_flux_matrix(g: FundamentalGraph, basis: SpanningTreeBasis) -> np.ndarr
 def invariants(
     g: FundamentalGraph,
     cap: int = 10**6,
-    require_full_lattice: bool = True,
     scan: TreeScan | None = None,
 ) -> InvariantReport:
     """Betti number and the minimal-support invariants of the graph.
@@ -686,27 +636,21 @@ def invariants(
     invariant half the union support; the union value is reported both
     for the lexicographic pair of minimal trees and minimized over all
     minimal pairs (over their distinct supports, which gives the same
-    minimum). Raises FluxImageNotFullLatticeError (unless
-    require_full_lattice=False) when the index fluxes span a proper
-    sublattice of Z^d, in which case the graph is not the fundamental
-    graph of any genuinely d-periodic graph. A scan of the (index,
-    phase) forms that the caller already holds is reused, not repeated.
+    minimum). Raises FluxImageNotFullLatticeError when the index fluxes
+    span a proper sublattice of Z^d, in which case the graph is not the
+    fundamental graph of any genuinely d-periodic graph. A scan of the
+    (index, phase) forms that the caller already holds is reused, not
+    repeated.
     """
     if scan is None:
         scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
-    flux_matrix = chord_flux_matrix(g, _basis_for_tree(g, scan.first_tree))
-    lattice_ok = lattice_image_check(flux_matrix)
-    if require_full_lattice and not lattice_ok:
+    if not lattice_image_check(chord_flux_matrix(g, _basis_for_tree(g, scan.first_tree))):
         raise FluxImageNotFullLatticeError(
             "index fluxes do not span Z^d; the graph is not a d-periodic fundamental graph"
         )
-
     tau, alpha = scan.forms
-    if lattice_ok:
-        if not g.dim <= tau.count <= g.beta:
-            raise CheckFailedError(f"I = {tau.count} lies outside [d, beta] = [{g.dim}, {g.beta}]")
-        if integer_rank(flux_matrix) != g.dim:
-            raise CheckFailedError("index fluxes of a full-lattice graph do not have rank d")
+    if not g.dim <= tau.count <= g.beta:
+        raise CheckFailedError(f"I = {tau.count} lies outside [d, beta] = [{g.dim}, {g.beta}]")
 
     return InvariantReport(
         beta=g.beta,
@@ -716,7 +660,7 @@ def invariants(
         I_mu_phi=(tau.mask | alpha.mask).bit_count(),
         I_mu_phi_min=min((s | t).bit_count() for s in tau.supports for t in alpha.supports),
         tree_count=scan.tree_count,
-        lattice_image_ok=lattice_ok,
+        lattice_image_ok=True,
     )
 
 

@@ -35,6 +35,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+SUPPORT_TOL = 1e-9  # a float form value above this in absolute value is in the support
 
 
 def reduce_angle(x: float) -> float:
@@ -104,20 +105,21 @@ class OneForm:
     def value(self, edge_id: int, sign: int = 1) -> np.ndarray:
         return sign * self.values[edge_id]
 
-    def support(self, tol: float = 1e-9) -> tuple[int, ...]:
+    def support(self) -> tuple[int, ...]:
         """Canonical edge ids with nonzero value.
 
-        Exact for integer-typed values, tolerance-based otherwise.
+        Exact for integer-typed values, above SUPPORT_TOL in absolute
+        value otherwise.
         """
         if np.issubdtype(self.values.dtype, np.integer):
             mask = np.any(self.values != 0, axis=1)
         else:
-            mask = np.any(np.abs(self.values) > tol, axis=1)
+            mask = np.any(np.abs(self.values) > SUPPORT_TOL, axis=1)
         return tuple(int(i) for i in np.nonzero(mask)[0])
 
-    def support_size_oriented(self, tol: float = 1e-9) -> int:
+    def support_size_oriented(self) -> int:
         """Number of oriented edges with nonzero value (twice the canonical count)."""
-        return 2 * len(self.support(tol))
+        return 2 * len(self.support())
 
     @classmethod
     def zeros(cls, num_edges: int, dim: int, magnetic: bool = False) -> "OneForm":

@@ -48,9 +48,9 @@ def build_periodic(
     carries mu as its index form and phi as its phases, so its fibers
     reproduce the given fiber data entrywise.
     """
-    mu = mu if mu is not None else g.index_form()
+    # certify the integer form itself: float noise would add up along cycles
+    mu = OneForm(_integer_form_values(mu if mu is not None else g.index_form()))
     phi = phi if phi is not None else g.magnetic_form()
-    mu_int = _integer_form_values(mu)
 
     mu_min, _, beta_x = minimal_form(g, mu, cap=cap)
     if len(mu.support()) != beta_x:
@@ -58,11 +58,11 @@ def build_periodic(
             f"form supports {len(mu.support())} edges but {beta_x} suffice"
         )
     # mu_min carries the chord fluxes of its tree, a basis of the cycle space
-    if not lattice_image_check(np.rint(mu_min.values.T).astype(np.int64)):
+    if not lattice_image_check(mu_min.values.T):
         raise FluxImageNotFullLatticeError("form fluxes span a proper sublattice of Z^d")
 
     edges = tuple(
-        Edge(e.tail, e.head, tuple(int(v) for v in mu_int[i]), float(phi.values[i, 0]))
+        Edge(e.tail, e.head, tuple(int(v) for v in mu.values[i]), float(phi.values[i, 0]))
         for i, e in enumerate(g.edges)
     )
     return FundamentalGraph(

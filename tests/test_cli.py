@@ -3,10 +3,13 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
+import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,6 +144,22 @@ def test_bands_summary_and_csv(tmp_path, capsys, z2_file):
     assert len(lines) == 1 + 41 * 41
     # 12 significant digits in CSV cells
     assert lines[1].split(",")[0] == f"{-math.pi:.12g}"
+
+
+def test_band_csv_is_written_row_by_row(tmp_path):
+    g = generate("zd", 2)
+    n = 101 * 101
+    spec = types.SimpleNamespace(thetas=np.linspace(-3.0, 3.0, 2 * n).reshape(n, 2),
+                                 eigenvalues=np.linspace(0.0, 8.0, n).reshape(n, 1))
+    path = tmp_path / "bands.csv"
+    tracemalloc.start()
+    try:
+        cli._write_band_csv(g, spec, str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 10**5 and peak < size  # the text is never held whole
 
 
 def test_bands_deterministic_output(capsys, kagome_file):
@@ -562,11 +581,13 @@ def test_integral_floats_still_load(tmp_path, capsys):
 
 def test_betti_below_rank_exits_2_before_lattice_work(tmp_path, capsys, monkeypatch):
     import magspec.forms_cycles as fc
+    import magspec.inverse_builder as ib
 
     def refuse(matrix):
-        raise AssertionError("smith_normal_form must not run")
+        raise AssertionError("lattice_image_check must not run")
 
-    monkeypatch.setattr(fc, "smith_normal_form", refuse)
+    monkeypatch.setattr(fc, "lattice_image_check", refuse)
+    monkeypatch.setattr(ib, "lattice_image_check", refuse)
     path = tmp_path / "huge-dim.json"
     path.write_text(json.dumps({"dim": 10**12, "vertices": ["a"], "edges": []}), encoding="utf-8")
     for command in ("invariants", "bands", "verify", "build-periodic"):

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from magspec import (
     flux,
     generate,
     integer_determinant,
-    integer_rank,
     invariants,
     lattice_image_check,
     minimal_form,
-    smith_normal_form,
     spanning_tree_count,
 )
 from magspec.graph_model import Edge, FundamentalGraph, OneForm
@@ -299,8 +297,6 @@ def test_invariants_rejects_sublattice_image():
     )
     with pytest.raises(FluxImageNotFullLatticeError):
         invariants(g)
-    rep = invariants(g, require_full_lattice=False)
-    assert rep.lattice_image_ok is False
 
 
 # -- integer lattice machinery -------------------------------------------------------
@@ -315,7 +311,7 @@ def test_lattice_image_rank_deficient():
 
 
 def test_lattice_image_mixed_columns():
-    # divisors of [[2,0,1],[0,1,1]] are (1,1): span is all of Z^2
+    # (1,1) - (0,1) = (1,0): the span is all of Z^2 though no column is (1,0)
     assert lattice_image_check(np.array([[2, 0, 1], [0, 1, 1]]))
 
 
@@ -323,12 +319,44 @@ def test_lattice_image_index_two_sublattice():
     assert not lattice_image_check(np.array([[2, 0], [0, 1]]))
 
 
-def test_smith_normal_form_hand_cases():
-    assert smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
-    assert smith_normal_form([[0, 0], [0, 0]]) == [0, 0]
-    assert smith_normal_form([[2, 0, 1], [0, 1, 1]]) == [1, 1]
+def test_lattice_image_hand_cases():
+    assert lattice_image_check(np.eye(2, dtype=np.int64))
+    assert not lattice_image_check(np.array([[2, 0], [0, 3]]))  # index 6
+    assert not lattice_image_check(np.array([[2, 4], [6, 8]]))  # divisors 2, 4
+    assert not lattice_image_check(np.zeros((2, 2), dtype=np.int64))
+    assert not lattice_image_check(np.zeros((2, 0), dtype=np.int64))
+    assert lattice_image_check(np.zeros((0, 3), dtype=np.int64))  # Z^0 is spanned by nothing
+
+
+def test_lattice_image_input_checks():
+    assert lattice_image_check(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="integer valued"):
+        lattice_image_check(np.array([[1.5, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="two dimensional"):
+        lattice_image_check(np.array([1, 0]))
+
+
+def spans_lattice_by_minors(mat: np.ndarray) -> bool:
+    """The span is Z^d iff the d x d minors have gcd 1 (none exist when k < d)."""
+    d, k = mat.shape
+    g = 0
+    for cols in combinations(range(k), d):
+        g = math.gcd(g, integer_determinant(mat[:, list(cols)]))
+    return g == 1
+
+
+def test_lattice_image_vs_gcd_of_minors_oracle():
+    rng = np.random.default_rng(13)
+    seen = {True: 0, False: 0}
+    for trial in range(300):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(0, 7))
+        mat = rng.integers(-50, 51, size=(d, k))
+        if trial % 5 == 0:
+            mat[int(rng.integers(d))] = 0  # a zero row: rank below d
+        says = lattice_image_check(mat)
+        assert says == spans_lattice_by_minors(mat), mat
+        seen[says] += 1
+    assert min(seen.values()) >= 50  # both outcomes exercised
 
 
 def test_smith_vs_bruteforce_box_oracle():
@@ -340,13 +368,13 @@ def test_smith_vs_bruteforce_box_oracle():
         d = int(rng.integers(1, 4))
         k = int(rng.integers(d, 5))
         mat = rng.integers(-2, 3, size=(d, k))
-        snf_says = lattice_image_check(mat)
+        says = lattice_image_check(mat)
         brute_says = bruteforce_spans_lattice(mat)
-        if snf_says:
-            assert brute_says, f"SNF claims full span, box search disagrees: {mat}"
+        if says:
+            assert brute_says, f"reduction claims full span, box search disagrees: {mat}"
             checked_true += 1
         else:
-            assert not brute_says, f"box search found units, SNF disagrees: {mat}"
+            assert not brute_says, f"box search found units, reduction disagrees: {mat}"
             checked_false += 1
     assert checked_true >= 10 and checked_false >= 10  # both outcomes exercised
 
@@ -359,20 +387,3 @@ def test_integer_determinant_matches_numpy():
         assert integer_determinant(mat) == round(float(np.linalg.det(mat)))
 
 
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 10**6))
-@settings(max_examples=60, deadline=None)
-def test_integer_rank_matches_numpy(m, n, seed):
-    rng = np.random.default_rng(seed)
-    mat = rng.integers(-5, 6, size=(m, n))
-    assert integer_rank(mat) == np.linalg.matrix_rank(mat.astype(float))
-
-
-def test_snf_divisibility_chain():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-        diag = smith_normal_form(rng.integers(-6, 7, size=(m, n)))
-        nonzero = [v for v in diag if v]
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
-        assert diag[len(nonzero):] == [0] * (len(diag) - len(nonzero))

@@ -1,8 +1,9 @@
 """CLI output on part of the benchmark corpus matches the recorded goldens.
 
 Rebuilds ten graphs of the seeded verify battery, hex 2x2, Harper q=12
-p=5 and zd2 with perfbench/corpus.py in a temporary directory, runs the CLI
-there, and compares the sha256 of stdout and of every --out file with
+p=5, zd2 and the tree-scan graphs (hex 3x2, kagome 3x1) with
+perfbench/corpus.py in a temporary directory, runs the CLI there, and
+compares the sha256 of stdout and of every --out file with
 perfbench/goldens.json. Nothing under perfbench/ is written.
 """
 
@@ -32,8 +33,9 @@ def corpus_dir(tmp_path_factory):
     corpus = types.ModuleType("perfbench_corpus")  # executed from source: no bytecode cache written
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), corpus.__dict__)
     graphs = corpus.build("verify-battery", GOLDENS["battery_seed"])
+    graphs = {name: graphs[name] for name in VERIFIED + ["zd2"]} | corpus.build("tree-scan")
     work = tmp_path_factory.mktemp("goldens")
-    digests = corpus.write({name: graphs[name] for name in VERIFIED + ["zd2"]}, work / "corpus")
+    digests = corpus.write(graphs, work / "corpus")
     (work / "out").mkdir()
     return work, digests
 
@@ -63,3 +65,15 @@ def test_bands_out_matches_golden(capsys, monkeypatch, corpus_dir):
 def test_butterfly_matches_golden(capsys, monkeypatch, corpus_dir):
     run_golden(capsys, monkeypatch, corpus_dir, "butterfly:zd2",
                ["butterfly", "corpus/zd2.json", "--flux-steps", "12"])
+
+
+@pytest.mark.parametrize("name", ["hex-3x2", "kagome-3x1"])
+def test_invariants_matches_golden(capsys, monkeypatch, corpus_dir, name):
+    run_golden(capsys, monkeypatch, corpus_dir, f"invariants:{name}",
+               ["invariants", f"corpus/{name}.json"])
+
+
+def test_build_periodic_matches_golden(capsys, monkeypatch, corpus_dir):
+    run_golden(capsys, monkeypatch, corpus_dir, "build-periodic:kagome-3x1",
+               ["build-periodic", "corpus/kagome-3x1.json",
+                "--out", "out/kagome-3x1.periodic.json"])

@@ -13,6 +13,7 @@ from magspec import (
     coprime_fluxes,
     fiber_matrix,
     generate,
+    graph_to_dict,
     harper_model,
     supercell,
     validate,
@@ -88,6 +89,17 @@ def test_build_periodic_rejects_sublattice():
     )
     with pytest.raises(FluxImageNotFullLatticeError):
         build_periodic(g)
+
+
+@pytest.mark.parametrize("mult", [None, (3, 1)])
+def test_build_periodic_certifies_the_integer_form(mult):
+    # per-edge float noise within the integer tolerance must not add up
+    # along cycles into fluxes the tree scan counts
+    g = generate("kagome")
+    if mult:
+        g = supercell(g, SupercellSpec(mult))
+    noisy = OneForm(g.index_matrix() + 6e-10)
+    assert graph_to_dict(build_periodic(g, mu=noisy)) == graph_to_dict(build_periodic(g))
 
 
 def test_build_periodic_rejects_non_minimal_form():
