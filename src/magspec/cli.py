@@ -128,15 +128,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     an = analyze(g, cap=args.tree_cap)
     grid, seed = args.grid, args.seed
     battery = [
-        ("localization_and_measure", partial(verify_band_localization, g, grid_n=grid, analysis=an)),
-        ("gauge_equivalence", partial(verify_gauge_equivalence, g, seed=seed, analysis=an)),
-        ("positive_splitting", partial(verify_positive_splitting, g, seed=seed, analysis=an)),
-        ("exponent_counts", partial(verify_exponent_counts, g, analysis=an)),
-        ("perturbation_sandwich", partial(verify_perturbation, g, grid_n=grid, analysis=an)),
+        ("localization_and_measure", partial(verify_band_localization, an, grid)),
+        ("gauge_equivalence", partial(verify_gauge_equivalence, an, seed)),
+        ("positive_splitting", partial(verify_positive_splitting, an, seed)),
+        ("exponent_counts", partial(verify_exponent_counts, an)),
+        ("perturbation_sandwich", partial(verify_perturbation, an, grid)),
     ]
     if not g.magnetic_form().support():
-        bottom = partial(sy_sunada_check, g, grid_n=grid, analysis=an)
-        battery.append(("bottom_of_spectrum", bottom))
+        battery.append(("bottom_of_spectrum", partial(sy_sunada_check, an, grid)))
     checks: list[dict] = []
     for name, check in battery:  # stops at the first failed check
         try:

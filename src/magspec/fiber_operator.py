@@ -124,18 +124,6 @@ def fiber_stack(
     return out
 
 
-def fiber_matrix(
-    g: FundamentalGraph,
-    b: OneForm,
-    a: OneForm,
-    theta: Sequence[float],
-    with_potential: bool = False,
-) -> np.ndarray:
-    """Single (nu, nu) fiber matrix at one quasimomentum."""
-    th = np.asarray(theta, dtype=float).reshape(1, -1)
-    return fiber_stack(g, b, a, th, with_potential=with_potential)[0]
-
-
 # -- gauge transformation -------------------------------------------------------
 
 
@@ -181,6 +169,8 @@ def _integer_form_values(mu: OneForm) -> np.ndarray:
     vals = np.asarray(mu.values)
     if np.issubdtype(vals.dtype, np.integer):
         return vals.astype(np.int64)
+    if not np.all(np.isfinite(vals)):  # before rint: inf - rint(inf) is NaN and warns
+        raise GraphDataError("expected a finite form")
     rounded = np.rint(vals)
     if np.max(np.abs(vals - rounded)) > 1e-9:
         raise GraphDataError("expected an integer-valued form")

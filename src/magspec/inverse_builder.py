@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from .errors import BadMultipliersError, FluxImageNotFullLatticeError, NotMinimalError
-from .fiber_operator import _integer_form_values
+from .fiber_operator import _check_forms, _integer_form_values
 from .forms_cycles import lattice_image_check, minimal_form
 from .graph_model import Edge, FundamentalGraph, OneForm, generate
 
@@ -42,15 +42,18 @@ def build_periodic(
     """Fundamental graph of the periodic graph generated by (g, mu, phi).
 
     mu defaults to the stored index form and phi to the stored phases.
-    mu must be integer valued, certified minimal by exhaustive tree
-    enumeration (NotMinimalError otherwise), and its chord fluxes must
-    span Z^d (FluxImageNotFullLatticeError otherwise). The result
-    carries mu as its index form and phi as its phases, so its fibers
-    reproduce the given fiber data entrywise.
+    Forms of the wrong shape raise DimensionMismatchError. mu must be
+    finite and integer valued (GraphDataError otherwise), certified
+    minimal by exhaustive tree enumeration (NotMinimalError otherwise),
+    and its chord fluxes must span Z^d (FluxImageNotFullLatticeError
+    otherwise). The result carries mu as its index form and phi as its
+    phases, so its fibers reproduce the given fiber data entrywise.
     """
-    # certify the integer form itself: float noise would add up along cycles
-    mu = OneForm(_integer_form_values(mu if mu is not None else g.index_form()))
+    mu = mu if mu is not None else g.index_form()
     phi = phi if phi is not None else g.magnetic_form()
+    _check_forms(g, mu, phi)
+    # certify the integer form itself: float noise would add up along cycles
+    mu = OneForm(_integer_form_values(mu))
 
     mu_min, _, beta_x = minimal_form(g, mu, cap=cap)
     if len(mu.support()) != beta_x:

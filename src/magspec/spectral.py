@@ -17,16 +17,15 @@ operator, the support-size bound on the total band measure, the
 perturbation sandwich under a magnetic field, positivity of the
 support part of the fiber, the gauge identity of fibers (entry for
 entry, through gauge_weights), and the exponent counts of the minimal
-pair. Each returns the detail dict that `verify` prints, or raises
-CheckFailedError; called without an Analysis, it builds one with
-analyze(g). sy_sunada_check, the bottom-of-spectrum property of the
-phase-free operator, follows the same contract.
-The grid checks share eigenvalue tables through their Analysis: each
-distinct (b, a, grid) table is swept once while the forms repeat byte
-for byte, and an Analysis holds one table at a time. On a zero-phase
-graph band localization's (mu, alpha) table serves the perturbation
-sandwich (whose shifted phases then vanish) and sy_sunada_check's
-(mu, 0) sweep, so verify solves one grid instead of three.
+pair. Each takes the Analysis of one graph (analyze validates it) and
+returns the detail dict that `verify` prints, or raises
+CheckFailedError. sy_sunada_check, the bottom-of-spectrum property of
+the phase-free operator, follows the same contract.
+The grid checks share eigenvalue tables through their Analysis, one
+table at a time, reused while the forms and the grid repeat byte for
+byte: on a zero-phase graph sy_sunada_check's (mu, 0) sweep reads band
+localization's (mu, alpha) table. Vanishing shifted phases leave the
+perturbation sandwich nothing to solve.
 Tolerances of comparisons that the potential q enters on both sides
 grow by ROUNDING_ULPS * eps * max |q|, the rounding of eigenvalues of
 size |q|.
@@ -334,12 +333,13 @@ N_THETAS = 20  # random quasimomenta of the gauge and splitting checks
 class Analysis:
     """What the checks need of one graph, derived from a single tree scan."""
 
+    g: FundamentalGraph
     report: InvariantReport
     mu: OneForm  # minimal index-class form
     phi: OneForm  # minimal phase-class form
     theta0: np.ndarray  # quasimomentum shift of theta0_reduction
     phi_tilde: OneForm  # phi shifted by theta0
-    # the last grid table of _grid_table: its graph, key and (K, nu) table
+    # the last grid table of _grid_table: its key and (K, nu) table
     shared: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -353,32 +353,25 @@ def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
     report = invariants(g, scan=scan)
     mu, phi = minimal_pair(g, scan=scan)
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
-    return Analysis(report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
+    return Analysis(g=g, report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
 
 
-def _grid_table(
-    g: FundamentalGraph, an: Analysis, b: OneForm, a: OneForm, grid_n: int | None
-) -> np.ndarray:
-    """eigenvalue_table of (b, a) with the potential over the theta grid, shared through an.
+def _grid_table(an: Analysis, b: OneForm, a: OneForm, grid_n: int | None) -> np.ndarray:
+    """eigenvalue_table of (b, a) on an.g over the theta grid, shared through an.
 
-    The table is reused only while g is the same object and b, a and the
-    grid size repeat byte for byte (so a -0.0 phase never meets a 0.0
-    one). A miss drops the held table before sweeping, so an holds at
-    most one.
+    The table is reused only while b, a and the grid size repeat byte for
+    byte (so a -0.0 phase never meets a 0.0 one). A miss drops the held
+    table before sweeping, so an holds at most one.
     """
-    n, thetas = _grid(g, grid_n)
+    n, thetas = _grid(an.g, grid_n)
     key = (b.values.tobytes(), a.values.tobytes(), n)
-    if an.shared.get("graph") is not g or an.shared.get("key") != key:
+    if an.shared.get("key") != key:
         an.shared.clear()
-        an.shared.update(graph=g, key=key, table=eigenvalue_table(g, b, a, thetas))
+        an.shared.update(key=key, table=eigenvalue_table(an.g, b, a, thetas))
     return an.shared["table"]
 
 
-def verify_band_localization(
-    g: FundamentalGraph,
-    grid_n: int | None = None,
-    analysis: Analysis | None = None,
-) -> dict:
+def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     """Check band windows and the support-size measure bound.
 
     Every grid eigenvalue of the fiber must lie within
@@ -391,8 +384,7 @@ def verify_band_localization(
     not a failure of the underlying mathematics). Returns the floors,
     the support's kappa_+, the width sum, both bounds and the grid bands.
     """
-    an = analysis or analyze(g)
-    mu = an.mu
+    g, mu = an.g, an.mu
     alpha = g.magnetic_form()
     tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
 
@@ -401,7 +393,7 @@ def verify_band_localization(
     floors = hermitian_eigenvalues(h0)
     kplus = int(support_degrees(g, mu).max()) if mu.support() else 0
 
-    table = _grid_table(g, an, mu, alpha, grid_n)
+    table = _grid_table(an, mu, alpha, grid_n)
 
     low_ok = np.all(floors[None, :] - tol <= table)
     high_ok = np.all(table <= floors[None, :] + 2.0 * kplus + tol)
@@ -425,11 +417,7 @@ def verify_band_localization(
     }
 
 
-def verify_perturbation(
-    g: FundamentalGraph,
-    grid_n: int | None = None,
-    analysis: Analysis | None = None,
-) -> dict:
+def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     """Check the magnetic perturbation sandwich on the torus grid.
 
     Sweeps the shifted-phase fiber against the phase-free fiber and
@@ -437,19 +425,17 @@ def verify_perturbation(
     of the perturbation matrix, the induced bounds on band ends and
     band widths, the row-sum bound on the extreme eigenvalues, and
     exact spectral agreement when the shifted phase form vanishes.
-    Raises SandwichViolatedError on any failure. Returns the extreme
-    perturbation eigenvalues Lambda_1 and Lambda_nu, the row-sum bound
-    C_phi, the theta0 shift, the shifted support size, and the largest
-    band-end shift and band-width change.
+    Shifted phases that are all zero make both fibers equal and the
+    perturbation matrix zero, so nothing is solved. Raises
+    SandwichViolatedError on any failure, and what grid_axis raises.
+    Returns the extreme perturbation eigenvalues Lambda_1 and Lambda_nu,
+    the row-sum bound C_phi, the theta0 shift, the shifted support size,
+    and the largest band-end shift and band-width change.
     """
-    an = analysis or analyze(g)
-    mu, phi_tilde = an.mu, an.phi_tilde
-    if not np.any(phi_tilde.values):
-        # both fibers are equal bit for bit and the perturbation matrix is zero
-        shifted = free = _grid_table(g, an, mu, phi_tilde, grid_n)
-        lam_min = lam_max = 0.0
-    else:
-        _, thetas = _grid(g, grid_n)
+    g, mu, phi_tilde = an.g, an.mu, an.phi_tilde
+    _, thetas = _grid(g, grid_n)
+    lam_min = lam_max = band_shift = width_change = 0.0
+    if np.any(phi_tilde.values):
         zero = zero_phase_form(g)
         diag = np.arange(g.num_vertices)
 
@@ -467,29 +453,31 @@ def verify_perturbation(
         x_eigs, shifted, free = _sweep(thetas, g.num_vertices, solve, tables=3)
         lam_min = float(x_eigs[:, 0].min())
         lam_max = float(x_eigs[:, -1].max())
+        # Both swept spectra carry the potential; the perturbation matrix does not.
+        tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
+
+        if not np.all(free + lam_min - tol <= shifted):
+            raise SandwichViolatedError("lower pointwise sandwich violated")
+        if not np.all(shifted <= free + lam_max + tol):
+            raise SandwichViolatedError("upper pointwise sandwich violated")
+
+        lo_a, hi_a = shifted.min(axis=0), shifted.max(axis=0)
+        lo_0, hi_0 = free.min(axis=0), free.max(axis=0)
+        shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
+        if not (lam_min - sweep_tol <= shifts.min() and shifts.max() <= lam_max + sweep_tol):
+            raise SandwichViolatedError("band-end shift escaped the sandwich")
+        widths = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
+        if not np.max(widths, initial=0.0) <= (lam_max - lam_min) + sweep_tol:
+            raise SandwichViolatedError("band-width change exceeds the sandwich spread")
+        if not phi_tilde.support() and not np.max(np.abs(shifted - free)) <= tol:
+            raise SandwichViolatedError("vanishing shifted phases must leave the spectrum unchanged")
+        band_shift = float(np.max(np.abs(shifts), initial=0.0))
+        width_change = float(np.max(widths, initial=0.0))
     c_bound = phase_perturbation_bound(g, phi_tilde)
-    # Both swept spectra carry the potential; the perturbation matrix does not.
-    tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
-
-    if not np.all(free + lam_min - tol <= shifted):
-        raise SandwichViolatedError("lower pointwise sandwich violated")
-    if not np.all(shifted <= free + lam_max + tol):
-        raise SandwichViolatedError("upper pointwise sandwich violated")
-
-    lo_a, hi_a = shifted.min(axis=0), shifted.max(axis=0)
-    lo_0, hi_0 = free.min(axis=0), free.max(axis=0)
-    shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
-    if not (lam_min - sweep_tol <= shifts.min() and shifts.max() <= lam_max + sweep_tol):
-        raise SandwichViolatedError("band-end shift escaped the sandwich")
-    width_change = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
-    if not np.max(width_change, initial=0.0) <= (lam_max - lam_min) + sweep_tol:
-        raise SandwichViolatedError("band-width change exceeds the sandwich spread")
     if not max(abs(lam_min), abs(lam_max)) <= c_bound + MATRIX_TOL:
         raise SandwichViolatedError("extreme perturbation eigenvalue exceeds the row-sum bound")
     if not lam_max - lam_min <= 2.0 * c_bound + MATRIX_TOL:
         raise SandwichViolatedError("perturbation spread exceeds twice the row-sum bound")
-    if not phi_tilde.support() and not np.max(np.abs(shifted - free)) <= tol:
-        raise SandwichViolatedError("vanishing shifted phases must leave the spectrum unchanged")
 
     return {
         "Lambda_1": lam_min,
@@ -497,12 +485,12 @@ def verify_perturbation(
         "C_phi": c_bound,
         "theta0": [float(x) for x in an.theta0],
         "shifted_support_size": phi_tilde.support_size_oriented(),
-        "band_shift_max": float(np.max(np.abs(shifts), initial=0.0)),
-        "width_change_max": float(np.max(width_change, initial=0.0)),
+        "band_shift_max": band_shift,
+        "width_change_max": width_change,
     }
 
 
-def verify_exponent_counts(g: FundamentalGraph, analysis: Analysis | None = None) -> dict:
+def verify_exponent_counts(an: Analysis) -> dict:
     """Nontrivial exponent counts of the minimal pair are twice the invariants.
 
     The minimal pair must have 2 I quasimomentum-, 2 I_alpha phase- and
@@ -510,8 +498,7 @@ def verify_exponent_counts(g: FundamentalGraph, analysis: Analysis | None = None
     as many of the first two; otherwise raises CheckFailedError. Returns
     the minimal pair's three counts.
     """
-    an = analysis or analyze(g)
-    rep = an.report
+    g, rep = an.g, an.report
     n_theta, n_phase, n_both = count_nontrivial_exponents(g, an.mu, an.phi)
     if (n_theta, n_phase, n_both) != (2 * rep.I, 2 * rep.I_alpha, 2 * rep.I_mu_phi):
         raise CheckFailedError(
@@ -523,11 +510,7 @@ def verify_exponent_counts(g: FundamentalGraph, analysis: Analysis | None = None
     return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
 
 
-def sy_sunada_check(
-    g: FundamentalGraph,
-    grid_n: int | None = None,
-    analysis: Analysis | None = None,
-) -> dict:
+def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
     """Bottom of the first band of the phase-free operator sits at theta = 0.
 
     Defined only for graphs with zero phases (GraphDataError otherwise);
@@ -537,22 +520,18 @@ def sy_sunada_check(
     Raises CheckFailedError when the first band dips below its value at
     theta = 0 by more than the tolerance; returns {"attained_at_zero": True}.
     """
+    g = an.g
     if g.magnetic_form().support():
         raise GraphDataError("bottom-of-spectrum check requires zero phases")
-    an = analysis or analyze(g)
     zero = zero_phase_form(g)
     at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
-    table = _grid_table(g, an, an.mu, zero, grid_n)
+    table = _grid_table(an, an.mu, zero, grid_n)
     if not at_zero <= table[:, 0].min() + _potential_tol(g, MATRIX_TOL):
         raise CheckFailedError("first band bottom is not attained at theta = 0")
     return {"attained_at_zero": True}
 
 
-def verify_gauge_equivalence(
-    g: FundamentalGraph,
-    seed: int = 0,
-    analysis: Analysis | None = None,
-) -> dict:
+def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
     """The diagonal gauge conjugates flux-equivalent fibers entry for entry.
 
     Checks conj(D) H(b, a) D == H(tau, alpha) at N_THETAS random
@@ -563,7 +542,7 @@ def verify_gauge_equivalence(
     CheckFailedError beyond it, or when a pair is not flux-equivalent.
     Returns the numbers of pairs (the stored one included) and thetas.
     """
-    an = analysis or analyze(g)
+    g = an.g
     tau, alpha = g.index_form(), g.magnetic_form()
     first = first_spanning_tree(g)
     pairs = [(an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
@@ -590,11 +569,7 @@ _SPLITTING_FAILURES = (
 )
 
 
-def verify_positive_splitting(
-    g: FundamentalGraph,
-    seed: int = 0,
-    analysis: Analysis | None = None,
-) -> dict:
+def verify_positive_splitting(an: Analysis, seed: int = 0) -> dict:
     """Support part of the fiber is PSD and bounded by twice its degree matrix.
 
     Also checks that the off-support and support parts sum exactly to
@@ -604,7 +579,7 @@ def verify_positive_splitting(
     (exactness first). The fibers carry no potential, so the tolerances
     are absolute. Returns the number of quasimomenta.
     """
-    mu = (analysis or analyze(g)).mu
+    g, mu = an.g, an.mu
     alpha = g.magnetic_form()
     two_b = 2.0 * np.diag(support_degrees(g, mu).astype(float))
     rng = np.random.default_rng(seed)

@@ -18,9 +18,10 @@ import time
 import numpy as np
 
 from magspec import (
+    analyze,
     band_sweep,
     enumerate_spanning_trees,
-    fiber_matrix,
+    fiber_stack,
     generate,
     hermitian_eigenvalues,
     invariants,
@@ -106,7 +107,7 @@ def test_criterion_3_band_localization_battery(generator_graphs, battery_graphs)
     start = time.perf_counter()
     checked = 0
     for g in generator_graphs + battery_graphs:
-        verify_band_localization(g)  # raises on any window or measure violation
+        verify_band_localization(analyze(g))  # raises on any window or measure violation
         checked += 1
     elapsed = time.perf_counter() - start
     ok = checked == len(generator_graphs) + 100 and elapsed < 300.0
@@ -117,7 +118,7 @@ def test_criterion_3_band_localization_battery(generator_graphs, battery_graphs)
 def test_criterion_4_gauge_equivalence(generator_graphs, battery_graphs):
     checked = 0
     for i, g in enumerate(generator_graphs + battery_graphs):
-        assert verify_gauge_equivalence(g, seed=i) == {"pairs": 3, "thetas": 20}
+        assert verify_gauge_equivalence(analyze(g), seed=i) == {"pairs": 3, "thetas": 20}
         checked += 1
     report(4, True, f"3 pairs x 20 quasimomenta on {checked} graphs agree to 1e-9")
     assert checked == len(generator_graphs) + 100
@@ -129,14 +130,15 @@ def test_criterion_5_perturbation_battery(generator_graphs, battery_graphs):
     vanishing = 0
     for g in generator_graphs:
         g = g.with_phases(rng.uniform(-np.pi, np.pi, g.num_edges))
-        rep = verify_perturbation(g, grid_n=41 if g.dim < 3 else 15)
+        rep = verify_perturbation(analyze(g), grid_n=41 if g.dim < 3 else 15)
         if rep["shifted_support_size"] == 0:
             vanishing += 1
-            # vanishing shifted phases force spectra equal to 1e-9;
-            # verify_perturbation enforces it, the report confirms it
+            # vanishing shifted phases force spectra equal to 1e-9 (exactly
+            # zero ones solve nothing); verify_perturbation enforces it, the
+            # report confirms it
             assert rep["band_shift_max"] <= 1e-9
     for g in battery_graphs:
-        rep = verify_perturbation(g, grid_n=31)
+        rep = verify_perturbation(analyze(g), grid_n=31)
         survivors += rep["shifted_support_size"] > 0
     report(
         5,
@@ -204,11 +206,11 @@ def test_criterion_7_kagome_flat_band(kagome):
     # oracle: the fiber at zero is 6 I - 2 J with spectrum {0, 6, 6}, and
     # 6 stays a root of the characteristic polynomial at random theta
     tau, zero = kagome.index_form(), zero_phase_form(kagome)
-    m0 = fiber_matrix(kagome, tau, zero, [0.0, 0.0])
+    m0 = fiber_stack(kagome, tau, zero, [0.0, 0.0])[0]
     ok = ok and np.allclose(hermitian_eigenvalues(m0), [0.0, 6.0, 6.0], atol=1e-12)
     rng = np.random.default_rng(20250816)
     for theta in rng.uniform(-np.pi, np.pi, (10, 2)):
-        m = fiber_matrix(kagome, tau, zero, theta)
+        m = fiber_stack(kagome, tau, zero, theta)[0]
         ok = ok and abs(np.linalg.det(m - 6.0 * np.eye(3))) < 1e-9
 
     report(7, ok, f"one flat band flagged at [{lo:.10f}, {hi:.10f}]")
@@ -218,7 +220,7 @@ def test_criterion_7_kagome_flat_band(kagome):
 def test_criterion_8_positive_splitting(generator_graphs, battery_graphs):
     checked = 0
     for i, g in enumerate(generator_graphs + battery_graphs):
-        assert verify_positive_splitting(g, seed=i) == {"thetas": 20}
+        assert verify_positive_splitting(analyze(g), seed=i) == {"thetas": 20}
         checked += 1
     report(8, True, f"support part PSD and degree-bounded on {checked} graphs")
     assert checked == len(generator_graphs) + 100

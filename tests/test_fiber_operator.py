@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,10 @@ import pytest
 from magspec import (
     DimensionMismatchError,
     FluxMismatchError,
+    GraphDataError,
     NoIndependentSubsetError,
     count_nontrivial_exponents,
     enumerate_spanning_trees,
-    fiber_matrix,
     first_spanning_tree,
     fiber_stack,
     gauge_weights,
@@ -65,13 +66,13 @@ def perturbation_oracle(g, mu, phi_tilde, theta):
 def test_fiber_z1_values():
     g = generate("zd", 1)
     tau, zero = g.index_form(), zero_phase_form(g)
-    assert fiber_matrix(g, tau, zero, [0.0])[0, 0] == pytest.approx(0.0)
-    assert fiber_matrix(g, tau, zero, [math.pi])[0, 0] == pytest.approx(4.0)
+    assert fiber_stack(g, tau, zero, [0.0])[0][0, 0] == pytest.approx(0.0)
+    assert fiber_stack(g, tau, zero, [math.pi])[0][0, 0] == pytest.approx(4.0)
 
 
 def test_fiber_z2_quarter_turn():
     g = generate("zd", 2)
-    m = fiber_matrix(g, g.index_form(), zero_phase_form(g), [math.pi / 2, math.pi / 2])
+    m = fiber_stack(g, g.index_form(), zero_phase_form(g), [math.pi / 2, math.pi / 2])[0]
     assert m[0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
@@ -81,7 +82,7 @@ def test_fiber_matches_row_sum_oracle():
         g = make_random_graph(rng)
         b, a = g.index_form(), g.magnetic_form()
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        got = fiber_matrix(g, b, a, theta, with_potential=True)
+        got = fiber_stack(g, b, a, theta, with_potential=True)[0]
         want = row_sum_fiber(g, b, a, theta, with_potential=True)
         assert np.allclose(got, want, atol=1e-12)
 
@@ -92,7 +93,7 @@ def test_fiber_hermitian_and_diagonal_rule():
         g = make_random_graph(rng)
         b, a = g.index_form(), g.magnetic_form()
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        m = fiber_matrix(g, b, a, theta, with_potential=True)
+        m = fiber_stack(g, b, a, theta, with_potential=True)[0]
         assert np.max(np.abs(m - m.conj().T)) < 1e-12 * (1 + np.linalg.norm(m))
         deg = g.degrees()
         for v in range(g.num_vertices):
@@ -111,7 +112,7 @@ def test_fiber_parallel_edges_accumulate():
         edges=(Edge(0, 1, (0,), 0.3), Edge(0, 1, (1,), -0.2)),
     )
     theta = [0.9]
-    m = fiber_matrix(g, g.index_form(), g.magnetic_form(), theta)
+    m = fiber_stack(g, g.index_form(), g.magnetic_form(), theta)[0]
     want01 = -(np.exp(1j * 0.3) + np.exp(1j * (-0.2 + 0.9)))
     assert m[0, 1] == pytest.approx(want01)
     assert m[1, 0] == pytest.approx(np.conj(want01))
@@ -121,9 +122,9 @@ def test_fiber_dimension_mismatch():
     g = generate("zd", 2)
     bad_b = OneForm(np.zeros((2, 1), dtype=np.int64))
     with pytest.raises(DimensionMismatchError):
-        fiber_matrix(g, bad_b, zero_phase_form(g), [0.0, 0.0])
+        fiber_stack(g, bad_b, zero_phase_form(g), [0.0, 0.0])[0]
     with pytest.raises(DimensionMismatchError):
-        fiber_matrix(g, g.index_form(), zero_phase_form(g), [0.0])
+        fiber_stack(g, g.index_form(), zero_phase_form(g), [0.0])[0]
 
 
 def test_fiber_stack_matches_singletons(kagome):
@@ -132,7 +133,7 @@ def test_fiber_stack_matches_singletons(kagome):
     b, a = kagome.index_form(), kagome.magnetic_form()
     stack = fiber_stack(kagome, b, a, thetas)
     for i, theta in enumerate(thetas):
-        assert np.allclose(stack[i], fiber_matrix(kagome, b, a, theta))
+        assert np.allclose(stack[i], fiber_stack(kagome, b, a, theta)[0])
 
 
 # -- gauge transformation -------------------------------------------------------------
@@ -162,8 +163,8 @@ def test_gauge_conjugation_identity():
         batch = w.diagonal_unitary(thetas)
         assert batch.shape == (20, g.num_vertices)
         for theta, d_row in zip(thetas, batch):
-            m_min = fiber_matrix(g, mu, phi, theta)
-            m_tau = fiber_matrix(g, tau, alpha, theta)
+            m_min = fiber_stack(g, mu, phi, theta)[0]
+            m_tau = fiber_stack(g, tau, alpha, theta)[0]
             d = w.diagonal_unitary(theta)
             assert np.array_equal(d_row, d)  # the batch is its row-by-row calls
             conjugated = np.conj(d)[:, None] * m_min * d[None, :]
@@ -186,8 +187,8 @@ def test_gauge_kagome_alternate_minimal_tree(kagome):
     assert not w.w_b[0].any() and w.w_a[0] == 0.0  # the weights vanish at vertex 0
     rng = np.random.default_rng(20)
     for theta in rng.uniform(-np.pi, np.pi, (20, 2)):
-        m_alt = fiber_matrix(kagome, mu_alt, kagome.magnetic_form(), theta)
-        m_tau = fiber_matrix(kagome, kagome.index_form(), kagome.magnetic_form(), theta)
+        m_alt = fiber_stack(kagome, mu_alt, kagome.magnetic_form(), theta)[0]
+        m_tau = fiber_stack(kagome, kagome.index_form(), kagome.magnetic_form(), theta)[0]
         d = w.diagonal_unitary(theta)
         assert np.allclose(np.conj(d)[:, None] * m_alt * d[None, :], m_tau, atol=1e-9)
         assert np.allclose(np.linalg.eigvalsh(m_alt), np.linalg.eigvalsh(m_tau), atol=1e-9)
@@ -338,6 +339,15 @@ def test_theta0_no_independent_subset():
         theta0_reduction(g, g.index_form(), g.magnetic_form())
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_theta0_rejects_non_finite_forms_without_warnings(kagome, value):
+    mu = OneForm(np.full((kagome.num_edges, kagome.dim), value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphDataError):
+            theta0_reduction(kagome, mu, kagome.magnetic_form())
+
+
 # -- perturbation operator ----------------------------------------------------------------
 # verify_perturbation sweeps the shifted-phase fiber minus the phase-free fiber
 
@@ -346,7 +356,7 @@ def test_perturbation_zero_when_no_shifted_phase(kagome):
     mu, phi = minimal_pair(kagome)
     _, phi_tilde = theta0_reduction(kagome, mu, phi)
     zero, theta = zero_phase_form(kagome), [0.3, -0.8]
-    x = fiber_matrix(kagome, mu, phi_tilde, theta) - fiber_matrix(kagome, mu, zero, theta)
+    x = fiber_stack(kagome, mu, phi_tilde, theta)[0] - fiber_stack(kagome, mu, zero, theta)[0]
     assert np.max(np.abs(x)) == 0.0
 
 
@@ -357,7 +367,8 @@ def test_perturbation_matches_row_sum_oracle():
         mu, phi = minimal_pair(g)
         _, phi_tilde = theta0_reduction(g, mu, phi)
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        got = fiber_matrix(g, mu, phi_tilde, theta) - fiber_matrix(g, mu, zero_phase_form(g), theta)
+        zero = zero_phase_form(g)
+        got = fiber_stack(g, mu, phi_tilde, theta)[0] - fiber_stack(g, mu, zero, theta)[0]
         want = perturbation_oracle(g, mu, phi_tilde, theta)
         assert np.allclose(got, want, atol=1e-12)
         assert np.allclose(got, got.conj().T, atol=1e-12)
@@ -369,7 +380,7 @@ def test_perturbation_single_edge_pi_entries():
     g = FundamentalGraph(dim=1, num_vertices=2, edges=(Edge(0, 1, (0,)),))
     mu = g.index_form()
     phi_tilde = OneForm(np.array([[math.pi]]), magnetic=True)
-    x = fiber_matrix(g, mu, phi_tilde, [0.4]) - fiber_matrix(g, mu, zero_phase_form(g), [0.4])
+    x = fiber_stack(g, mu, phi_tilde, [0.4])[0] - fiber_stack(g, mu, zero_phase_form(g), [0.4])[0]
     assert abs(x[0, 1]) == pytest.approx(2.0)
     assert abs(x[1, 0]) == pytest.approx(2.0)
 
@@ -395,7 +406,7 @@ def test_split_fiber_is_exact():
         delta0, delta_tilde = split_fiber(g, mu, alpha, thetas)
         assert delta0.shape == delta_tilde.shape == (4, g.num_vertices, g.num_vertices)
         for k, theta in enumerate(thetas):
-            full = fiber_matrix(g, mu, alpha, theta)
+            full = fiber_stack(g, mu, alpha, theta)[0]
             assert np.allclose(delta0[k] + delta_tilde[k], full, atol=1e-12)
         # off-support part never depends on theta
         other = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0]

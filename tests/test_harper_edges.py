@@ -18,7 +18,7 @@ from magspec import (
     GridTooLargeError,
     band_sweep,
     coprime_fluxes,
-    fiber_matrix,
+    fiber_stack,
     harper_band_edges,
     harper_model,
     theta_grid,
@@ -36,7 +36,7 @@ def test_charpoly_depends_on_theta_through_chambers_term(p, q):
     tau, alpha = g.index_form(), g.magnetic_form()
     rng = np.random.default_rng(1000 * q + p)
     thetas = rng.uniform(-np.pi, np.pi, size=(8, 2))
-    polys = np.array([np.poly(fiber_matrix(g, tau, alpha, th) - 4.0 * np.eye(q)) for th in thetas])
+    polys = np.array([np.poly(fiber_stack(g, tau, alpha, th)[0] - 4.0 * np.eye(q)) for th in thetas])
     diff = polys[1:] - polys[0]
     assert np.abs(diff[:, :-1]).max() <= MATRIX_TOL  # only the constant coefficient moves
     assert np.abs(diff[:, -1].imag).max() <= MATRIX_TOL

@@ -1,17 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from magspec import (
     BadMultipliersError,
+    DimensionMismatchError,
     FluxImageNotFullLatticeError,
+    GraphDataError,
     NotMinimalError,
     SupercellSpec,
     band_sweep,
     build_periodic,
     coprime_fluxes,
-    fiber_matrix,
+    fiber_stack,
     generate,
     graph_to_dict,
     harper_model,
@@ -54,14 +57,14 @@ def test_build_periodic_round_trip(kind, d):
     b1, a1 = g.index_form(), g.magnetic_form()
     b2, a2 = built.index_form(), built.magnetic_form()
     for theta in rng.uniform(-np.pi, np.pi, (20, g.dim)):
-        m1 = fiber_matrix(g, b1, a1, theta)
-        m2 = fiber_matrix(built, b2, a2, theta)
+        m1 = fiber_stack(g, b1, a1, theta)[0]
+        m2 = fiber_stack(built, b2, a2, theta)[0]
         assert np.max(np.abs(m1 - m2)) < 1e-12
 
 
 def test_build_periodic_kagome_fiber_at_zero():
     built = build_periodic(generate("kagome"))
-    m0 = fiber_matrix(built, built.index_form(), zero_phase_form(built), [0.0, 0.0])
+    m0 = fiber_stack(built, built.index_form(), zero_phase_form(built), [0.0, 0.0])[0]
     assert np.allclose(m0, 6 * np.eye(3) - 2 * np.ones((3, 3)), atol=1e-12)
 
 
@@ -76,8 +79,8 @@ def test_build_periodic_random_round_trip():
             continue  # stored indices need not be minimal for a random draw
         done += 1
         theta = rng.uniform(-np.pi, np.pi, g.dim)
-        m1 = fiber_matrix(g, g.index_form(), g.magnetic_form(), theta)
-        m2 = fiber_matrix(built, built.index_form(), built.magnetic_form(), theta)
+        m1 = fiber_stack(g, g.index_form(), g.magnetic_form(), theta)[0]
+        m2 = fiber_stack(built, built.index_form(), built.magnetic_form(), theta)[0]
         assert np.max(np.abs(m1 - m2)) < 1e-12
     assert done > 0
 
@@ -111,6 +114,26 @@ def test_build_periodic_rejects_non_minimal_form():
         build_periodic(g, mu=fat)
 
 
+@pytest.mark.parametrize(
+    "mu, phi",
+    [(OneForm(np.ones((2, 2))), None), (OneForm(np.ones((6, 3))), None),
+     (None, OneForm(np.zeros(5), magnetic=True))],
+    ids=["mu-2x2", "mu-6x3", "phi-5x1"],
+)
+def test_build_periodic_rejects_misshapen_forms(kagome, mu, phi):
+    with pytest.raises(DimensionMismatchError):
+        build_periodic(kagome, mu=mu, phi=phi)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_build_periodic_rejects_non_finite_forms_without_warnings(kagome, value):
+    mu = OneForm(np.full((kagome.num_edges, kagome.dim), value))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GraphDataError):
+            build_periodic(kagome, mu=mu)
+
+
 # -- supercells ------------------------------------------------------------------------
 
 
@@ -133,7 +156,7 @@ def test_supercell_z1_doubling_matches_closed_form():
     assert sc.num_vertices == 2
     rng = np.random.default_rng(18)
     for theta in rng.uniform(-np.pi, np.pi, 10):
-        m = fiber_matrix(sc, sc.index_form(), zero_phase_form(sc), [theta])
+        m = fiber_stack(sc, sc.index_form(), zero_phase_form(sc), [theta])[0]
         want = np.array(
             [[2.0, -(1 + np.exp(-1j * theta))], [-(1 + np.exp(1j * theta)), 2.0]]
         )
@@ -162,9 +185,9 @@ def test_supercell_zero_fiber_equals_torus_expansion(kagome):
     rng = np.random.default_rng(22)
     g = kagome.with_phases(rng.uniform(-np.pi, np.pi, 6))
     cell = supercell(g, SupercellSpec((2, 2)))
-    fib = fiber_matrix(
+    fib = fiber_stack(
         cell, cell.index_form(), cell.magnetic_form(), [0.0, 0.0], with_potential=True
-    )
+    )[0]
     got = np.linalg.eigvalsh(fib)
     want = np.linalg.eigvalsh(torus_expansion(g, (2, 2)))
     assert np.allclose(got, want, atol=1e-9)
@@ -185,7 +208,7 @@ def test_harper_matches_hand_written_matrix():
         model = harper_model(q, p)
         b, a = model.index_form(), model.magnetic_form()
         for theta in rng.uniform(-np.pi, np.pi, (5, 2)):
-            got = fiber_matrix(model, b, a, theta)
+            got = fiber_stack(model, b, a, theta)[0]
             want = harper_oracle(q, p, theta)
             assert np.max(np.abs(got - want)) < 1e-12, (q, p)
 

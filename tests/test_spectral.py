@@ -13,7 +13,7 @@ from magspec import (
     analyze,
     band_sweep,
     eigenvalue_table,
-    fiber_matrix,
+    fiber_stack,
     generate,
     hermitian_eigenvalues,
     minimal_form,
@@ -168,13 +168,13 @@ def test_band_sweep_kagome_flat_band(kagome):
 def test_kagome_flat_band_oracle(kagome):
     # frozen fiber at theta = 0: 6 I - 2 (all-ones), eigenvalues {0, 6, 6}
     tau, zero = kagome.index_form(), zero_phase_form(kagome)
-    m0 = fiber_matrix(kagome, tau, zero, [0.0, 0.0])
+    m0 = fiber_stack(kagome, tau, zero, [0.0, 0.0])[0]
     assert np.allclose(m0, 6 * np.eye(3) - 2 * np.ones((3, 3)), atol=1e-12)
     assert np.allclose(hermitian_eigenvalues(m0), [0.0, 6.0, 6.0], atol=1e-12)
     # the flat value stays an exact eigenvalue at arbitrary quasimomenta
     rng = np.random.default_rng(10)
     for theta in rng.uniform(-np.pi, np.pi, (10, 2)):
-        m = fiber_matrix(kagome, tau, zero, theta)
+        m = fiber_stack(kagome, tau, zero, theta)[0]
         assert abs(np.linalg.det(m - 6 * np.eye(3))) < 1e-9
 
 
@@ -195,7 +195,7 @@ def test_phase_free_fiber_kernel_at_zero(generator_graphs):
         )[0, 0]  # the generators carry no potential
         assert abs(lam0) < 1e-9
         # the kernel vector is the constant function
-        m0 = fiber_matrix(g, g.index_form(), zero_phase_form(g), np.zeros(g.dim))
+        m0 = fiber_stack(g, g.index_form(), zero_phase_form(g), np.zeros(g.dim))[0]
         assert np.max(np.abs(m0 @ np.ones(g.num_vertices))) < 1e-9
 
 
@@ -287,7 +287,7 @@ def test_finite_torus_expansion_matches_fiber_union():
 
 
 def test_localization_z2_equality_case(z2):
-    rep = verify_band_localization(z2)
+    rep = verify_band_localization(analyze(z2))
     assert np.allclose(rep["floor_eigenvalues"], [0.0])
     assert rep["support_kappa_plus"] == 4
     assert rep["bands"][0] == pytest.approx([0.0, 8.0])
@@ -296,7 +296,7 @@ def test_localization_z2_equality_case(z2):
 
 
 def test_localization_kagome_windows(kagome):
-    rep = verify_band_localization(kagome)
+    rep = verify_band_localization(analyze(kagome))
     assert np.allclose(rep["floor_eigenvalues"], [0.0, 3.0, 3.0], atol=1e-9)
     assert rep["support_kappa_plus"] == 2
     assert rep["band_widths_sum"] <= rep["bound_4I"]
@@ -313,12 +313,12 @@ def test_localization_decorated_equality(decorated2):
     spec = band_sweep(g, mu, phi_tilde, grid_n=41)
     widths = spec.bands[:, 1] - spec.bands[:, 0]
     assert widths.sum() == pytest.approx(8.0, abs=1e-9)
-    verify_band_localization(g, grid_n=41)  # the inequality battery also holds
+    verify_band_localization(analyze(g), grid_n=41)  # the inequality battery also holds
 
 
 def test_localization_random_battery(battery_graphs):
     for g in battery_graphs[:20]:
-        verify_band_localization(g, grid_n=31)
+        verify_band_localization(analyze(g), grid_n=31)
 
 
 def test_localization_error_path(z2, monkeypatch):
@@ -331,7 +331,7 @@ def test_localization_error_path(z2, monkeypatch):
         spectral, "support_degrees", lambda g, mu: np.zeros(g.num_vertices, dtype=np.int64)
     )
     with pytest.raises(LocalizationViolatedError):
-        verify_band_localization(z2, grid_n=21)
+        verify_band_localization(analyze(z2), grid_n=21)
 
 
 # -- perturbation battery ---------------------------------------------------------------------
@@ -339,7 +339,7 @@ def test_localization_error_path(z2, monkeypatch):
 
 def test_perturbation_no_shift_equals_phase_free(z2):
     g = z2.with_phases([1.2, -0.4])
-    rep = verify_perturbation(g, grid_n=41)
+    rep = verify_perturbation(analyze(g), grid_n=41)
     assert rep["Lambda_1"] == rep["Lambda_nu"] == rep["C_phi"] == 0.0
     assert rep["shifted_support_size"] == 0
     assert rep["band_shift_max"] == pytest.approx(0.0, abs=1e-12)
@@ -347,7 +347,7 @@ def test_perturbation_no_shift_equals_phase_free(z2):
 
 def test_perturbation_random_battery(battery_graphs):
     for g in battery_graphs[:20]:
-        verify_perturbation(g, grid_n=31)
+        verify_perturbation(analyze(g), grid_n=31)
 
 
 def test_perturbation_decorated_cycle_decoration():
@@ -359,7 +359,7 @@ def test_perturbation_decorated_cycle_decoration():
     g = g.with_phases([0.0, 0.0, 1.0, 0.7, -0.4])
     rep = invariants(g)
     assert (rep.beta, rep.I, rep.I_alpha, rep.I_mu_phi) == (3, 2, 1, 3)
-    prep = verify_perturbation(g, grid_n=41)
+    prep = verify_perturbation(analyze(g), grid_n=41)
     assert prep["shifted_support_size"] == 2
     assert prep["C_phi"] > 0
     assert prep["Lambda_1"] <= 0 <= prep["Lambda_nu"]
@@ -370,7 +370,7 @@ def test_perturbation_nontrivial_shifted_support():
     rng = np.random.default_rng(14)
     for _ in range(20):
         g = make_random_graph(rng)
-        rep = verify_perturbation(g, grid_n=21)
+        rep = verify_perturbation(analyze(g), grid_n=21)
         if rep["shifted_support_size"] > 0:
             assert rep["C_phi"] > 0
             assert rep["Lambda_nu"] >= rep["Lambda_1"]
@@ -383,19 +383,20 @@ def test_perturbation_nontrivial_shifted_support():
 
 def test_sy_sunada_generators(generator_graphs):
     for g in generator_graphs:
-        assert sy_sunada_check(g, grid_n=21 if g.dim == 3 else 41) == {"attained_at_zero": True}
+        rep = sy_sunada_check(analyze(g), grid_n=21 if g.dim == 3 else 41)
+        assert rep == {"attained_at_zero": True}
 
 
 def test_sy_sunada_hexagonal_random_potential(hexagonal):
     rng = np.random.default_rng(15)
     for _ in range(5):
         g = hexagonal.with_potential(rng.uniform(-2, 2, 2))
-        assert sy_sunada_check(g, grid_n=41) == {"attained_at_zero": True}
+        assert sy_sunada_check(analyze(g), grid_n=41) == {"attained_at_zero": True}
 
 
 def test_sy_sunada_requires_zero_phases(z2):
     with pytest.raises(GraphDataError):
-        sy_sunada_check(z2.with_phases([0.5, 0.0]))
+        sy_sunada_check(analyze(z2.with_phases([0.5, 0.0])))
 
 
 def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
@@ -406,8 +407,8 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
     from magspec import CheckFailedError
 
     g = generate("kagome").with_potential([1e8, 0.0, -5e7])
-    assert sy_sunada_check(g, grid_n=21) == {"attained_at_zero": True}
-    assert verify_gauge_equivalence(g)
+    assert sy_sunada_check(analyze(g), grid_n=21) == {"attained_at_zero": True}
+    assert verify_gauge_equivalence(analyze(g))
     real = spectral.eigenvalue_table
     calls = []
 
@@ -417,7 +418,7 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigenvalue_table", first_call_shifted)
     with pytest.raises(CheckFailedError, match="first band bottom is not attained at theta = 0"):
-        sy_sunada_check(g, grid_n=21)  # the table at theta = 0 is the first
+        sy_sunada_check(analyze(g), grid_n=21)  # the table at theta = 0 is the first
 
     real_stack = spectral.fiber_stack
     stacks = []
@@ -430,14 +431,14 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
 
     monkeypatch.setattr(spectral, "fiber_stack", first_entry_shifted)
     with pytest.raises(CheckFailedError):
-        verify_gauge_equivalence(g)  # the stored pair's stack is the first
+        verify_gauge_equivalence(analyze(g))  # the stored pair's stack is the first
     assert len(stacks) == 2  # the first pair failed
 
 
 def test_gauge_and_splitting_verifiers(generator_graphs):
     for g in generator_graphs:
-        assert verify_gauge_equivalence(g)
-        assert verify_positive_splitting(g)
+        assert verify_gauge_equivalence(analyze(g))
+        assert verify_positive_splitting(analyze(g))
 
 
 # -- wrong fibers that keep every spectrum: the gauge identity must catch them ----------
@@ -469,15 +470,13 @@ def battery_analyses(battery_graphs):
     return [analyze(g) for g in battery_graphs]
 
 
-def test_gauge_identity_catches_wrong_fibers_on_the_battery(
-    fiber_mutant, battery_graphs, battery_analyses
-):
+def test_gauge_identity_catches_wrong_fibers_on_the_battery(fiber_mutant, battery_analyses):
     from magspec import CheckFailedError
 
     caught = 0
-    for i, (g, an) in enumerate(zip(battery_graphs, battery_analyses)):
+    for i, an in enumerate(battery_analyses):
         try:
-            verify_gauge_equivalence(g, seed=i, analysis=an)
+            verify_gauge_equivalence(an, seed=i)
         except CheckFailedError:
             caught += 1
     # 80 of 100 for each mutant; on the rest both non-stored pairs have zero gauge weights
@@ -502,7 +501,8 @@ def test_verify_fails_wrong_fibers_on_phased_kagome(fiber_mutant, tmp_path, caps
 )
 def test_verify_functions_validate_their_graph(check):
     # eigvalsh returns finite, wrong eigenvalues for a fiber with a NaN
-    # entry, so an unvalidated NaN potential could pass a check
+    # entry, so an unvalidated NaN potential could pass a check; a check
+    # only takes an Analysis, and analyze refuses the graph first
     g = generate("hexagonal").with_potential([math.nan, 0.0])
     with pytest.raises(NonFinitePotentialError):
-        check(g)
+        check(analyze(g))

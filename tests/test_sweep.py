@@ -48,6 +48,7 @@ from magspec import (
 from magspec.cli import main
 
 GRID = 13
+PHASED_HEXAGONAL = generate("hexagonal").with_phases([0.3, -0.7, 1.1])
 TINY_CHUNK_BYTES = 1000  # 62 fibers per chunk at nu = 1, 6 at nu = 3, one at nu = 6
 
 
@@ -80,7 +81,7 @@ def test_band_sweep_tables_match_one_shot(analyses, tiny_chunks):
 
 def test_localization_reports_match_one_shot(analyses, tiny_chunks):
     for g, an in analyses:
-        rep = verify_band_localization(g, grid_n=GRID, analysis=an)
+        rep = verify_band_localization(an, grid_n=GRID)
         table = one_shot(g, an.mu, g.magnetic_form(), theta_grid(g.dim, GRID))
         lo, hi = table.min(axis=0), table.max(axis=0)
         assert np.array_equal(rep["bands"], np.stack([lo, hi], axis=1))
@@ -90,7 +91,7 @@ def test_localization_reports_match_one_shot(analyses, tiny_chunks):
 def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
     # the reference assembles all four stacks over the whole grid at once
     for g, an in analyses:
-        rep = verify_perturbation(g, grid_n=GRID, analysis=an)
+        rep = verify_perturbation(an, grid_n=GRID)
         thetas = theta_grid(g.dim, GRID)
         zero = zero_phase_form(g)
         shifted = one_shot(g, an.mu, an.phi_tilde, thetas)
@@ -178,7 +179,7 @@ def test_band_sweep_range_check_fails_on_non_finite_potential(value):
 def test_perturbation_fails_on_nan_bound(monkeypatch):
     monkeypatch.setattr(spectral, "phase_perturbation_bound", lambda g, phi: float("nan"))
     with pytest.raises(SandwichViolatedError):
-        verify_perturbation(generate("hexagonal"), grid_n=11)
+        verify_perturbation(analyze(generate("hexagonal")), grid_n=11)
 
 
 @pytest.mark.parametrize("command", ["verify", "bands"])
@@ -222,13 +223,15 @@ def count_grid_sweeps(monkeypatch, grid_n, dim):
 
 @pytest.mark.parametrize(
     "name, sweeps, triples",
-    [("kagome", 1, 0), ("hex-2x2", 1, 0), ("phased-kagome", 1, 1)],
+    [("kagome", 1, 0), ("hex-2x2", 1, 0), ("phased-kagome", 1, 1), ("phased-hexagonal", 1, 0)],
 )
 def test_verify_sweeps_each_distinct_table_once(tmp_path, capsys, monkeypatch, name, sweeps, triples):
+    # the phased hexagonal graph's shifted phases vanish: its perturbation check solves nothing
     g = {
         "kagome": generate("kagome"),
         "hex-2x2": supercell(generate("hexagonal"), SupercellSpec((2, 2))),
         "phased-kagome": generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)),
+        "phased-hexagonal": PHASED_HEXAGONAL,
     }[name]
     path = tmp_path / f"{name}.json"
     dump_graph_json(g, path)
@@ -246,31 +249,37 @@ def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_gr
         assert main(["verify", str(path), "--grid", "21"]) == 0
         got = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]}
         want = {
-            "localization_and_measure": verify_band_localization(g, 21, analyze(g)),
-            "gauge_equivalence": verify_gauge_equivalence(g, analysis=analyze(g)),
-            "positive_splitting": verify_positive_splitting(g, analysis=analyze(g)),
-            "exponent_counts": verify_exponent_counts(g, analysis=analyze(g)),
-            "perturbation_sandwich": verify_perturbation(g, 21, analyze(g)),
-            "bottom_of_spectrum": sy_sunada_check(g, 21, analyze(g)),
+            "localization_and_measure": verify_band_localization(analyze(g), 21),
+            "gauge_equivalence": verify_gauge_equivalence(analyze(g)),
+            "positive_splitting": verify_positive_splitting(analyze(g)),
+            "exponent_counts": verify_exponent_counts(analyze(g)),
+            "perturbation_sandwich": verify_perturbation(analyze(g), 21),
+            "bottom_of_spectrum": sy_sunada_check(analyze(g), 21),
         }
         assert got == json.loads(json.dumps(want))
 
 
-def test_shared_table_is_keyed_by_graph_and_grid():
+def test_shared_table_is_keyed_by_grid():
     g = generate("kagome")
-    h = g.with_potential([1.0, 0.0, -1.0])  # the same forms on another operator
     an = analyze(g)
-    for graph, n in ((g, 13), (g, 21), (h, 21), (g, 21)):
-        verify_band_localization(graph, n, an)
-        want = one_shot(graph, an.mu, graph.magnetic_form(), theta_grid(2, n))
+    for n in (13, 21, 21):
+        verify_band_localization(an, n)
+        want = one_shot(g, an.mu, g.magnetic_form(), theta_grid(2, n))
         assert np.array_equal(an.shared["table"], want)
+
+
+def test_vanishing_shifted_phases_still_check_the_grid():
+    an = analyze(PHASED_HEXAGONAL)
+    assert not np.any(an.phi_tilde.values)
+    with pytest.raises(GridTooCoarseError):
+        verify_perturbation(an, grid_n=2)
 
 
 def test_phased_perturbation_drops_the_shared_table_before_its_sweep(monkeypatch):
     # the three tables set verify's peak memory; localization's table must not add to it
     g = generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6))
     an = analyze(g)
-    verify_band_localization(g, 21, an)
+    verify_band_localization(an, 21)
     held = []
     real_sweep = spectral._sweep
 
@@ -279,7 +288,7 @@ def test_phased_perturbation_drops_the_shared_table_before_its_sweep(monkeypatch
         return real_sweep(thetas, nu, solve, tables)
 
     monkeypatch.setattr(spectral, "_sweep", sweep)
-    verify_perturbation(g, 21, an)
+    verify_perturbation(an, 21)
     assert held == [False]
 
 
@@ -324,7 +333,8 @@ def test_batched_splitting_raises_the_loops_first_failure(monkeypatch, breaks):
     real_stack = spectral.fiber_stack
     rng = np.random.default_rng(3)
     for g in (generate("kagome").with_phases(rng.uniform(-3, 3, 6)), generate("hexagonal")):
-        mu = analyze(g).mu
+        an = analyze(g)
+        mu = an.mu
         on = np.isin(np.arange(g.num_edges), mu.support())
 
         def stack(g_, b, a, thetas, with_potential=False, edge_mask=None):
@@ -346,6 +356,6 @@ def test_batched_splitting_raises_the_loops_first_failure(monkeypatch, breaks):
         want = splitting_loop(g, mu)
         assert want is not None
         with pytest.raises(CheckFailedError) as exc:
-            spectral.verify_positive_splitting(g)
+            spectral.verify_positive_splitting(an)
         assert str(exc.value) == want
         monkeypatch.undo()
