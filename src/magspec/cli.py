@@ -3,8 +3,7 @@
 Subcommands: gen, invariants, bands, verify, butterfly, build-periodic.
 Exit codes: 0 success, 1 failed verification check, 2 input error (an
 --out in a missing directory, or one that cannot be written, included).
-Output is deterministic for a fixed input and seed. MAGSPEC_THREADS
-bounds sweep parallelism.
+Output is deterministic for a fixed input and seed.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 SUPPORT_TOL = 1e-9  # a float form value above this in absolute value is in the support
+GEN_MAX_INDEX_ENTRIES = 1 << 20  # zd and decorated hold d indices of length d: d <= 1024
 
 
 def reduce_angle(x: float) -> float:
@@ -286,15 +287,20 @@ def generate(kind: str, d: int | None = None,
              ) -> FundamentalGraph:
     """Build one of the stock fundamental graphs.
 
-    kind 'zd' needs d >= 1; 'hexagonal' and 'kagome' are fixed at d=2;
-    'decorated' glues a finite connected graph, given as (tail, head)
-    pairs (vertex 0 is the gluing point, all its edges get index 0),
-    onto the d-dimensional lattice vertex that carries the d unit-index
-    loops.
+    kind 'zd' needs 1 <= d <= 1024; 'hexagonal' and 'kagome' are fixed at
+    d=2; 'decorated' takes the same d and glues a finite connected graph,
+    given as (tail, head) pairs (vertex 0 is the gluing point, all its
+    edges get index 0), onto the d-dimensional lattice vertex that
+    carries the d unit-index loops.
     """
-    if kind == "zd":
+    if kind in ("zd", "decorated"):
         if d is None or d < 1:
-            raise BadParamsError("zd requires d >= 1")
+            raise BadParamsError(f"{kind} requires d >= 1")
+        if d * d > GEN_MAX_INDEX_ENTRIES:
+            raise BadParamsError(
+                f"{kind} needs d*d <= GEN_MAX_INDEX_ENTRIES = {GEN_MAX_INDEX_ENTRIES}, got d = {d}"
+            )
+    if kind == "zd":
         edges = tuple(Edge(0, 0, _unit_index(d, s)) for s in range(d))
         return FundamentalGraph(dim=d, num_vertices=1, edges=edges, vertex_names=("v0",))
 
@@ -325,8 +331,6 @@ def generate(kind: str, d: int | None = None,
                                 vertex_names=("v1", "v2", "v3"))
 
     if kind == "decorated":
-        if d is None or d < 1:
-            raise BadParamsError("decorated requires d >= 1")
         pairs = [(0, 1)] if decoration is None else [(int(a), int(b)) for a, b in decoration]
         nv = max((max(a, b) for a, b in pairs), default=0) + 1
         zero = tuple(0 for _ in range(d))

@@ -4,12 +4,13 @@ Band n of the periodic operator is the range of the n-th sorted fiber
 eigenvalue over the torus; here the torus is sampled on a uniform
 inclusive grid linspace(-pi, pi, N) per dimension, which contains 0 and
 both endpoints for odd N so that the cosine-type extrema of the stock
-lattices land exactly on grid points. Sweeps stream the grid in chunks
-whose fiber stacks stay under a fixed size, so memory is bounded by the
-(K, nu) eigenvalue table, and grids whose table would exceed a fixed
-budget are refused before anything is allocated. The butterfly's Harper
-models solve only the grid points where their band ends can lie
-(harper_band_edges), with the same result as the full sweep.
+lattices land exactly on grid points. Sweeps stream the grid on one
+thread in the row slices of _chunks, whose fiber stacks stay under a
+fixed size, so memory is bounded by the (K, nu) eigenvalue table, and
+grids whose table would exceed a fixed budget are refused before
+anything is allocated. The butterfly's Harper models solve only the
+grid points where their band ends can lie (harper_band_edges), with
+the same result as the full sweep.
 
 The verify_* functions turn the structural facts about these operators
 into numerical checks: band localization against the off-support
@@ -33,10 +34,8 @@ size |q|.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -137,43 +136,15 @@ def _grid(g: FundamentalGraph, grid_n: int | None) -> tuple[int, np.ndarray]:
     return n, theta_grid(g.dim, n, g.num_vertices)
 
 
-def _num_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MAGSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
+def _chunks(k: int, nu: int) -> list[slice]:
+    """Row slices of a k-row sweep, in order.
 
-
-def _sweep(
-    thetas: np.ndarray,
-    nu: int,
-    solve: Callable[[np.ndarray], Sequence[np.ndarray]],
-    tables: int = 1,
-) -> list[np.ndarray]:
-    """Fill (K, nu) tables chunk by chunk over the rows of thetas.
-
-    solve(chunk) returns one (len(chunk), nu) array per table. A chunk
-    holds at most _CHUNK_BYTES of complex nu x nu fibers (or a single
-    fiber when one is larger), so only the tables grow with the grid.
-    MAGSPEC_THREADS > 1 maps the same chunks over a thread pool; each
-    chunk writes its own rows, so the tables are identical either way.
+    A slice holds at most _CHUNK_BYTES of complex nu x nu fibers (or a
+    single fiber when one is larger), so only a sweep's (k, nu) tables
+    grow with the grid.
     """
-    out = [np.empty((thetas.shape[0], nu)) for _ in range(tables)]
     step = max(1, _CHUNK_BYTES // (16 * max(nu, 1) ** 2))
-    chunks = [slice(lo, lo + step) for lo in range(0, thetas.shape[0], step)]
-
-    def work(rows: slice) -> None:
-        for table, part in zip(out, solve(thetas[rows])):
-            table[rows] = part
-
-    jobs = _num_threads()
-    if jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(work, chunks))
-    else:
-        for rows in chunks:
-            work(rows)
-    return out
+    return [slice(lo, lo + step) for lo in range(0, k, step)]
 
 
 def eigenvalue_table(
@@ -183,11 +154,11 @@ def eigenvalue_table(
     thetas: np.ndarray,
 ) -> np.ndarray:
     """(K, nu) sorted eigenvalues of fibers with the potential, a row per theta, in chunks."""
-
-    def solve(th: np.ndarray) -> tuple[np.ndarray]:
-        return (np.linalg.eigvalsh(fiber_stack(g, b, a, th, with_potential=True)),)
-
-    return _sweep(np.atleast_2d(thetas), g.num_vertices, solve)[0]
+    thetas = np.atleast_2d(thetas)
+    table = np.empty((thetas.shape[0], g.num_vertices))
+    for rows in _chunks(*table.shape):
+        table[rows] = np.linalg.eigvalsh(fiber_stack(g, b, a, thetas[rows], with_potential=True))
+    return table
 
 
 def union_measure(intervals: Sequence[Sequence[float]]) -> float:
@@ -438,19 +409,19 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     if np.any(phi_tilde.values):
         zero = zero_phase_form(g)
         diag = np.arange(g.num_vertices)
-
-        def solve(th: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        an.shared.clear()  # the three tables below set the peak; hold no fourth
+        x_eigs, shifted, free = (np.empty((thetas.shape[0], g.num_vertices)) for _ in range(3))
+        for rows in _chunks(*x_eigs.shape):
             # Each stack is built once without the potential; adding it to the
             # diagonal afterwards is exactly what fiber_stack(with_potential=True) does.
-            s_a = fiber_stack(g, mu, phi_tilde, th)
-            s_0 = fiber_stack(g, mu, zero, th)
-            x_eigs = np.linalg.eigvalsh(s_a - s_0)
+            s_a = fiber_stack(g, mu, phi_tilde, thetas[rows])
+            s_0 = fiber_stack(g, mu, zero, thetas[rows])
+            x_eigs[rows] = np.linalg.eigvalsh(s_a - s_0)
             s_a[:, diag, diag] += g.potential
             s_0[:, diag, diag] += g.potential
-            return x_eigs, np.linalg.eigvalsh(s_a), np.linalg.eigvalsh(s_0)
-
-        an.shared.clear()  # the three tables below set the peak; hold no fourth
-        x_eigs, shifted, free = _sweep(thetas, g.num_vertices, solve, tables=3)
+            shifted[rows] = np.linalg.eigvalsh(s_a)
+            free[rows] = np.linalg.eigvalsh(s_0)
+            del s_a, s_0  # else held while the next chunk's stacks are built
         lam_min = float(x_eigs[:, 0].min())
         lam_max = float(x_eigs[:, -1].max())
         # Both swept spectra carry the potential; the perturbation matrix does not.

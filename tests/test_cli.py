@@ -63,6 +63,19 @@ def test_gen_decorated_with_decoration_file(tmp_path, capsys):
     assert g.beta == 2
 
 
+def test_gen_refuses_a_dimension_above_the_limit_before_building(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "gen", "zd", "--dim", "1025")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert "GEN_MAX_INDEX_ENTRIES" in err
+    assert peak < 2**20
+
+
 def test_invariants_kagome(capsys, kagome_file):
     code, out, _ = run(capsys, "invariants", kagome_file)
     assert code == 0

@@ -1,11 +1,11 @@
 """CLI output on part of the benchmark corpus matches the recorded goldens.
 
 Rebuilds fourteen graphs of the seeded verify battery, five stock
-lattices, hex 2x2, Harper q=12 p=5, zd2 and the tree-scan graphs
-(hex 3x2, kagome 3x1) with perfbench/corpus.py in a temporary
-directory, runs the CLI there, and compares the sha256 of stdout and of
-every --out file with perfbench/goldens.json. Nothing under perfbench/
-is written.
+lattices, hex 2x2, Harper q=12 p=5, Harper q=30 p=7, zd2 and the
+tree-scan graphs (hex 3x2, kagome 3x1) with perfbench/corpus.py in a
+temporary directory, runs the CLI there, and compares the sha256 of
+stdout and of every --out file with perfbench/goldens.json. Nothing
+under perfbench/ is written.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ def corpus_dir(tmp_path_factory):
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), corpus.__dict__)
     graphs = corpus.build("verify-battery", GOLDENS["battery_seed"])
     graphs = {name: graphs[name] for name in VERIFIED + ["zd2"]} | corpus.build("tree-scan")
+    graphs["harper-q30-p7"] = corpus.build("harper-sweep")["harper-q30-p7"]
     work = tmp_path_factory.mktemp("goldens")
     digests = corpus.write(graphs, work / "corpus")
     (work / "out").mkdir()
@@ -68,6 +69,12 @@ def test_verify_matches_golden(capsys, monkeypatch, corpus_dir, name):
 def test_bands_out_matches_golden(capsys, monkeypatch, corpus_dir):
     run_golden(capsys, monkeypatch, corpus_dir, "bands:harper-q12-p5",
                ["bands", "corpus/harper-q12-p5.json", "--out", "out/harper-q12-p5.csv"])
+
+
+def test_bands_with_most_chunks_matches_golden(capsys, monkeypatch, corpus_dir):
+    # 101^2 fibers at nu = 30 sweep in 36 chunks of 291
+    run_golden(capsys, monkeypatch, corpus_dir, "bands:harper-q30-p7",
+               ["bands", "corpus/harper-q30-p7.json"])
 
 
 def test_butterfly_matches_golden(capsys, monkeypatch, corpus_dir):

@@ -189,6 +189,9 @@ def test_generate_decorated_with_cycle_decoration():
     ("decorated", {"d": 0}),
     ("hexagonal", {"d": 3}),
     ("nope", {}),
+    # d loops with d-long indices: memory and output would grow as d^2
+    ("zd", {"d": 1025}),
+    ("decorated", {"d": 1025}),
 ])
 def test_generate_bad_params(kind, kwargs):
     with pytest.raises(BadParamsError):

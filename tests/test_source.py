@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import magspec
@@ -47,3 +50,17 @@ def test_readme_python_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
+
+
+def test_cli_import_starts_no_pool_machinery():
+    # sweeps run on one thread; a fresh interpreter, since pytest's own
+    # process may already hold these modules
+    src = Path(magspec.__file__).resolve().parents[1]
+    probe = (
+        "import sys, magspec.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

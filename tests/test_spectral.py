@@ -213,14 +213,6 @@ def test_grid_variation_respects_lipschitz_alarm(kagome):
         assert diffs.max() <= bound * step + 1e-9
 
 
-def test_eigenvalue_table_threaded_matches_serial(kagome, monkeypatch):
-    thetas = theta_grid(2, 21)
-    serial = eigenvalue_table(kagome, kagome.index_form(), kagome.magnetic_form(), thetas)
-    monkeypatch.setenv("MAGSPEC_THREADS", "4")
-    threaded = eigenvalue_table(kagome, kagome.index_form(), kagome.magnetic_form(), thetas)
-    assert np.array_equal(serial, threaded)
-
-
 # -- finite-torus expansion oracle -----------------------------------------------------
 
 

@@ -1,11 +1,11 @@
 """Chunked torus sweeps.
 
-Cutting the grid into chunks, serially or over a thread pool, must give
-the same bits as one eigensolve over the whole fiber stack; memory must
-stay bounded by the eigenvalue table; oversize grids are refused before
-anything is allocated; each CLI command scans spanning trees once; and
-verify sweeps each distinct (b, a, grid) table once, sharing a table only
-between byte-identical forms.
+Cutting the grid into chunks must give the same bits as one eigensolve
+over the whole fiber stack; memory must stay bounded by the eigenvalue
+table; oversize grids are refused before anything is allocated; each
+CLI command scans spanning trees once; and verify sweeps each distinct
+(b, a, grid) table once, sharing a table only between byte-identical
+forms.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ def one_shot(g, b, a, thetas):
     return np.linalg.eigvalsh(fiber_stack(g, b, a, thetas, with_potential=True))
 
 
-@pytest.fixture(params=["1", "4"], ids=["serial", "threads4"])
+@pytest.fixture(params=[TINY_CHUNK_BYTES], ids=["serial"])
 def tiny_chunks(request, monkeypatch):
-    monkeypatch.setattr(spectral, "_CHUNK_BYTES", TINY_CHUNK_BYTES)
-    monkeypatch.setenv("MAGSPEC_THREADS", request.param)
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", request.param)
 
 
 @pytest.fixture(scope="module")
@@ -106,23 +105,6 @@ def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
             [rep["Lambda_1"], rep["Lambda_nu"], rep["band_shift_max"], rep["width_change_max"]],
             [x[:, 0].min(), x[:, -1].max(), np.abs(shifts).max(), widths.max()],
         )
-
-
-def test_threaded_sweep_under_frequent_switches(monkeypatch):
-    # more threads than cores, three fibers per chunk, a switch every microsecond:
-    # every chunk must still land in its own rows
-    g = harper_model(12, 5)
-    b, a = g.index_form(), g.magnetic_form()
-    thetas = theta_grid(2, 41)
-    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 3 * 16 * 12**2)
-    monkeypatch.setenv("MAGSPEC_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        table = spectral.eigenvalue_table(g, b, a, thetas)
-    finally:
-        sys.setswitchinterval(interval)
-    assert np.array_equal(table, one_shot(g, b, a, thetas))
 
 
 def test_harper_sweep_memory_is_bounded():
@@ -202,22 +184,29 @@ def test_command_scans_trees_once(tmp_path, capsys, monkeypatch, command):
 
 
 def count_grid_sweeps(monkeypatch, grid_n, dim):
-    """Record the phase form of every grid-size eigenvalue_table call, and each three-table sweep."""
-    tables, triples = [], []
-    real_table, real_sweep = spectral.eigenvalue_table, spectral._sweep
+    """Record the phase form of every grid-size eigenvalue_table call, and each three-table sweep.
+
+    The perturbation check is the one caller of _chunks outside eigenvalue_table.
+    """
+    tables, triples, inside = [], [], []
+    real_table, real_chunks = spectral.eigenvalue_table, spectral._chunks
 
     def table(g, b, a, thetas):
         if np.atleast_2d(thetas).shape[0] == grid_n**dim:
             tables.append(a.values.tobytes())
-        return real_table(g, b, a, thetas)
+        inside.append(True)
+        try:
+            return real_table(g, b, a, thetas)
+        finally:
+            inside.pop()
 
-    def sweep(thetas, nu, solve, tables=1):
-        if tables == 3:
-            triples.append(thetas.shape[0])
-        return real_sweep(thetas, nu, solve, tables)
+    def chunks(k, nu):
+        if not inside:
+            triples.append(k)
+        return real_chunks(k, nu)
 
     monkeypatch.setattr(spectral, "eigenvalue_table", table)
-    monkeypatch.setattr(spectral, "_sweep", sweep)
+    monkeypatch.setattr(spectral, "_chunks", chunks)
     return tables, triples
 
 
@@ -281,13 +270,13 @@ def test_phased_perturbation_drops_the_shared_table_before_its_sweep(monkeypatch
     an = analyze(g)
     verify_band_localization(an, 21)
     held = []
-    real_sweep = spectral._sweep
+    real_chunks = spectral._chunks
 
-    def sweep(thetas, nu, solve, tables=1):
+    def chunks(k, nu):
         held.append(bool(an.shared))
-        return real_sweep(thetas, nu, solve, tables)
+        return real_chunks(k, nu)
 
-    monkeypatch.setattr(spectral, "_sweep", sweep)
+    monkeypatch.setattr(spectral, "_chunks", chunks)
     verify_perturbation(an, 21)
     assert held == [False]
 
