@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +205,7 @@ def cmd_build_periodic(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache  # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="magspec", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)

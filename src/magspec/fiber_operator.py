@@ -117,11 +117,20 @@ def fiber_stack(
         hop = np.exp(1j * phase)
         out[:, e.tail, e.head] -= hop
         out[:, e.head, e.tail] -= np.conj(hop)
-    idx = np.arange(nu)
-    out[:, idx, idx] += deg
+    add_to_diagonals(out, deg)
     if with_potential:
-        out[:, idx, idx] += g.potential
+        add_to_diagonals(out, g.potential)
     return out
+
+
+def add_to_diagonals(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Add (nu,) values to the diagonal of every matrix of a (K, nu, nu) stack; returns it.
+
+    In place, through a strided view, so the add makes no (K, nu) temporaries.
+    """
+    diagonals = np.einsum("kii->ki", stack)
+    diagonals += values
+    return stack
 
 
 # -- gauge transformation -------------------------------------------------------

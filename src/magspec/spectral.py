@@ -5,8 +5,9 @@ eigenvalue over the torus; here the torus is sampled on a uniform
 inclusive grid linspace(-pi, pi, N) per dimension, which contains 0 and
 both endpoints for odd N so that the cosine-type extrema of the stock
 lattices land exactly on grid points. Sweeps stream the grid on one
-thread in the row slices of _chunks, whose fiber stacks stay under a
-fixed size, so memory is bounded by the (K, nu) eigenvalue table, and
+thread in the row slices of _chunks, whose fiber stacks (all those a
+chunk holds at once: three in the perturbation check) fit together in
+a fixed budget, so memory is bounded by the (K, nu) eigenvalue tables, and
 grids whose table would exceed a fixed budget are refused before
 anything is allocated. The butterfly's Harper models solve only the
 grid points where their band ends can lie (harper_band_edges), with
@@ -51,6 +52,7 @@ from .errors import (
     SandwichViolatedError,
 )
 from .fiber_operator import (
+    add_to_diagonals,
     count_nontrivial_exponents,
     fiber_stack,
     gauge_weights,
@@ -76,7 +78,7 @@ SWEEP_TOL = 1e-6  # quantities extremized over a grid
 HERMITICITY_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 ROUNDING_ULPS = 64  # rounding allowance, in ulp of max |q|, where q enters both sides
-_CHUNK_BYTES = 4 << 20  # complex fiber stack assembled per sweep chunk
+_CHUNK_BYTES = 4 << 20  # every complex fiber stack a sweep chunk holds at once, together
 _TABLE_BUDGET_BYTES = 1 << 28  # largest theta grid or (K, nu) table a sweep may allocate
 
 
@@ -136,14 +138,15 @@ def _grid(g: FundamentalGraph, grid_n: int | None) -> tuple[int, np.ndarray]:
     return n, theta_grid(g.dim, n, g.num_vertices)
 
 
-def _chunks(k: int, nu: int) -> list[slice]:
+def _chunks(k: int, nu: int, stacks: int = 1) -> list[slice]:
     """Row slices of a k-row sweep, in order.
 
-    A slice holds at most _CHUNK_BYTES of complex nu x nu fibers (or a
-    single fiber when one is larger), so only a sweep's (k, nu) tables
-    grow with the grid.
+    The stacks of complex nu x nu fibers that a chunk holds at once fit
+    in _CHUNK_BYTES together (a slice keeps a single fiber when even one
+    per stack is larger), so only a sweep's (k, nu) tables grow with the
+    grid.
     """
-    step = max(1, _CHUNK_BYTES // (16 * max(nu, 1) ** 2))
+    step = max(1, _CHUNK_BYTES // (stacks * 16 * max(nu, 1) ** 2))
     return [slice(lo, lo + step) for lo in range(0, k, step)]
 
 
@@ -408,22 +411,22 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     lam_min = lam_max = band_shift = width_change = 0.0
     if np.any(phi_tilde.values):
         zero = zero_phase_form(g)
-        diag = np.arange(g.num_vertices)
-        an.shared.clear()  # the three tables below set the peak; hold no fourth
-        x_eigs, shifted, free = (np.empty((thetas.shape[0], g.num_vertices)) for _ in range(3))
-        for rows in _chunks(*x_eigs.shape):
-            # Each stack is built once without the potential; adding it to the
-            # diagonal afterwards is exactly what fiber_stack(with_potential=True) does.
+        an.shared.clear()  # the two tables below and one chunk set the peak; hold no third
+        shifted, free = (np.empty((thetas.shape[0], g.num_vertices)) for _ in range(2))
+        lam_min, lam_max = np.inf, -np.inf
+        # a chunk holds three stacks at once: s_a, s_0 and their difference
+        for rows in _chunks(*shifted.shape, stacks=3):
+            # Each stack is built once without the potential; adding it afterwards
+            # is exactly what fiber_stack(with_potential=True) does.
             s_a = fiber_stack(g, mu, phi_tilde, thetas[rows])
             s_0 = fiber_stack(g, mu, zero, thetas[rows])
-            x_eigs[rows] = np.linalg.eigvalsh(s_a - s_0)
-            s_a[:, diag, diag] += g.potential
-            s_0[:, diag, diag] += g.potential
-            shifted[rows] = np.linalg.eigvalsh(s_a)
-            free[rows] = np.linalg.eigvalsh(s_0)
+            x_eigs = np.linalg.eigvalsh(s_a - s_0)
+            lam_min = np.minimum(lam_min, x_eigs[:, 0].min())  # np.minimum keeps a NaN
+            lam_max = np.maximum(lam_max, x_eigs[:, -1].max())
+            shifted[rows] = np.linalg.eigvalsh(add_to_diagonals(s_a, g.potential))
+            free[rows] = np.linalg.eigvalsh(add_to_diagonals(s_0, g.potential))
             del s_a, s_0  # else held while the next chunk's stacks are built
-        lam_min = float(x_eigs[:, 0].min())
-        lam_max = float(x_eigs[:, -1].max())
+        lam_min, lam_max = float(lam_min), float(lam_max)
         # Both swept spectra carry the potential; the perturbation matrix does not.
         tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
 

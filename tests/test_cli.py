@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -93,6 +94,21 @@ def test_invariants_z2(capsys, z2_file):
     assert code == 0
     data = json.loads(out)
     assert data["beta"] == 2 and data["I"] == 2
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch, z2_file):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # subcommand parsers are "magspec <name>"
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", init)
+    cli._parser.cache_clear()
+    assert run(capsys, "invariants", z2_file)[0] == 0
+    assert run(capsys, "invariants", z2_file)[0] == 0
+    assert built.count("magspec") == 1
 
 
 def test_invariants_malformed_file(tmp_path, capsys):

@@ -121,6 +121,33 @@ def test_harper_sweep_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
+def test_perturbation_memory_is_bounded_by_one_chunk_and_two_tables():
+    # a chunk's three stacks share _CHUNK_BYTES; no (K, nu) perturbation table is kept
+    an = analyze(harper_model(12, 5))
+    assert np.any(an.phi_tilde.values)
+    tables = 2 * 101**2 * 12 * 8
+    tracemalloc.start()
+    try:
+        verify_perturbation(an)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < spectral._CHUNK_BYTES + tables + 2**20
+
+
+@pytest.mark.parametrize("chunk_bytes", [TINY_CHUNK_BYTES, spectral._CHUNK_BYTES])
+@pytest.mark.parametrize("k, nu", [(1, 1), (7, 3), (101**2, 12), (101**2, 30), (5, 200)])
+@pytest.mark.parametrize("stacks", [1, 3])
+def test_chunks_cover_the_rows_within_the_budget(monkeypatch, chunk_bytes, k, nu, stacks):
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", chunk_bytes)
+    slices = spectral._chunks(k, nu, stacks)
+    assert np.array_equal(np.concatenate([np.arange(k)[s] for s in slices]), np.arange(k))
+    for s in slices:
+        rows = len(range(k)[s])
+        assert rows >= 1
+        assert rows == 1 or stacks * rows * 16 * nu**2 <= chunk_bytes
+
+
 def test_theta_grid_budget():
     with pytest.raises(GridTooLargeError):
         theta_grid(2, 40000)
@@ -200,10 +227,10 @@ def count_grid_sweeps(monkeypatch, grid_n, dim):
         finally:
             inside.pop()
 
-    def chunks(k, nu):
+    def chunks(k, nu, stacks=1):
         if not inside:
             triples.append(k)
-        return real_chunks(k, nu)
+        return real_chunks(k, nu, stacks)
 
     monkeypatch.setattr(spectral, "eigenvalue_table", table)
     monkeypatch.setattr(spectral, "_chunks", chunks)
@@ -272,9 +299,9 @@ def test_phased_perturbation_drops_the_shared_table_before_its_sweep(monkeypatch
     held = []
     real_chunks = spectral._chunks
 
-    def chunks(k, nu):
+    def chunks(k, nu, stacks=1):
         held.append(bool(an.shared))
-        return real_chunks(k, nu)
+        return real_chunks(k, nu, stacks)
 
     monkeypatch.setattr(spectral, "_chunks", chunks)
     verify_perturbation(an, 21)
