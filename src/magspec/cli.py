@@ -75,9 +75,20 @@ def _load(path: str) -> FundamentalGraph:
     return g
 
 
+def _check_grid(g: FundamentalGraph, grid: int | None) -> None:
+    """Refuse a grid the sweep would refuse, before the tree scan; an invalid g is named first."""
+    try:
+        grid_axis(g.dim, grid if grid is not None else default_grid_n(g.dim), g.num_vertices)
+    except GraphDataError:
+        validate(g)  # analyze, which validates, has not run yet
+        raise
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     decoration = None
     if args.decoration:
+        if args.kind != "decorated":
+            raise BadParamsError(f"--decoration needs kind decorated, got {args.kind}")
         decoration = [(e.tail, e.head) for e in load_graph_json(args.decoration).edges]
     g = generate(args.kind, d=args.dim, decoration=decoration)
     validate(g)
@@ -99,6 +110,7 @@ def cmd_bands(args: argparse.Namespace) -> int:
     g = load_graph_json(args.graph)  # analyze validates
     if not 0.0 <= args.flat_tol < float("inf"):
         raise BadParamsError(f"--flat-tol must be finite and nonnegative, got {args.flat_tol}")
+    _check_grid(g, args.grid)
     an = analyze(g, cap=args.tree_cap)
     spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
     if args.out:
@@ -124,6 +136,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = load_graph_json(args.graph)  # analyze validates
     if args.seed < 0:
         raise BadParamsError(f"--seed must be nonnegative, got {args.seed}")
+    _check_grid(g, args.grid)
     an = analyze(g, cap=args.tree_cap)
     grid, seed = args.grid, args.seed
     battery = [

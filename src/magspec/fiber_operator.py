@@ -30,13 +30,7 @@ from .errors import (
     GraphDataError,
     NoIndependentSubsetError,
 )
-from .forms_cycles import (
-    _first_tree,
-    _nonzero_phase,
-    _tree_adjacency,
-    _tree_path,
-    integer_determinant,
-)
+from .forms_cycles import _first_tree, _tree_adjacency, _tree_path, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 
@@ -80,10 +74,9 @@ def fiber_stack(
     b: OneForm,
     a: OneForm,
     thetas: np.ndarray,
-    with_potential: bool = False,
     edge_mask: Sequence[bool] | None = None,
 ) -> np.ndarray:
-    """Assemble fiber matrices for a whole batch of quasimomenta.
+    """Assemble fiber matrices without the potential for a whole batch of quasimomenta.
 
     Returns a (K, nu, nu) complex array, Hermitian by construction.
     With an edge mask, both the degree diagonal and the hopping terms
@@ -117,10 +110,7 @@ def fiber_stack(
         hop = np.exp(1j * phase)
         out[:, e.tail, e.head] -= hop
         out[:, e.head, e.tail] -= np.conj(hop)
-    add_to_diagonals(out, deg)
-    if with_potential:
-        add_to_diagonals(out, g.potential)
-    return out
+    return add_to_diagonals(out, deg)
 
 
 def add_to_diagonals(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -144,9 +134,9 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
     exact int64 weights. They are well defined only when b and a carry
     the fluxes of the stored index and phase forms. The flux of diff
     through the basic cycle of an edge (t, h) is diff(edge) + w(t) - w(h),
-    zero on tree edges; it is checked exactly for integer forms and
-    against ZERO_FLUX_TOL modulo 2*pi for the phase, and a violation
-    raises FluxMismatchError naming the lowest bad chord.
+    zero on tree edges; b's is_nonzero tests it for the index class and
+    the stored phase form's for the phase, and a violation raises
+    FluxMismatchError naming the lowest bad chord.
     """
     _check_forms(g, b, a)
     tree = _first_tree(g)
@@ -156,17 +146,18 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
     for v in range(g.num_vertices):
         for eid, sign in _tree_path(adj, 0, v):
             paths[v, eid] = sign
+    alpha = g.magnetic_form()
     diff_b = g.index_matrix() - b.values
-    diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True).values[:, 0]
+    diff_a = OneForm(alpha.values - a.values, magnetic=True).values[:, 0]
     w_b, w_a = paths @ diff_b, paths @ diff_a
     ends = np.array([(e.tail, e.head) for e in g.edges], dtype=np.intp).reshape(-1, 2)
     t, h = ends[:, 0], ends[:, 1]
-    bad_b = set(OneForm(diff_b + w_b[t] - w_b[h]).support())
-    bad_a = set(np.flatnonzero(_nonzero_phase(diff_a + w_a[t] - w_a[h])).tolist())
-    if bad_b or bad_a:
-        chord = min(bad_b | bad_a)
-        what = "form" if chord in bad_b else "phase form"
-        whom = "the index form" if chord in bad_b else "the stored phases"
+    bad_b = b.is_nonzero(diff_b + w_b[t] - w_b[h]).any(axis=1)
+    bad = np.flatnonzero(bad_b | alpha.is_nonzero(diff_a + w_a[t] - w_a[h]))
+    if bad.size:
+        chord = int(bad[0])
+        what = "form" if bad_b[chord] else "phase form"
+        whom = "the index form" if bad_b[chord] else "the stored phases"
         raise FluxMismatchError(f"{what} is not flux-equivalent to {whom} (chord {chord})")
     return GaugeWeights(w_b=w_b, w_a=w_a)
 
@@ -175,8 +166,8 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
 
 
 def _integer_form_values(mu: OneForm) -> np.ndarray:
-    vals = np.asarray(mu.values)
-    if np.issubdtype(vals.dtype, np.integer):
+    vals = mu.values
+    if mu.exact:
         return vals.astype(np.int64)
     if not np.all(np.isfinite(vals)):  # before rint: inf - rint(inf) is NaN and warns
         raise GraphDataError("expected a finite form")
@@ -280,9 +271,9 @@ def count_nontrivial_exponents(
 ) -> tuple[int, int, int]:
     """Oriented-edge counts of quasimomentum-, phase- and jointly nontrivial exponents.
 
-    An exponent is trivial when it equals 1 identically: the phase part
-    iff the reduced value is within SUPPORT_TOL of zero, the
-    quasimomentum part iff the index-class value vanishes.
+    An exponent is trivial when it equals 1 identically: the phase or
+    quasimomentum part iff OneForm.is_nonzero finds that form's value
+    on the edge zero (exactly for an integer index-class form).
     """
     b_supp = set(b.support())
     a_supp = set(a.support())

@@ -29,12 +29,10 @@ from .errors import (
     OpenPathError,
     TreeCountExceedsCapError,
 )
-from .graph_model import INT64_MAX, TWO_PI, FundamentalGraph, OneForm, reduce_angle
+from .graph_model import INT64_MAX, FundamentalGraph, OneForm, reduce_angle
 
 # An oriented edge sequence: (edge_id, sign) steps, sign +1 = canonical.
 Cycle = tuple[tuple[int, int], ...]
-
-ZERO_FLUX_TOL = 1e-9  # for magnetic fluxes after mod-2pi reduction; integer fluxes exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,20 +204,7 @@ def _basis_for_tree(g: FundamentalGraph, tree_ids: tuple[int, ...]) -> SpanningT
                              cycles=tuple(cycles))
 
 
-# Channel kinds: how the flux of one scalar component is tested for zero.
-_EXACT, _ANGLE, _REAL = range(3)
-
 _BLOCK_STATES = 512  # a block of partial forests is split above this many states
-
-
-def _nonzero_phase(f: np.ndarray) -> np.ndarray:
-    """abs(math.remainder(f, 2*pi)) > ZERO_FLUX_TOL, elementwise.
-
-    fmod is exact, and for a = |fmod(f, 2*pi)| >= pi so is 2*pi - a
-    (Sterbenz), hence min(a, 2*pi - a) is |remainder| exactly.
-    """
-    a = np.abs(np.fmod(f, TWO_PI))
-    return np.minimum(a, TWO_PI - a) > ZERO_FLUX_TOL
 
 
 class _TreeScanner:
@@ -238,19 +223,19 @@ class _TreeScanner:
 
     Each state is one row of two arrays, and needs no union-find.
     `ints` holds the vertex set of every vertex's tree as bit words
-    (vertex v is bit v % 64 of word v // 64), for every exact channel
-    the potential p(v) of every vertex relative to an anchor of its
-    tree, and the included edges as bit-reversed words (edge e is bit
-    63 - e % 64 of word e // 64), so the largest key is the
-    lexicographically smallest edge set. `flts` holds the potentials of
-    the phase and real channels. Edge t -> h is a chord when h is in
-    t's set. Including it with value x adds (p(t) + x) - p(h) to every
-    vertex of h's set, which fixes p(h) = p(t) + x, and then joins the
-    two sets. Every potential stays a path sum in its tree, so exact
-    channels are exact in int64 under _check_int64_range. Once a state
-    spans, the flux of chord c is x(c) + p(t) - p(h), so no cycle is
-    walked: exact channels compare with zero, phases modulo 2*pi and
-    real channels against ZERO_FLUX_TOL.
+    (vertex v is bit v % 64 of word v // 64), one column block per
+    exact form with the potential p(v) of every vertex relative to an
+    anchor of its tree, per value component, and the included edges as
+    bit-reversed words (edge e is bit 63 - e % 64 of word e // 64), so
+    the largest key is the lexicographically smallest edge set. `flts`
+    holds one such potential block per phase or real form. Edge t -> h
+    is a chord when h is in t's set. Including it with value x adds
+    (p(t) + x) - p(h) to every vertex of h's set, which fixes
+    p(h) = p(t) + x, and then joins the two sets. Every potential stays
+    a path sum in its tree, so exact forms are exact in int64 under
+    _check_int64_range. Once a state spans, the flux of chord c is
+    x(c) + p(t) - p(h), so no cycle is walked: each form's
+    OneForm.is_nonzero decides which fluxes are nonzero.
     """
 
     def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
@@ -258,41 +243,27 @@ class _TreeScanner:
         edges = self.num_edges = g.num_edges
         self.tails = np.array([e.tail for e in g.edges], dtype=np.intp)
         self.heads = np.array([e.head for e in g.edges], dtype=np.intp)
-        # channels in [exact | phase | real] order; a form's channels are contiguous
-        kinds = [
-            _ANGLE if x.magnetic else _EXACT if np.issubdtype(x.values.dtype, np.integer) else _REAL
-            for x in forms
-        ]
-        cols: dict[int, list[np.ndarray]] = {_EXACT: [], _ANGLE: [], _REAL: []}
-        for x, kind in zip(forms, kinds):
-            cols[kind] += [x.values[:, c] for c in range(x.dim)]
-        at = {_EXACT: 0, _ANGLE: len(cols[_EXACT]), _REAL: len(cols[_EXACT]) + len(cols[_ANGLE])}
-        self.spans: list[tuple[int, int]] = []  # per form, its channel range
-        for x, kind in zip(forms, kinds):
-            self.spans.append((at[kind], at[kind] + x.dim))
-            at[kind] += x.dim
-        self.angles = len(cols[_ANGLE])
-        exact = np.array(cols[_EXACT], dtype=np.int64).reshape(-1, edges)
-        floats = np.array(cols[_ANGLE] + cols[_REAL], dtype=float).reshape(-1, edges)
-        # columns of ints: vertex sets, exact potentials, tree
+        # columns of ints: vertex sets, exact potentials, tree; flts: the other potentials
         self.words = -(-n // 64)  # words per vertex set
         sets_end = self.words * n
-        # value groups: (array 0 = ints / 1 = flts, potential columns, values)
-        self.groups = [
-            grp for grp in (
-                (0, slice(sets_end, sets_end + len(exact) * n), exact),
-                (1, slice(0, len(floats) * n), floats),
-            ) if len(grp[2])
-        ]
-        self.tree_col = sets_end + len(exact) * n
+        ends = [sets_end, 0]  # first free column of ints, flts
+        # per form: (form, array 0 = ints / 1 = flts, potential columns, (dim, E) values)
+        self.pots = []
+        for x in forms:
+            which = 0 if x.exact else 1
+            cols = slice(ends[which], ends[which] + x.dim * n)
+            values = np.ascontiguousarray(x.values.T, dtype=np.int64 if x.exact else float)
+            self.pots.append((x, which, cols, values))
+            ends[which] = cols.stop
+        self.tree_col = ends[0]
         self.ints0 = np.zeros((1, self.tree_col + (-(-edges // 64) or 1)), dtype=np.int64)
         self.ints0[0, :sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
-        self.flts0 = np.zeros((1, len(floats) * n))
+        self.flts0 = np.zeros((1, ends[1]))
         v = np.arange(n)
         self.vertex_words, self.vertex_bits = v // 64, v % 64
         e = np.arange(edges)
         self.edge_words, self.edge_bits = self.tree_col + e // 64, 63 - e % 64
-        # per non-loop edge: its ends, tree word and bit, values per group,
+        # per non-loop edge: its ends, tree word and bit, values per form,
         # and per vertex the set joined to it by the later non-loop edges
         # (None when those alone join the ends)
         sets = [1 << v for v in range(n)]
@@ -302,7 +273,7 @@ class _TreeScanner:
             self.levels.append((
                 t, h, self.tree_col + eid // 64,
                 np.array(1 << (63 - eid % 64), dtype=np.uint64).view(np.int64),
-                [values[:, eid] for _, _, values in self.groups],
+                [values[:, eid] for _, _, _, values in self.pots],
                 None if sets[t] >> h & 1 else self._bit_words(sets),
             ))
             merged = sets[t] | sets[h]
@@ -352,7 +323,7 @@ class _TreeScanner:
         new = ints[-k:]
         sets = self._sets(new)
         moved = self._members(sets[:, h])  # h's tree, re-anchored at t's anchor
-        for (which, cols, _), x in zip(self.groups, xs):
+        for (_, which, cols, _), x in zip(self.pots, xs):
             pot = (ints, flts)[which][-k:, cols].reshape(k, len(x), self.n)
             shift = pot[:, :, t] + x - pot[:, :, h]
             pot += shift[:, :, None] * moved[:, None, :]
@@ -385,20 +356,11 @@ class _TreeScanner:
     def chord_masks(self, ints: np.ndarray, flts: np.ndarray) -> np.ndarray:
         """(S, forms, E): per spanning state and form, the chords with nonzero flux."""
         s = len(ints)
-        flux = np.empty((s, sum(len(x) for _, _, x in self.groups), self.num_edges), dtype=bool)
-        for which, cols, x in self.groups:
-            c = len(x)
-            pot = (ints, flts)[which][:, cols].reshape(s, c, self.n)
-            lifted = x + pot.take(self.tails, axis=2)
-            if which == 0:
-                np.not_equal(lifted, pot.take(self.heads, axis=2), out=flux[:, :c])
-                continue
-            f = lifted - pot.take(self.heads, axis=2)
-            flux[:, -c:][:, : self.angles] = _nonzero_phase(f[:, : self.angles])
-            flux[:, -c:][:, self.angles :] = np.abs(f[:, self.angles :]) > ZERO_FLUX_TOL
-        masks = np.empty((s, len(self.spans), self.num_edges), dtype=bool)
-        for k, (lo, hi) in enumerate(self.spans):
-            np.logical_or.reduce(flux[:, lo:hi], axis=1, out=masks[:, k])
+        masks = np.empty((s, len(self.pots), self.num_edges), dtype=bool)
+        for k, (x, which, cols, values) in enumerate(self.pots):
+            pot = (ints, flts)[which][:, cols].reshape(s, len(values), self.n)
+            flux = values + pot.take(self.tails, axis=2) - pot.take(self.heads, axis=2)
+            np.logical_or.reduce(x.is_nonzero(flux), axis=1, out=masks[:, k])
         tree = ints.take(self.edge_words, axis=1) >> self.edge_bits & 1
         masks &= (tree == 0)[:, None, :]
         return masks
@@ -427,7 +389,7 @@ def _check_int64_range(forms: Sequence[OneForm]) -> None:
     """Refuse an integer form whose |values| sum above int64: that sum
     bounds every tree potential and flux of the form."""
     for x in forms:
-        if x.magnetic or not np.issubdtype(x.values.dtype, np.integer):
+        if not x.exact:
             continue
         for col in x.values.T.tolist():
             if sum(map(abs, col)) > INT64_MAX:
@@ -584,8 +546,7 @@ def tree_form(g: FundamentalGraph, x: OneForm, basis: SpanningTreeBasis) -> OneF
     It is flux-equivalent to x, and supported on the chords whose basic
     cycles carry nonzero flux.
     """
-    integral = not x.magnetic and np.issubdtype(x.values.dtype, np.integer)
-    values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if integral else float)
+    values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if x.exact else float)
     values[list(basis.chords)] = flux_table(g, x, basis)
     return OneForm(values, magnetic=x.magnetic)
 

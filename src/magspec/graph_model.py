@@ -35,7 +35,7 @@ from .errors import (
 
 TWO_PI = 2.0 * math.pi
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
-SUPPORT_TOL = 1e-9  # a float form value above this in absolute value is in the support
+SUPPORT_TOL = 1e-9  # |real value or flux|, or |phase| mod 2*pi, above this is nonzero
 GEN_MAX_INDEX_ENTRIES = 1 << 20  # zd and decorated hold d indices of length d: d <= 1024
 
 
@@ -106,17 +106,28 @@ class OneForm:
     def value(self, edge_id: int, sign: int = 1) -> np.ndarray:
         return sign * self.values[edge_id]
 
-    def support(self) -> tuple[int, ...]:
-        """Canonical edge ids with nonzero value.
+    @property
+    def exact(self) -> bool:
+        """Integer valued and not magnetic: its values and fluxes are exact."""
+        return not self.magnetic and np.issubdtype(self.values.dtype, np.integer)
 
-        Exact for integer-typed values, above SUPPORT_TOL in absolute
-        value otherwise.
+    def is_nonzero(self, f: np.ndarray) -> np.ndarray:
+        """Elementwise whether values or fluxes f of this form are nonzero.
+
+        Exact forms compare with zero, real ones test |f| > SUPPORT_TOL and
+        magnetic ones |math.remainder(f, 2*pi)| > SUPPORT_TOL, exactly: fmod
+        is exact, and for a = |fmod(f, 2*pi)| >= pi so is 2*pi - a (Sterbenz).
         """
-        if np.issubdtype(self.values.dtype, np.integer):
-            mask = np.any(self.values != 0, axis=1)
-        else:
-            mask = np.any(np.abs(self.values) > SUPPORT_TOL, axis=1)
-        return tuple(int(i) for i in np.nonzero(mask)[0])
+        if self.exact:
+            return f != 0
+        if self.magnetic:
+            a = np.abs(np.fmod(f, TWO_PI))
+            return np.minimum(a, TWO_PI - a) > SUPPORT_TOL
+        return np.abs(f) > SUPPORT_TOL
+
+    def support(self) -> tuple[int, ...]:
+        """Canonical edge ids with a nonzero value (is_nonzero in some component)."""
+        return tuple(np.flatnonzero(self.is_nonzero(self.values).any(axis=1)).tolist())
 
     def support_size_oriented(self) -> int:
         """Number of oriented edges with nonzero value (twice the canonical count)."""

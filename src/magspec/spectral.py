@@ -112,7 +112,8 @@ def grid_axis(d: int, n: int, nu: int = 1) -> np.ndarray:
     """
     if n < 3:
         raise GridTooCoarseError(f"grid needs at least 3 points per dimension, got {n}")
-    if n**d * max(d, nu) * 8 > _TABLE_BUDGET_BYTES:
+    # n >= 3, so a d this large is over budget; n**d would be a huge power to compute
+    if d >= _TABLE_BUDGET_BYTES.bit_length() or n**d * max(d, nu) * 8 > _TABLE_BUDGET_BYTES:
         raise GridTooLargeError(
             f"a {n}^{d} grid with {nu} bands exceeds the "
             f"{_TABLE_BUDGET_BYTES >> 20} MiB sweep budget"
@@ -160,7 +161,10 @@ def eigenvalue_table(
     thetas = np.atleast_2d(thetas)
     table = np.empty((thetas.shape[0], g.num_vertices))
     for rows in _chunks(*table.shape):
-        table[rows] = np.linalg.eigvalsh(fiber_stack(g, b, a, thetas[rows], with_potential=True))
+        # unnamed, so no chunk's stack is held while the next one is built
+        table[rows] = np.linalg.eigvalsh(
+            add_to_diagonals(fiber_stack(g, b, a, thetas[rows]), g.potential)
+        )
     return table
 
 
@@ -416,8 +420,8 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
         lam_min, lam_max = np.inf, -np.inf
         # a chunk holds three stacks at once: s_a, s_0 and their difference
         for rows in _chunks(*shifted.shape, stacks=3):
-            # Each stack is built once without the potential; adding it afterwards
-            # is exactly what fiber_stack(with_potential=True) does.
+            # each stack is built once without the potential, which is added
+            # afterwards as eigenvalue_table adds it
             s_a = fiber_stack(g, mu, phi_tilde, thetas[rows])
             s_0 = fiber_stack(g, mu, zero, thetas[rows])
             x_eigs = np.linalg.eigvalsh(s_a - s_0)

@@ -64,6 +64,15 @@ def test_gen_decorated_with_decoration_file(tmp_path, capsys):
     assert g.beta == 2
 
 
+@pytest.mark.parametrize("kind", [["zd", "--dim", "2"], ["hexagonal"], ["kagome"]])
+def test_gen_refuses_a_decoration_for_other_kinds(tmp_path, capsys, kind):
+    deco = tmp_path / "deco.json"  # a valid decoration, which decorated would glue on
+    dump_graph_json(generate("zd", 1), deco)
+    code, out, err = run(capsys, "gen", *kind, "--decoration", str(deco))
+    assert (code, out) == (2, "")
+    assert "--decoration needs kind decorated" in err
+
+
 def test_gen_refuses_a_dimension_above_the_limit_before_building(capsys):
     tracemalloc.start()
     try:
@@ -210,6 +219,25 @@ def test_bands_refuses_a_bad_flat_tol_before_the_scan(capsys, monkeypatch, kagom
     assert code == 2
     assert out == ""
     assert "--flat-tol" in err
+
+
+@pytest.mark.parametrize("command", ["bands", "verify"])
+@pytest.mark.parametrize("data,grid,message", [
+    (graph_to_dict(generate("zd", 2)), ["--grid", "40000"], "budget"),
+    (graph_to_dict(generate("zd", 2)), ["--grid", "2"], "at least 3 points"),
+    (graph_to_dict(generate("zd", 6)), [], "21^6 grid"),  # every d >= 6 at the default grid
+], ids=["over-budget", "too-coarse", "zd6-default"])
+def test_grid_is_refused_before_the_scan(tmp_path, capsys, monkeypatch, command, data, grid,
+                                         message):
+    def no_scan(*args, **kwargs):
+        raise AssertionError(f"{command} scanned trees before refusing the grid")
+
+    monkeypatch.setattr(cli, "analyze", no_scan)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), *grid)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_verify_generators_pass(tmp_path, capsys):

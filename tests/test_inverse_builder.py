@@ -22,6 +22,7 @@ from magspec import (
     validate,
     zero_phase_form,
 )
+from magspec.fiber_operator import add_to_diagonals
 from magspec.graph_model import Edge, FundamentalGraph, OneForm
 
 from conftest import make_random_graph
@@ -185,9 +186,8 @@ def test_supercell_zero_fiber_equals_torus_expansion(kagome):
     rng = np.random.default_rng(22)
     g = kagome.with_phases(rng.uniform(-np.pi, np.pi, 6))
     cell = supercell(g, SupercellSpec((2, 2)))
-    fib = fiber_stack(
-        cell, cell.index_form(), cell.magnetic_form(), [0.0, 0.0], with_potential=True
-    )[0]
+    fib = fiber_stack(cell, cell.index_form(), cell.magnetic_form(), [0.0, 0.0])
+    fib = add_to_diagonals(fib, cell.potential)[0]
     got = np.linalg.eigvalsh(fib)
     want = np.linalg.eigvalsh(torus_expansion(g, (2, 2)))
     assert np.allclose(got, want, atol=1e-9)

@@ -53,7 +53,8 @@ TINY_CHUNK_BYTES = 1000  # 62 fibers per chunk at nu = 1, 6 at nu = 3, one at nu
 
 
 def one_shot(g, b, a, thetas):
-    return np.linalg.eigvalsh(fiber_stack(g, b, a, thetas, with_potential=True))
+    stack = fiber_operator.add_to_diagonals(fiber_stack(g, b, a, thetas), g.potential)
+    return np.linalg.eigvalsh(stack)
 
 
 @pytest.fixture(params=[TINY_CHUNK_BYTES], ids=["serial"])
@@ -353,8 +354,8 @@ def test_batched_splitting_raises_the_loops_first_failure(monkeypatch, breaks):
         mu = an.mu
         on = np.isin(np.arange(g.num_edges), mu.support())
 
-        def stack(g_, b, a, thetas, with_potential=False, edge_mask=None):
-            out = real_stack(g_, b, a, thetas, with_potential, edge_mask)
+        def stack(g_, b, a, thetas, edge_mask=None):
+            out = real_stack(g_, b, a, thetas, edge_mask)
             th = np.atleast_2d(thetas)
             if "exactness" in breaks and edge_mask is None:
                 out[np.abs(th[:, 0]) > 1.0] += 1e-6

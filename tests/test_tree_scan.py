@@ -39,7 +39,15 @@ from magspec import (
     tree_form,
 )
 from magspec.cli import main
-from magspec.graph_model import Edge, FundamentalGraph
+from magspec.graph_model import (
+    INT64_MAX,
+    INT64_MIN,
+    SUPPORT_TOL,
+    TWO_PI,
+    Edge,
+    FundamentalGraph,
+    reduce_angle,
+)
 
 from conftest import KAGOME_POSITIONS, coordinate_form
 
@@ -73,7 +81,7 @@ def reference_support(g, form, basis) -> frozenset[int]:
     if np.issubdtype(table.dtype, np.integer):
         nonzero = np.any(table != 0, axis=1)
     else:
-        nonzero = np.any(np.abs(table) > fc.ZERO_FLUX_TOL, axis=1)
+        nonzero = np.any(np.abs(table) > SUPPORT_TOL, axis=1)
     return frozenset(c for c, nz in zip(basis.chords, nonzero) if nz)
 
 
@@ -187,14 +195,14 @@ def test_disconnected_graph_has_no_first_tree():
         first_spanning_tree(FundamentalGraph(dim=0, num_vertices=0, edges=()))
 
 
-_TOL = fc.ZERO_FLUX_TOL
+_TOL = SUPPORT_TOL
 
 
 @pytest.mark.parametrize("flux,nonzero", [
     (_TOL * (1 - 1e-3), False), (_TOL * (1 + 1e-3), True),
     (-_TOL * (1 - 1e-3), False), (-_TOL * (1 + 1e-3), True),
-    (fc.TWO_PI + _TOL * (1 - 1e-3), False), (fc.TWO_PI + _TOL * (1 + 1e-3), True),
-    (fc.TWO_PI - _TOL * (1 - 1e-3), False), (fc.TWO_PI - _TOL * (1 + 1e-3), True),
+    (TWO_PI + _TOL * (1 - 1e-3), False), (TWO_PI + _TOL * (1 + 1e-3), True),
+    (TWO_PI - _TOL * (1 - 1e-3), False), (TWO_PI - _TOL * (1 + 1e-3), True),
 ])
 def test_near_tolerance_flux_spread_over_a_long_cycle(walks, flux, nonzero):
     # A ring of 12 vertices: every tree has one chord, whose basic cycle is
@@ -205,7 +213,7 @@ def test_near_tolerance_flux_spread_over_a_long_cycle(walks, flux, nonzero):
     spread = np.random.default_rng(3).uniform(-3.0, 3.0, n - 1).tolist()
     last = flux - math.fsum(spread)
     edges = [Edge(v, (v + 1) % n, (int(v == 0),), a)
-             for v, a in enumerate(spread + [fc.reduce_angle(last)])]
+             for v, a in enumerate(spread + [reduce_angle(last)])]
     g = FundamentalGraph(dim=1, num_vertices=n, edges=tuple(edges))
     forms = (g.magnetic_form(), OneForm(np.array([[x] for x in spread + [last]])))
     if flux > 1.0:  # a real flux near 2*pi is plainly nonzero
@@ -218,7 +226,7 @@ def test_near_tolerance_flux_spread_over_a_long_cycle(walks, flux, nonzero):
 
 def test_phase_flux_test_equals_remainder():
     rng = np.random.default_rng(5)
-    tol, step = fc.ZERO_FLUX_TOL, fc.TWO_PI
+    tol, step = SUPPORT_TOL, TWO_PI
     edges = [k * step + s * tol for k in range(-40, 41) for s in (-1, 0, 1)]
     edges += [s * math.pi for s in (-3, -1, 1, 3)] + [s * step / 2 for s in (-1, 1)] + [1e300]
     edges = np.array(edges)
@@ -231,7 +239,38 @@ def test_phase_flux_test_equals_remainder():
         [0.0, -0.0],
     ])
     want = np.array([abs(math.remainder(x, step)) > tol for x in f.tolist()])
-    assert np.array_equal(fc._nonzero_phase(f), want)
+    assert np.array_equal(OneForm.zeros(1, 1, magnetic=True).is_nonzero(f), want)
+
+
+@pytest.mark.parametrize("values,f,nonzero", [
+    # exact: integer valued, compared with zero, int64 extremes included
+    (np.zeros((1, 1), dtype=np.int64), [INT64_MIN, -1, 0, 1, INT64_MAX], [1, 1, 0, 1, 1]),
+    # real: SUPPORT_TOL in absolute value, with no reduction mod 2*pi
+    (np.zeros((1, 1)),
+     [_TOL * (1 - 1e-3), _TOL * (1 + 1e-3), -_TOL * (1 - 1e-3), -_TOL * (1 + 1e-3),
+      0.0, -0.0, TWO_PI, -TWO_PI],
+     [0, 1, 0, 1, 0, 0, 1, 1]),
+])
+def test_exact_and_real_zero_tests(values, f, nonzero):
+    x = OneForm(values)
+    assert x.exact == np.issubdtype(values.dtype, np.integer)
+    got = x.is_nonzero(np.array(f, dtype=values.dtype))
+    assert got.tolist() == [bool(b) for b in nonzero]
+
+
+def test_support_is_the_rows_with_a_nonzero_value(battery_graphs):
+    rng = np.random.default_rng(11)
+    for g in battery_graphs:
+        positions = rng.uniform(-1.0, 1.0, (g.num_vertices, g.dim))
+        tau, alpha = g.index_form(), g.magnetic_form()
+        coord, flat = coordinate_form(g, positions), coordinate_form(g, 0.0 * positions)
+        assert tau.exact and not (alpha.exact or coord.exact or flat.exact)
+        for x in (tau, alpha, coord, flat):
+            assert x.support() == tuple(np.flatnonzero(x.is_nonzero(x.values).any(1)))
+        # on reduced phases the mod-2*pi test is the plain tolerance test
+        assert tau.support() == tuple(np.flatnonzero((tau.values != 0).any(1)))
+        for x in (alpha, coord, flat):
+            assert x.support() == tuple(np.flatnonzero((np.abs(x.values) > _TOL).any(1)))
 
 
 def test_int64_potential_guard():
