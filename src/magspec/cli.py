@@ -3,14 +3,18 @@
 Subcommands: gen, invariants, bands, verify, butterfly, build-periodic.
 Exit codes: 0 success, 1 failed verification check, 2 input error (an
 --out in a missing directory, or one that cannot be written, included).
-Output is deterministic for a fixed input and seed.
+Output is deterministic for a fixed input and seed. bands --out writes
+a temporary file beside the target and moves it there only on success,
+so a failed run creates no file and leaves an existing one unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from functools import cache, partial
 from pathlib import Path
 
@@ -112,24 +116,50 @@ def cmd_bands(args: argparse.Namespace) -> int:
         raise BadParamsError(f"--flat-tol must be finite and nonnegative, got {args.flat_tol}")
     _check_grid(g, args.grid)
     an = analyze(g, cap=args.tree_cap)
-    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
+    sweep = partial(band_sweep, g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
     if args.out:
-        _write_band_csv(g, spec, args.out)
+        with _replaced_on_success(args.out) as f:
+            spec = sweep(on_chunk=_band_csv(g, f))
+    else:
+        spec = sweep()
     summary = spec.to_dict()
     summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
     return 0
 
 
-def _write_band_csv(g: FundamentalGraph, spec, path: str) -> None:
+@contextmanager
+def _replaced_on_success(path: str):
+    """A new text file beside path, moved onto path when the block ends without raising.
+
+    Otherwise it is removed, so path is never left half written and an
+    existing file keeps its bytes.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        # created exclusively, with the permissions open(path, "w") would give
+        with tmp.open("x", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _band_csv(g: FundamentalGraph, f):
+    """Write the per-theta eigenvalue CSV header to f; return an on_chunk that writes the rows."""
     header = [f"theta_{s + 1}" for s in range(g.dim)] + [
         f"lambda_{n + 1}" for n in range(g.num_vertices)
     ]
+    f.write(",".join(header) + "\n")
     row = ",".join(["{:.12g}"] * len(header)) + "\n"  # _fmt on every cell, one call per row
-    with Path(path).open("w", encoding="utf-8") as f:  # row by row: the text is never held whole
-        f.write(",".join(header) + "\n")
-        for theta, eigs in zip(spec.thetas, spec.eigenvalues):
-            f.write(row.format(*theta.tolist(), *eigs.tolist()))
+
+    def write_rows(thetas: np.ndarray, eigs: np.ndarray) -> None:
+        for theta, lam in zip(thetas, eigs):  # row by row: the text is never held whole
+            f.write(row.format(*theta.tolist(), *lam.tolist()))
+
+    return write_rows
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -103,16 +103,14 @@ def lattice_image_check(flux_matrix: np.ndarray) -> bool:
     span. Row by row, Euclid over the columns not yet used as pivots
     leaves one column nonzero in that row, the pivot. The span is Z^d
     exactly when all d pivots are +-1; a row with no nonzero entry left
-    means the rank is below d.
+    means the rank is below d. Raises ValueError for a matrix that is
+    not two dimensional or not of an integer dtype.
     """
     mat = np.asarray(flux_matrix)
     if mat.ndim != 2:
         raise ValueError("flux matrix must be two dimensional")
     if not np.issubdtype(mat.dtype, np.integer):
-        rounded = np.rint(mat)
-        if mat.size and np.max(np.abs(mat - rounded)) > 1e-9:
-            raise ValueError("flux matrix must be integer valued")
-        mat = rounded
+        raise ValueError(f"flux matrix must have an integer dtype, got {mat.dtype}")
     cols = mat.astype(np.int64).T.tolist()
     for r in range(mat.shape[0]):
         while True:

@@ -5,13 +5,14 @@ eigenvalue over the torus; here the torus is sampled on a uniform
 inclusive grid linspace(-pi, pi, N) per dimension, which contains 0 and
 both endpoints for odd N so that the cosine-type extrema of the stock
 lattices land exactly on grid points. Sweeps stream the grid on one
-thread in the row slices of _chunks, whose fiber stacks (all those a
-chunk holds at once: three in the perturbation check) fit together in
-a fixed budget, so memory is bounded by the (K, nu) eigenvalue tables, and
-grids whose table would exceed a fixed budget are refused before
-anything is allocated. The butterfly's Harper models solve only the
-grid points where their band ends can lie (harper_band_edges), with
-the same result as the full sweep.
+thread in the chunks of _eigenvalue_chunks, whose fiber stacks (all
+those a chunk holds at once: three in the perturbation check) fit
+together in a fixed budget. Each sweep folds every chunk into running
+band ends as it is solved and keeps no (K, nu) eigenvalue table, so
+memory is bounded by one chunk; grids over a fixed sweep size are
+refused before anything is allocated. The butterfly's Harper models
+solve only the grid points where their band ends can lie
+(harper_band_edges), with the same result as the full sweep.
 
 The verify_* functions turn the structural facts about these operators
 into numerical checks: band localization against the off-support
@@ -23,11 +24,11 @@ pair. Each takes the Analysis of one graph (analyze validates it) and
 returns the detail dict that `verify` prints, or raises
 CheckFailedError. sy_sunada_check, the bottom-of-spectrum property of
 the phase-free operator, follows the same contract.
-The grid checks share eigenvalue tables through their Analysis, one
-table at a time, reused while the forms and the grid repeat byte for
-byte: on a zero-phase graph sy_sunada_check's (mu, 0) sweep reads band
-localization's (mu, alpha) table. Vanishing shifted phases leave the
-perturbation sandwich nothing to solve.
+The grid checks share band ends through their Analysis, reused while
+the forms and the grid repeat byte for byte: on a zero-phase graph
+sy_sunada_check's (mu, 0) sweep reads band localization's (mu, alpha)
+band ends. Vanishing shifted phases leave the perturbation sandwich
+nothing to solve.
 Tolerances of comparisons that the potential q enters on both sides
 grow by ROUNDING_ULPS * eps * max |q|, the rounding of eigenvalues of
 size |q|.
@@ -36,7 +37,7 @@ size |q|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -79,7 +80,7 @@ HERMITICITY_TOL = 1e-12
 EPS = float(np.finfo(float).eps)
 ROUNDING_ULPS = 64  # rounding allowance, in ulp of max |q|, where q enters both sides
 _CHUNK_BYTES = 4 << 20  # every complex fiber stack a sweep chunk holds at once, together
-_TABLE_BUDGET_BYTES = 1 << 28  # largest theta grid or (K, nu) table a sweep may allocate
+_SWEEP_BUDGET_BYTES = 1 << 28  # largest sweep: bytes of its theta grid or of a (K, nu) table
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -107,16 +108,16 @@ def grid_axis(d: int, n: int, nu: int = 1) -> np.ndarray:
     """One axis of the inclusive uniform grid on [-pi, pi]^d, after the grid checks.
 
     Raises GridTooCoarseError for n < 3, and GridTooLargeError, before
-    allocating, when the n^d grid or an (n^d, nu) eigenvalue table over
-    it would exceed the sweep budget.
+    allocating, when the sweep is over budget: when the n^d grid, or an
+    (n^d, nu) eigenvalue table over it, would exceed _SWEEP_BUDGET_BYTES.
     """
     if n < 3:
         raise GridTooCoarseError(f"grid needs at least 3 points per dimension, got {n}")
     # n >= 3, so a d this large is over budget; n**d would be a huge power to compute
-    if d >= _TABLE_BUDGET_BYTES.bit_length() or n**d * max(d, nu) * 8 > _TABLE_BUDGET_BYTES:
+    if d >= _SWEEP_BUDGET_BYTES.bit_length() or n**d * max(d, nu) * 8 > _SWEEP_BUDGET_BYTES:
         raise GridTooLargeError(
             f"a {n}^{d} grid with {nu} bands exceeds the "
-            f"{_TABLE_BUDGET_BYTES >> 20} MiB sweep budget"
+            f"{_SWEEP_BUDGET_BYTES >> 20} MiB sweep budget"
         )
     axis = np.linspace(-np.pi, np.pi, n)
     if n % 2 == 1:
@@ -144,11 +145,42 @@ def _chunks(k: int, nu: int, stacks: int = 1) -> list[slice]:
 
     The stacks of complex nu x nu fibers that a chunk holds at once fit
     in _CHUNK_BYTES together (a slice keeps a single fiber when even one
-    per stack is larger), so only a sweep's (k, nu) tables grow with the
-    grid.
+    per stack is larger).
     """
     step = max(1, _CHUNK_BYTES // (stacks * 16 * max(nu, 1) ** 2))
     return [slice(lo, lo + step) for lo in range(0, k, step)]
+
+
+def _eigenvalue_chunks(
+    g: FundamentalGraph,
+    thetas: np.ndarray,
+    *pairs: tuple[OneForm, OneForm],
+    difference: bool = False,
+) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """Row slice and sorted eigenvalues of each chunk of a (K, d) theta array, in order.
+
+    Per chunk: the eigenvalues of the fibers of each (b, a) pair with the
+    potential; with difference, then those of the first pair's fibers
+    minus the second's, without it. A chunk's stacks (one per pair, and
+    the difference) fit in _CHUNK_BYTES together and are dropped before
+    the next chunk is built, so a caller that folds the yielded rows
+    holds no (K, nu) array.
+    """
+    for rows in _chunks(thetas.shape[0], g.num_vertices, len(pairs) + difference):
+        stacks = [fiber_stack(g, b, a, thetas[rows]) for b, a in pairs]
+        # the difference is taken before the potential is added in place
+        extra = [np.linalg.eigvalsh(stacks[0] - stacks[1])] if difference else []
+        eigs = [np.linalg.eigvalsh(add_to_diagonals(s, g.potential)) for s in stacks]
+        del stacks  # else held while the next chunk's stacks are built
+        yield rows, eigs + extra
+
+
+def _fold(ends: tuple, rows: np.ndarray) -> tuple:
+    """Running (min, max) ends with rows' column minima and maxima folded in; a NaN stays."""
+    return np.minimum(ends[0], rows.min(axis=0)), np.maximum(ends[1], rows.max(axis=0))
+
+
+_NO_ENDS = (np.inf, -np.inf)  # the ends before any row is folded in
 
 
 def eigenvalue_table(
@@ -160,12 +192,29 @@ def eigenvalue_table(
     """(K, nu) sorted eigenvalues of fibers with the potential, a row per theta, in chunks."""
     thetas = np.atleast_2d(thetas)
     table = np.empty((thetas.shape[0], g.num_vertices))
-    for rows in _chunks(*table.shape):
-        # unnamed, so no chunk's stack is held while the next one is built
-        table[rows] = np.linalg.eigvalsh(
-            add_to_diagonals(fiber_stack(g, b, a, thetas[rows]), g.potential)
-        )
+    for rows, (eigs,) in _eigenvalue_chunks(g, thetas, (b, a)):
+        table[rows] = eigs
     return table
+
+
+def _band_ends(
+    g: FundamentalGraph,
+    b: OneForm,
+    a: OneForm,
+    thetas: np.ndarray,
+    on_chunk: Callable | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-band (min, max) of the sorted eigenvalues over thetas, folded chunk by chunk.
+
+    on_chunk, if given, gets each chunk's theta rows and eigenvalue rows
+    as they are solved.
+    """
+    ends = _NO_ENDS
+    for rows, (eigs,) in _eigenvalue_chunks(g, thetas, (b, a)):
+        ends = _fold(ends, eigs)
+        if on_chunk is not None:
+            on_chunk(thetas[rows], eigs)
+    return ends
 
 
 def union_measure(intervals: Sequence[Sequence[float]]) -> float:
@@ -193,8 +242,6 @@ class BandSpectrum:
     bands: np.ndarray  # (nu, 2) per-band [min, max]
     flat: tuple[bool, ...]
     measure: float
-    thetas: np.ndarray
-    eigenvalues: np.ndarray  # (K, nu)
 
     def to_dict(self) -> dict:
         return {
@@ -223,28 +270,24 @@ def band_sweep(
     a: OneForm | None = None,
     grid_n: int | None = None,
     flat_tol: float = 1e-8,
+    on_chunk: Callable[[np.ndarray, np.ndarray], object] | None = None,
 ) -> BandSpectrum:
     """Sweep the torus grid and collect per-band intervals.
 
-    Defaults to the stored index and phase forms. Eigenvalues are
-    checked against the a-priori range [0, 2 kappa_+] shifted by the
-    potential range.
+    Defaults to the stored index and phase forms. Band ends are checked
+    against the a-priori range [0, 2 kappa_+] shifted by the potential
+    range. on_chunk, if given, gets the theta rows and eigenvalue rows
+    of each chunk, in grid order, as they are solved (before the range
+    check); no table of them is kept.
     """
     b = b if b is not None else g.index_form()
     a = a if a is not None else g.magnetic_form()
     _, thetas = _grid(g, grid_n)
-    table = eigenvalue_table(g, b, a, thetas)
-    lo, hi = table.min(axis=0), table.max(axis=0)
+    lo, hi = _band_ends(g, b, a, thetas, on_chunk)
     _check_spectral_range(g, lo, hi)
     bands = np.stack([lo, hi], axis=1)
     flat = tuple(bool(w < flat_tol) for w in hi - lo)
-    return BandSpectrum(
-        bands=bands,
-        flat=flat,
-        measure=union_measure(bands),
-        thetas=thetas,
-        eigenvalues=table,
-    )
+    return BandSpectrum(bands=bands, flat=flat, measure=union_measure(bands))
 
 
 def _cosine_levels(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -293,8 +336,7 @@ def harper_band_edges(q: int, p: int, grid_n: int | None = None) -> np.ndarray:
         flat = np.unique(np.concatenate([(rows[:, None] * n + cols).ravel() for rows, cols in blocks]))
         return eigenvalue_table(g, tau, alpha, np.stack([axis[flat // n], axis[flat % n]], axis=1))
 
-    table = solve((ext1, ext2))
-    lo, hi = table.min(axis=0), table.max(axis=0)
+    lo, hi = _fold(_NO_ENDS, solve((ext1, ext2)))
     corners = solve((next1, ext2), (ext1, next2))
     if not (np.all(lo + 2.0 * MATRIX_TOL < corners) and np.all(corners < hi - 2.0 * MATRIX_TOL)):
         return band_sweep(g, grid_n=n).bands
@@ -317,7 +359,7 @@ class Analysis:
     phi: OneForm  # minimal phase-class form
     theta0: np.ndarray  # quasimomentum shift of theta0_reduction
     phi_tilde: OneForm  # phi shifted by theta0
-    # the last grid table of _grid_table: its key and (K, nu) table
+    # (lo, hi) band ends of _grid_ends, by forms and grid size
     shared: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -334,19 +376,19 @@ def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
     return Analysis(g=g, report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
 
 
-def _grid_table(an: Analysis, b: OneForm, a: OneForm, grid_n: int | None) -> np.ndarray:
-    """eigenvalue_table of (b, a) on an.g over the theta grid, shared through an.
+def _grid_ends(
+    an: Analysis, b: OneForm, a: OneForm, grid_n: int | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Band ends (lo, hi) of (b, a) on an.g over the theta grid, shared through an.
 
-    The table is reused only while b, a and the grid size repeat byte for
-    byte (so a -0.0 phase never meets a 0.0 one). A miss drops the held
-    table before sweeping, so an holds at most one.
+    Ends are reused only while b, a and the grid size repeat byte for
+    byte (so a -0.0 phase never meets a 0.0 one).
     """
     n, thetas = _grid(an.g, grid_n)
     key = (b.values.tobytes(), a.values.tobytes(), n)
-    if an.shared.get("key") != key:
-        an.shared.clear()
-        an.shared.update(key=key, table=eigenvalue_table(an.g, b, a, thetas))
-    return an.shared["table"]
+    if key not in an.shared:
+        an.shared[key] = _band_ends(an.g, b, a, thetas)
+    return an.shared[key]
 
 
 def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
@@ -371,14 +413,11 @@ def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     floors = hermitian_eigenvalues(h0)
     kplus = int(support_degrees(g, mu).max()) if mu.support() else 0
 
-    table = _grid_table(an, mu, alpha, grid_n)
-
-    low_ok = np.all(floors[None, :] - tol <= table)
-    high_ok = np.all(table <= floors[None, :] + 2.0 * kplus + tol)
-    if not (low_ok and high_ok):
+    # every grid eigenvalue lies in its window exactly when the band ends do
+    lo, hi = _grid_ends(an, mu, alpha, grid_n)
+    if not (np.all(floors - tol <= lo) and np.all(hi <= floors + 2.0 * kplus + tol)):
         raise LocalizationViolatedError("a grid eigenvalue escaped its localization window")
 
-    lo, hi = table.min(axis=0), table.max(axis=0)
     total = float((hi - lo).sum())
     inv_i = mu.support_size_oriented() // 2
     if not total <= 4.0 * inv_i + sweep_tol:
@@ -414,40 +453,32 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     _, thetas = _grid(g, grid_n)
     lam_min = lam_max = band_shift = width_change = 0.0
     if np.any(phi_tilde.values):
-        zero = zero_phase_form(g)
-        an.shared.clear()  # the two tables below and one chunk set the peak; hold no third
-        shifted, free = (np.empty((thetas.shape[0], g.num_vertices)) for _ in range(2))
-        lam_min, lam_max = np.inf, -np.inf
-        # a chunk holds three stacks at once: s_a, s_0 and their difference
-        for rows in _chunks(*shifted.shape, stacks=3):
-            # each stack is built once without the potential, which is added
-            # afterwards as eigenvalue_table adds it
-            s_a = fiber_stack(g, mu, phi_tilde, thetas[rows])
-            s_0 = fiber_stack(g, mu, zero, thetas[rows])
-            x_eigs = np.linalg.eigvalsh(s_a - s_0)
-            lam_min = np.minimum(lam_min, x_eigs[:, 0].min())  # np.minimum keeps a NaN
-            lam_max = np.maximum(lam_max, x_eigs[:, -1].max())
-            shifted[rows] = np.linalg.eigvalsh(add_to_diagonals(s_a, g.potential))
-            free[rows] = np.linalg.eigvalsh(add_to_diagonals(s_0, g.potential))
-            del s_a, s_0  # else held while the next chunk's stacks are built
-        lam_min, lam_max = float(lam_min), float(lam_max)
+        pairs = (mu, phi_tilde), (mu, zero_phase_form(g))
+        # running ends: per band of each spectrum, of shifted - free over the grid, and
+        # of the perturbation matrix's first and last eigenvalues
+        ends_a = ends_0 = gap = lam = _NO_ENDS
+        for _, (shifted, free, x_eigs) in _eigenvalue_chunks(g, thetas, *pairs, difference=True):
+            ends_a, ends_0 = _fold(ends_a, shifted), _fold(ends_0, free)
+            gap, lam = _fold(gap, (shifted - free).ravel()), _fold(lam, x_eigs[:, [0, -1]])
+        lam_min, lam_max = float(lam[0][0]), float(lam[1][1])
         # Both swept spectra carry the potential; the perturbation matrix does not.
         tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
 
-        if not np.all(free + lam_min - tol <= shifted):
+        # free + Lambda_1 - tol <= shifted <= free + Lambda_nu + tol at every grid point
+        if not lam_min - tol <= gap[0]:
             raise SandwichViolatedError("lower pointwise sandwich violated")
-        if not np.all(shifted <= free + lam_max + tol):
+        if not gap[1] <= lam_max + tol:
             raise SandwichViolatedError("upper pointwise sandwich violated")
 
-        lo_a, hi_a = shifted.min(axis=0), shifted.max(axis=0)
-        lo_0, hi_0 = free.min(axis=0), free.max(axis=0)
+        (lo_a, hi_a), (lo_0, hi_0) = ends_a, ends_0
         shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
         if not (lam_min - sweep_tol <= shifts.min() and shifts.max() <= lam_max + sweep_tol):
             raise SandwichViolatedError("band-end shift escaped the sandwich")
         widths = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
         if not np.max(widths, initial=0.0) <= (lam_max - lam_min) + sweep_tol:
             raise SandwichViolatedError("band-width change exceeds the sandwich spread")
-        if not phi_tilde.support() and not np.max(np.abs(shifted - free)) <= tol:
+        # max |shifted - free| is the larger of max and -min, NaN included
+        if not phi_tilde.support() and not np.maximum(gap[1], -gap[0]) <= tol:
             raise SandwichViolatedError("vanishing shifted phases must leave the spectrum unchanged")
         band_shift = float(np.max(np.abs(shifts), initial=0.0))
         width_change = float(np.max(widths, initial=0.0))
@@ -494,7 +525,7 @@ def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
     Defined only for graphs with zero phases (GraphDataError otherwise);
     the potential may be arbitrary. Sweeps the fiber of (mu, 0), which an
     integer gauge conjugates to that of (tau, 0) at every theta, so on a
-    graph whose phases are all +0.0 it reads band localization's table.
+    graph whose phases are all +0.0 it reads band localization's band ends.
     Raises CheckFailedError when the first band dips below its value at
     theta = 0 by more than the tolerance; returns {"attained_at_zero": True}.
     """
@@ -503,8 +534,8 @@ def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
         raise GraphDataError("bottom-of-spectrum check requires zero phases")
     zero = zero_phase_form(g)
     at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
-    table = _grid_table(an, an.mu, zero, grid_n)
-    if not at_zero <= table[:, 0].min() + _potential_tol(g, MATRIX_TOL):
+    lo, _ = _grid_ends(an, an.mu, zero, grid_n)
+    if not at_zero <= lo[0] + _potential_tol(g, MATRIX_TOL):
         raise CheckFailedError("first band bottom is not attained at theta = 0")
     return {"attained_at_zero": True}
 

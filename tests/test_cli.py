@@ -1,11 +1,11 @@
 import argparse
 import contextlib
+import errno
 import io
 import json
 import math
 import tempfile
 import tracemalloc
-import types
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -17,7 +17,14 @@ from hypothesis import given, settings, strategies as st
 import magspec.cli as cli
 import magspec.fiber_operator as fiber_operator
 import magspec.spectral as spectral
-from magspec import NonFiniteOutputError, dump_graph_json, generate, graph_to_dict, load_graph_json
+from magspec import (
+    FundamentalGraph,
+    NonFiniteOutputError,
+    dump_graph_json,
+    generate,
+    graph_to_dict,
+    load_graph_json,
+)
 from magspec.cli import main
 
 
@@ -185,19 +192,72 @@ def test_bands_summary_and_csv(tmp_path, capsys, z2_file):
 
 
 def test_band_csv_is_written_row_by_row(tmp_path):
+    # one on_chunk call with a whole 101^2 grid, as band_sweep makes it at nu = 1
     g = generate("zd", 2)
     n = 101 * 101
-    spec = types.SimpleNamespace(thetas=np.linspace(-3.0, 3.0, 2 * n).reshape(n, 2),
-                                 eigenvalues=np.linspace(0.0, 8.0, n).reshape(n, 1))
+    thetas = np.linspace(-3.0, 3.0, 2 * n).reshape(n, 2)
+    eigs = np.linspace(0.0, 8.0, n).reshape(n, 1)
     path = tmp_path / "bands.csv"
-    tracemalloc.start()
-    try:
-        cli._write_band_csv(g, spec, str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with path.open("w", encoding="utf-8") as f:
+        tracemalloc.start()
+        try:
+            cli._band_csv(g, f)(thetas, eigs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     size = path.stat().st_size
     assert size > 10**5 and peak < size  # the text is never held whole
+
+
+def _out_dir_after_failed_bands(tmp_path, capsys, graph_file, existing):
+    """Run bands --out into a fresh directory, optionally over an existing file; its listing after."""
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / "bands.csv"
+    if existing:
+        target.write_bytes(b"kept\n")
+    code, stdout, err = run(capsys, "bands", graph_file, "--grid", "21", "--out", str(target))
+    assert stdout == ""
+    if existing:
+        assert target.read_bytes() == b"kept\n"
+    return code, err, sorted(p.name for p in out.iterdir())
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_bands_out_failed_range_check_leaves_the_target_alone(tmp_path, capsys, monkeypatch,
+                                                             kagome_file, existing):
+    # every row is written before the range check can fail
+    monkeypatch.setattr(FundamentalGraph, "kappa_plus", lambda self: -10)
+    code, err, listing = _out_dir_after_failed_bands(tmp_path, capsys, kagome_file, existing)
+    assert code == 1
+    assert "a-priori spectral range" in err
+    assert listing == (["bands.csv"] if existing else [])
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_bands_out_write_error_leaves_the_target_alone(tmp_path, capsys, monkeypatch,
+                                                      kagome_file, existing):
+    # the disk fills after some rows are written
+    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1000)  # 6 fibers per chunk at nu = 3
+    real_csv = cli._band_csv
+    chunks = []
+
+    def filling(g, f):
+        write_rows = real_csv(g, f)
+
+        def write(thetas, eigs):
+            chunks.append(len(thetas))
+            if len(chunks) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            write_rows(thetas, eigs)
+
+        return write
+
+    monkeypatch.setattr(cli, "_band_csv", filling)
+    code, err, listing = _out_dir_after_failed_bands(tmp_path, capsys, kagome_file, existing)
+    assert code == 2
+    assert err.startswith("error: cannot write --out") and "No space left" in err
+    assert listing == (["bands.csv"] if existing else [])
 
 
 def test_bands_deterministic_output(capsys, kagome_file):

@@ -329,8 +329,10 @@ def test_lattice_image_hand_cases():
 
 
 def test_lattice_image_input_checks():
-    assert lattice_image_check(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="integer valued"):
+    # a float matrix is refused even when its entries are integers
+    with pytest.raises(ValueError, match="integer dtype"):
+        lattice_image_check(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="integer dtype"):
         lattice_image_check(np.array([[1.5, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError, match="two dimensional"):
         lattice_image_check(np.array([1, 0]))

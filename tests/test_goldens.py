@@ -26,7 +26,7 @@ VERIFIED = (
     + ["hex-2x2", "harper-q12-p5"]
     # phased, with vanishing shifted phases: the perturbation check solves nothing
     + ["battery-014", "battery-015", "battery-045", "battery-081"]
-    # zero phases: the bottom-of-spectrum check reads localization's table
+    # zero phases: the bottom-of-spectrum check reads localization's band ends
     + ["zd1", "zd3", "hexagonal", "kagome", "decorated2"]
 )
 

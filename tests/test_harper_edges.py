@@ -80,15 +80,17 @@ def test_solves_extremal_points_then_corners_in_grid_order(monkeypatch):
 
 
 def test_failed_corner_check_falls_back_to_the_full_grid(monkeypatch):
-    table = spectral.eigenvalue_table
+    # every solve, eigenvalue_table's and band_sweep's, runs through _eigenvalue_chunks
+    real_chunks = spectral._eigenvalue_chunks
     calls = []
 
-    def corners_escape(*args, **kwargs):
-        calls.append(len(args[3]))
-        out = table(*args, **kwargs)
-        return out + 10.0 if len(calls) == 2 else out  # the second call solves the corners
+    def corners_escape(g, thetas, *pairs, difference=False):
+        calls.append(len(thetas))
+        for rows, eigs in real_chunks(g, thetas, *pairs, difference=difference):
+            # the second sweep solves the corners
+            yield rows, [e + 10.0 for e in eigs] if len(calls) == 2 else eigs
 
-    monkeypatch.setattr(spectral, "eigenvalue_table", corners_escape)
+    monkeypatch.setattr(spectral, "_eigenvalue_chunks", corners_escape)
     got = harper_band_edges(7, 3, 31)
     assert len(calls) == 3 and calls[2] == 31**2  # candidates, corners, then the full grid
     monkeypatch.undo()

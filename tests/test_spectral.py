@@ -184,8 +184,8 @@ def test_band_sweep_rejects_coarse_grid(z2):
 
 
 def test_eigenvalue_rows_sorted(kagome):
-    spec = band_sweep(kagome, grid_n=21)
-    assert np.all(np.diff(spec.eigenvalues, axis=1) >= -1e-12)
+    table = eigenvalue_table(kagome, kagome.index_form(), kagome.magnetic_form(), theta_grid(2, 21))
+    assert np.all(np.diff(table, axis=1) >= -1e-12)
 
 
 def test_phase_free_fiber_kernel_at_zero(generator_graphs):
@@ -205,8 +205,9 @@ def test_grid_variation_respects_lipschitz_alarm(kagome):
     mu, _, _ = minimal_form(kagome, kagome.index_form())
     bound = 2.0 * np.abs(mu.values[list(mu.support())].astype(float)).sum()
     n = 41
-    spec = band_sweep(kagome, grid_n=n)
-    table = spec.eigenvalues.reshape(n, n, 3)
+    thetas = theta_grid(2, n)
+    table = eigenvalue_table(kagome, kagome.index_form(), kagome.magnetic_form(), thetas)
+    table = table.reshape(n, n, 3)
     step = 2 * math.pi / (n - 1)
     for axis in (0, 1):
         diffs = np.abs(np.diff(table, axis=axis))

@@ -1,11 +1,10 @@
 """Chunked torus sweeps.
 
 Cutting the grid into chunks must give the same bits as one eigensolve
-over the whole fiber stack; memory must stay bounded by the eigenvalue
-table; oversize grids are refused before anything is allocated; each
-CLI command scans spanning trees once; and verify sweeps each distinct
-(b, a, grid) table once, sharing a table only between byte-identical
-forms.
+over the whole fiber stack; memory must stay bounded by one chunk;
+oversize grids are refused before anything is allocated; each CLI
+command scans spanning trees once; and verify sweeps each distinct
+(b, a, grid) once, sharing band ends only between byte-identical forms.
 """
 
 from __future__ import annotations
@@ -25,12 +24,14 @@ from magspec import (
     FundamentalGraph,
     GridTooCoarseError,
     GridTooLargeError,
+    LocalizationViolatedError,
     OneForm,
     SandwichViolatedError,
     SupercellSpec,
     analyze,
     band_sweep,
     dump_graph_json,
+    eigenvalue_table,
     fiber_stack,
     generate,
     harper_model,
@@ -50,6 +51,7 @@ from magspec.cli import main
 GRID = 13
 PHASED_HEXAGONAL = generate("hexagonal").with_phases([0.3, -0.7, 1.1])
 TINY_CHUNK_BYTES = 1000  # 62 fibers per chunk at nu = 1, 6 at nu = 3, one at nu = 6
+DEFAULT_CHUNK_BYTES = spectral._CHUNK_BYTES
 
 
 def one_shot(g, b, a, thetas):
@@ -74,9 +76,19 @@ def analyses(scanned):
 
 
 def test_band_sweep_tables_match_one_shot(analyses, tiny_chunks):
+    # the chunks band_sweep hands on_chunk, stacked, are the one-shot table, and the
+    # band ends its min and max
     for g, an in analyses:
-        spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=GRID)
-        assert np.array_equal(spec.eigenvalues, one_shot(g, an.mu, an.phi_tilde, spec.thetas))
+        thetas = theta_grid(g.dim, GRID)
+        want = one_shot(g, an.mu, an.phi_tilde, thetas)
+        chunks = []
+        spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=GRID,
+                          on_chunk=lambda th, eigs: chunks.append((th, eigs)))
+        assert len(chunks) == len(spectral._chunks(len(thetas), g.num_vertices))
+        assert np.array_equal(np.concatenate([th for th, _ in chunks]), thetas)
+        assert np.array_equal(np.concatenate([eigs for _, eigs in chunks]), want)
+        assert np.array_equal(eigenvalue_table(g, an.mu, an.phi_tilde, thetas), want)
+        assert np.array_equal(spec.bands, np.stack([want.min(0), want.max(0)], axis=1))
 
 
 def test_localization_reports_match_one_shot(analyses, tiny_chunks):
@@ -108,32 +120,72 @@ def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
         )
 
 
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_harper_sweep_memory_is_bounded():
-    # one (10201, 30, 30) complex stack over the default grid is 147 MB
+    # one (10201, 30, 30) complex stack over the default grid is 147 MB, and a
+    # (10201, 30) table 2.3 MiB: only one chunk may be held
     g = harper_model(30, 7)
     an = analyze(g)
-    tracemalloc.start()
-    try:
-        spec = band_sweep(g, an.mu, an.phi_tilde)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert spec.eigenvalues.shape == (101**2, 30)
-    assert peak < 16 * 2**20
+    spec, peak = traced_peak(band_sweep, g, an.mu, an.phi_tilde)
+    assert spec.bands.shape == (30, 2)
+    assert peak < spectral._CHUNK_BYTES + 2**20
 
 
-def test_perturbation_memory_is_bounded_by_one_chunk_and_two_tables():
-    # a chunk's three stacks share _CHUNK_BYTES; no (K, nu) perturbation table is kept
+def test_perturbation_memory_is_bounded_by_one_chunk():
+    # a chunk's three stacks share _CHUNK_BYTES; no (K, nu) table of either spectrum is kept
     an = analyze(harper_model(12, 5))
     assert np.any(an.phi_tilde.values)
-    tables = 2 * 101**2 * 12 * 8
-    tracemalloc.start()
-    try:
-        verify_perturbation(an)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < spectral._CHUNK_BYTES + tables + 2**20
+    _, peak = traced_peak(verify_perturbation, an)
+    assert peak < spectral._CHUNK_BYTES + 2**20
+
+
+def test_localization_memory_is_bounded_by_one_chunk():
+    an = analyze(harper_model(12, 5))
+    _, peak = traced_peak(verify_band_localization, an)
+    assert peak < spectral._CHUNK_BYTES + 2**20
+
+
+def test_bands_out_memory_is_bounded_by_one_chunk(tmp_path, capsys):
+    # the whole command, load and tree scan included; the CSV is streamed chunk by chunk
+    path = tmp_path / "harper.json"
+    dump_graph_json(harper_model(12, 5), path)
+    csv = tmp_path / "bands.csv"
+    code, peak = traced_peak(main, ["bands", str(path), "--out", str(csv)])
+    capsys.readouterr()
+    assert code == 0
+    assert csv.stat().st_size > 2**20  # more than the allowance over one chunk
+    assert peak < spectral._CHUNK_BYTES + 2**20
+
+
+@pytest.mark.parametrize("name", ["phased-kagome", "harper-q12"])
+def test_bands_out_bytes_do_not_depend_on_the_chunk_size(tmp_path, capsys, monkeypatch,
+                                                         tiny_chunks, name):
+    g = {
+        "phased-kagome": generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6))
+                                           .with_potential([0.5, -1.0, 2.0]),
+        "harper-q12": harper_model(12, 5),
+    }[name]
+    path = tmp_path / "g.json"
+    dump_graph_json(g, path)
+
+    def bands(csv):
+        assert main(["bands", str(path), "--grid", "21", "--out", str(csv)]) == 0
+        return capsys.readouterr().out, csv.read_bytes()
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_CHUNK_BYTES", DEFAULT_CHUNK_BYTES)
+        default = bands(tmp_path / "default.csv")
+    assert len(spectral._chunks(21**2, g.num_vertices)) > 50  # tiny_chunks cuts many chunks
+    assert bands(tmp_path / "tiny.csv") == default
 
 
 @pytest.mark.parametrize("chunk_bytes", [TINY_CHUNK_BYTES, spectral._CHUNK_BYTES])
@@ -155,7 +207,7 @@ def test_theta_grid_budget():
     with pytest.raises(GridTooCoarseError):
         theta_grid(2, -10**6)
     k = 101**2
-    fits = spectral._TABLE_BUDGET_BYTES // (8 * k)  # the most bands a 101^2 table may hold
+    fits = spectral._SWEEP_BUDGET_BYTES // (8 * k)  # the most bands a 101^2 sweep may have
     assert theta_grid(2, 101, nu=fits).shape == (k, 2)
     with pytest.raises(GridTooLargeError):
         theta_grid(2, 101, nu=fits + 1)
@@ -212,29 +264,23 @@ def test_command_scans_trees_once(tmp_path, capsys, monkeypatch, command):
 
 
 def count_grid_sweeps(monkeypatch, grid_n, dim):
-    """Record the phase form of every grid-size eigenvalue_table call, and each three-table sweep.
+    """Record the phase form of every one-pair grid sweep, and each three-stack sweep.
 
-    The perturbation check is the one caller of _chunks outside eigenvalue_table.
+    Every sweep runs through _eigenvalue_chunks; the perturbation check's
+    is the one with two pairs and their difference.
     """
-    tables, triples, inside = [], [], []
-    real_table, real_chunks = spectral.eigenvalue_table, spectral._chunks
+    tables, triples = [], []
+    real_chunks = spectral._eigenvalue_chunks
 
-    def table(g, b, a, thetas):
-        if np.atleast_2d(thetas).shape[0] == grid_n**dim:
-            tables.append(a.values.tobytes())
-        inside.append(True)
-        try:
-            return real_table(g, b, a, thetas)
-        finally:
-            inside.pop()
+    def chunks(g, thetas, *pairs, difference=False):
+        if len(thetas) == grid_n**dim:
+            if difference:
+                triples.append(len(thetas))
+            else:
+                tables.append(pairs[0][1].values.tobytes())
+        return real_chunks(g, thetas, *pairs, difference=difference)
 
-    def chunks(k, nu, stacks=1):
-        if not inside:
-            triples.append(k)
-        return real_chunks(k, nu, stacks)
-
-    monkeypatch.setattr(spectral, "eigenvalue_table", table)
-    monkeypatch.setattr(spectral, "_chunks", chunks)
+    monkeypatch.setattr(spectral, "_eigenvalue_chunks", chunks)
     return tables, triples
 
 
@@ -277,12 +323,48 @@ def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_gr
 
 
 def test_shared_table_is_keyed_by_grid():
+    # the Analysis holds band ends per (b, a, grid), and no table
     g = generate("kagome")
     an = analyze(g)
-    for n in (13, 21, 21):
+    for n, held in ((13, 1), (21, 2), (21, 2)):
         verify_band_localization(an, n)
         want = one_shot(g, an.mu, g.magnetic_form(), theta_grid(2, n))
-        assert np.array_equal(an.shared["table"], want)
+        key = (an.mu.values.tobytes(), g.magnetic_form().values.tobytes(), n)
+        assert len(an.shared) == held
+        lo, hi = an.shared[key]
+        assert np.array_equal(lo, want.min(0)) and np.array_equal(hi, want.max(0))
+
+
+def shift_one_grid_eigenvalue(monkeypatch, shift, in_perturbation):
+    """Move one eigenvalue at the first grid point of the sweep with (or without) the
+    perturbation difference, as a bug in one fiber would."""
+    real_chunks = spectral._eigenvalue_chunks
+
+    def shifted(g, thetas, *pairs, difference=False):
+        for i, (rows, eigs) in enumerate(real_chunks(g, thetas, *pairs, difference=difference)):
+            if i == 0 and difference == in_perturbation:
+                eigs[0][0, 0] += shift
+            yield rows, eigs
+
+    monkeypatch.setattr(spectral, "_eigenvalue_chunks", shifted)
+
+
+@pytest.mark.parametrize("shift", [-100.0, 100.0], ids=["below", "above"])
+def test_one_grid_eigenvalue_out_of_its_window_fails_localization(monkeypatch, shift):
+    # the window check reads band ends; each end must still catch a single grid point
+    shift_one_grid_eigenvalue(monkeypatch, shift, in_perturbation=False)
+    with pytest.raises(LocalizationViolatedError):
+        verify_band_localization(analyze(generate("kagome")), 21)
+
+
+@pytest.mark.parametrize("shift, side", [(-100.0, "lower"), (100.0, "upper")])
+def test_one_grid_point_out_of_the_sandwich_fails_pointwise(monkeypatch, shift, side):
+    # the pointwise sandwich reads the min and max of shifted - free over the grid
+    an = analyze(generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)))
+    assert np.any(an.phi_tilde.values)
+    shift_one_grid_eigenvalue(monkeypatch, shift, in_perturbation=True)
+    with pytest.raises(SandwichViolatedError, match=f"{side} pointwise sandwich violated"):
+        verify_perturbation(an, 21)
 
 
 def test_vanishing_shifted_phases_still_check_the_grid():
@@ -290,23 +372,6 @@ def test_vanishing_shifted_phases_still_check_the_grid():
     assert not np.any(an.phi_tilde.values)
     with pytest.raises(GridTooCoarseError):
         verify_perturbation(an, grid_n=2)
-
-
-def test_phased_perturbation_drops_the_shared_table_before_its_sweep(monkeypatch):
-    # the three tables set verify's peak memory; localization's table must not add to it
-    g = generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6))
-    an = analyze(g)
-    verify_band_localization(an, 21)
-    held = []
-    real_chunks = spectral._chunks
-
-    def chunks(k, nu, stacks=1):
-        held.append(bool(an.shared))
-        return real_chunks(k, nu, stacks)
-
-    monkeypatch.setattr(spectral, "_chunks", chunks)
-    verify_perturbation(an, 21)
-    assert held == [False]
 
 
 def test_negative_zero_phases_share_no_table_with_positive_zero(tmp_path, capsys, monkeypatch):
@@ -321,8 +386,8 @@ def test_negative_zero_phases_share_no_table_with_positive_zero(tmp_path, capsys
     tables, _ = count_grid_sweeps(monkeypatch, 21, g.dim)
     assert main(["verify", str(path), "--grid", "21"]) == 0
     assert capsys.readouterr().out == want
-    assert tables[0] == neg.values.tobytes()  # band localization's table
-    assert len(tables) == len(set(tables)) == 2  # one table per distinct phase bytes
+    assert tables[0] == neg.values.tobytes()  # band localization's sweep
+    assert len(tables) == len(set(tables)) == 2  # one sweep per distinct phase bytes
 
 
 def splitting_loop(g, mu, n_thetas=20, seed=0):
