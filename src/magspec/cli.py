@@ -3,20 +3,26 @@
 Subcommands: gen, invariants, bands, verify, butterfly, build-periodic.
 Exit codes: 0 success, 1 failed verification check, 2 input error (an
 --out in a missing directory, or one that cannot be written, included).
-Output is deterministic for a fixed input and seed. bands --out writes
-a temporary file beside the target and moves it there only on success,
-so a failed run creates no file and leaves an existing one unchanged.
+Output is deterministic for a fixed input and seed. Every command
+writes its result through _output: to stdout, or with --out to a
+temporary file beside the target that is moved there only when the
+command succeeds, so a failed run creates no file and leaves an
+existing one unchanged. The writer is opened before the command's
+work, so a target that cannot be written is refused first.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
+import shutil
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache, partial
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -27,20 +33,12 @@ from .errors import (
     MagspecError,
     NonFiniteOutputError,
 )
-from .forms_cycles import invariants
-from .graph_model import (
-    FundamentalGraph,
-    dump_graph_json,
-    generate,
-    graph_to_dict,
-    load_graph_json,
-    validate,
-)
+from .forms_cycles import DEFAULT_TREE_CAP, invariants
+from .graph_model import FundamentalGraph, generate, graph_to_dict, load_graph_json, validate
 from .inverse_builder import build_periodic, coprime_fluxes
 from .spectral import (
     analyze,
     band_sweep,
-    default_grid_n,
     grid_axis,
     harper_band_edges,
     sy_sunada_check,
@@ -51,20 +49,18 @@ from .spectral import (
     verify_positive_splitting,
 )
 
-DEFAULT_TREE_CAP = 10**6
-
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _print_json(obj) -> None:
-    """Print strict JSON; a NaN or infinite value raises NonFiniteOutputError."""
+def _print_json(obj, file: TextIO | None = None) -> None:
+    """Print strict JSON to file; a NaN or infinite value raises NonFiniteOutputError."""
     try:
         text = json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteOutputError(f"output holds a non-finite number: {exc}") from exc
-    print(text)
+    print(text, file=file)
 
 
 def _check_out_dir(path: str | None) -> None:
@@ -82,13 +78,43 @@ def _load(path: str) -> FundamentalGraph:
 def _check_grid(g: FundamentalGraph, grid: int | None) -> None:
     """Refuse a grid the sweep would refuse, before the tree scan; an invalid g is named first."""
     try:
-        grid_axis(g.dim, grid if grid is not None else default_grid_n(g.dim), g.num_vertices)
+        grid_axis(g.dim, grid, g.num_vertices)
     except GraphDataError:
         validate(g)  # analyze, which validates, has not run yet
         raise
 
 
-def cmd_gen(args: argparse.Namespace) -> int:
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """Where a command writes its result: stdout, or a new file replacing path.
+
+    With a path, the block writes a temporary file beside it, which is
+    moved onto path (a symlink there is replaced, not followed) with the
+    permission bits of the file it replaces when the block ends without
+    raising. Otherwise it is removed, so path is never left half written
+    and an existing file keeps its bytes. A directory at path is refused
+    at once, since the move onto it could only fail after the work.
+    """
+    if not path:
+        yield sys.stdout
+        return
+    target = Path(path)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        # created exclusively, with the permissions open(path, "w") would give a new file
+        with tmp.open("x", encoding="utf-8") as f:
+            yield f
+        with suppress(FileNotFoundError):  # no file to keep the mode of
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:
     decoration = None
     if args.decoration:
         if args.kind != "decorated":
@@ -96,55 +122,31 @@ def cmd_gen(args: argparse.Namespace) -> int:
         decoration = [(e.tail, e.head) for e in load_graph_json(args.decoration).edges]
     g = generate(args.kind, d=args.dim, decoration=decoration)
     validate(g)
-    if args.out:
-        dump_graph_json(g, args.out)
-    else:
-        _print_json(graph_to_dict(g))
+    _print_json(graph_to_dict(g), out)
     return 0
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
     g = _load(args.graph)
     report = invariants(g, cap=args.tree_cap)
-    _print_json(report.to_dict())
+    _print_json(report.to_dict(), out)
     return 0
 
 
-def cmd_bands(args: argparse.Namespace) -> int:
+def cmd_bands(args: argparse.Namespace, out: TextIO) -> int:
+    """The band summary goes to stdout; --out, if given, gets the per-theta CSV."""
     g = load_graph_json(args.graph)  # analyze validates
     if not 0.0 <= args.flat_tol < float("inf"):
         raise BadParamsError(f"--flat-tol must be finite and nonnegative, got {args.flat_tol}")
     _check_grid(g, args.grid)
     an = analyze(g, cap=args.tree_cap)
-    sweep = partial(band_sweep, g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol)
-    if args.out:
-        with _replaced_on_success(args.out) as f:
-            spec = sweep(on_chunk=_band_csv(g, f))
-    else:
-        spec = sweep()
+    csv = _band_csv(g, out) if args.out else None
+    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol,
+                      on_chunk=csv)
     summary = spec.to_dict()
     summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
     return 0
-
-
-@contextmanager
-def _replaced_on_success(path: str):
-    """A new text file beside path, moved onto path when the block ends without raising.
-
-    Otherwise it is removed, so path is never left half written and an
-    existing file keeps its bytes.
-    """
-    target = Path(path)
-    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-    try:
-        # created exclusively, with the permissions open(path, "w") would give
-        with tmp.open("x", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, target)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _band_csv(g: FundamentalGraph, f):
@@ -162,7 +164,7 @@ def _band_csv(g: FundamentalGraph, f):
     return write_rows
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     g = load_graph_json(args.graph)  # analyze validates
     if args.seed < 0:
         raise BadParamsError(f"--seed must be nonnegative, got {args.seed}")
@@ -187,7 +189,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             break
     passed = checks[-1]["passed"]
     _print_json({"graph": args.graph, "invariants": an.report.to_dict(),
-                 "checks": checks, "passed": passed})
+                 "checks": checks, "passed": passed}, out)
     if not passed:
         print(f"check failed: {checks[-1]['name']}", file=sys.stderr)
         return 1
@@ -203,7 +205,7 @@ def _is_square_lattice(g: FundamentalGraph) -> bool:
     return all(e.alpha == 0.0 for e in g.edges) and not np.any(g.potential)
 
 
-def cmd_butterfly(args: argparse.Namespace) -> int:
+def cmd_butterfly(args: argparse.Namespace, out: TextIO) -> int:
     g = _load(args.graph)
     if not _is_square_lattice(g):
         raise GraphDataError(
@@ -212,39 +214,22 @@ def cmd_butterfly(args: argparse.Namespace) -> int:
         )
     if args.flux_steps < 1:
         raise BadParamsError(f"--flux-steps must be at least 1, got {args.flux_steps}")
-    grid_n = args.grid if args.grid is not None else default_grid_n(2)
-    grid_axis(2, grid_n, args.flux_steps)  # the largest q sets the budget: refuse before any solve
-    rows = []
-    max_bands = 0
-    for p, q in coprime_fluxes(args.flux_steps):
-        bands = harper_band_edges(q, p, grid_n=grid_n)
-        rows.append((2.0 * np.pi * p / q, bands))
-        max_bands = max(max_bands, bands.shape[0])
-    header = ["flux"]
-    for n in range(max_bands):
-        header += [f"lambda_min_{n + 1}", f"lambda_max_{n + 1}"]
-    lines = [",".join(header)]
-    for flux, bands in rows:
-        cells = [_fmt(flux)]
-        for lo, hi in bands:
-            cells += [_fmt(lo), _fmt(hi)]
-        cells += [""] * (1 + 2 * max_bands - len(cells))
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    steps = args.flux_steps
+    grid_axis(2, args.grid, steps)  # the largest q sets the budget: refuse before any solve
+    fluxes = coprime_fluxes(steps)
+    # every row is solved before one is written; Harper q has q bands and q = steps is a row
+    edges = [harper_band_edges(q, p, grid_n=args.grid) for p, q in fluxes]
+    header = ["flux"] + [f"lambda_{end}_{n + 1}" for n in range(steps) for end in ("min", "max")]
+    print(",".join(header), file=out)
+    for (p, q), bands in zip(fluxes, edges):
+        cells = [_fmt(2.0 * np.pi * p / q)] + [_fmt(x) for x in bands.ravel()]
+        print(",".join(cells + [""] * (len(header) - len(cells))), file=out)
     return 0
 
 
-def cmd_build_periodic(args: argparse.Namespace) -> int:
+def cmd_build_periodic(args: argparse.Namespace, out: TextIO) -> int:
     g = _load(args.graph)
-    built = build_periodic(g, cap=args.tree_cap)
-    if args.out:
-        dump_graph_json(built, args.out)
-    else:
-        _print_json(graph_to_dict(built))
+    _print_json(graph_to_dict(build_periodic(g, cap=args.tree_cap)), out)
     return 0
 
 
@@ -298,9 +283,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    path = getattr(args, "out", None)
     try:
-        _check_out_dir(getattr(args, "out", None))
-        return args.fn(args)
+        _check_out_dir(path)
+        with _output(path) as out:
+            return args.fn(args, out)
     except CheckFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -308,9 +295,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # inputs are read by load_graph_json, so this is a write of --out
-        if not getattr(args, "out", None):
+        if not path:
             raise
-        print(f"error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write --out {path}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -31,6 +31,8 @@ from .errors import (
 )
 from .graph_model import INT64_MAX, FundamentalGraph, OneForm, reduce_angle
 
+DEFAULT_TREE_CAP = 10**6  # the largest spanning-tree count a scan accepts
+
 # An oriented edge sequence: (edge_id, sign) steps, sign +1 = canonical.
 Cycle = tuple[tuple[int, int], ...]
 
@@ -403,7 +405,9 @@ def _check_leaves(found: int, count: int) -> None:
         )
 
 
-def enumerate_spanning_trees(g: FundamentalGraph, cap: int = 10**6) -> list[SpanningTreeBasis]:
+def enumerate_spanning_trees(
+    g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP
+) -> list[SpanningTreeBasis]:
     """All spanning trees with chord sets and basic cycles.
 
     Deterministic order: lexicographic by the sorted tree edge-id set.
@@ -447,7 +451,9 @@ def _first_row(keys: np.ndarray) -> int:
     return int(np.lexsort(keys.T[::-1])[-1])
 
 
-def scan_trees(g: FundamentalGraph, forms: Sequence[OneForm], cap: int = 10**6) -> TreeScan:
+def scan_trees(
+    g: FundamentalGraph, forms: Sequence[OneForm], cap: int = DEFAULT_TREE_CAP
+) -> TreeScan:
     """Score every form on every spanning tree in one streaming pass.
 
     "First" means lexicographically smallest tree edge-id set, the
@@ -565,7 +571,7 @@ def _scanned_form(
 
 
 def minimal_form(
-    g: FundamentalGraph, x: OneForm, cap: int = 10**6
+    g: FundamentalGraph, x: OneForm, cap: int = DEFAULT_TREE_CAP
 ) -> tuple[OneForm, SpanningTreeBasis, int]:
     """Smallest-support form with the fluxes of x.
 
@@ -585,7 +591,7 @@ def chord_flux_matrix(g: FundamentalGraph, basis: SpanningTreeBasis) -> np.ndarr
 
 def invariants(
     g: FundamentalGraph,
-    cap: int = 10**6,
+    cap: int = DEFAULT_TREE_CAP,
     scan: TreeScan | None = None,
 ) -> InvariantReport:
     """Betti number and the minimal-support invariants of the graph.
@@ -624,7 +630,7 @@ def invariants(
 
 
 def minimal_pair(
-    g: FundamentalGraph, cap: int = 10**6, scan: TreeScan | None = None
+    g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP, scan: TreeScan | None = None
 ) -> tuple[OneForm, OneForm]:
     """Lexicographic minimal pair (index-class form, phase-class form).
 

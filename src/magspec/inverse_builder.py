@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadMultipliersError, FluxImageNotFullLatticeError, NotMinimalError
 from .fiber_operator import _check_forms, _integer_form_values
-from .forms_cycles import lattice_image_check, minimal_form
+from .forms_cycles import DEFAULT_TREE_CAP, lattice_image_check, minimal_form
 from .graph_model import Edge, FundamentalGraph, OneForm, generate
 
 
@@ -37,7 +37,7 @@ def build_periodic(
     g: FundamentalGraph,
     mu: OneForm | None = None,
     phi: OneForm | None = None,
-    cap: int = 10**6,
+    cap: int = DEFAULT_TREE_CAP,
 ) -> FundamentalGraph:
     """Fundamental graph of the periodic graph generated by (g, mu, phi).
 

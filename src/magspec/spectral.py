@@ -64,6 +64,7 @@ from .fiber_operator import (
     zero_phase_form,
 )
 from .forms_cycles import (
+    DEFAULT_TREE_CAP,
     InvariantReport,
     first_spanning_tree,
     invariants,
@@ -104,13 +105,15 @@ def default_grid_n(d: int) -> int:
     return 101 if d <= 2 else 21
 
 
-def grid_axis(d: int, n: int, nu: int = 1) -> np.ndarray:
+def grid_axis(d: int, n: int | None = None, nu: int = 1) -> np.ndarray:
     """One axis of the inclusive uniform grid on [-pi, pi]^d, after the grid checks.
 
-    Raises GridTooCoarseError for n < 3, and GridTooLargeError, before
+    n points per axis, default_grid_n(d) when None. Raises
+    GridTooCoarseError for n < 3, and GridTooLargeError, before
     allocating, when the sweep is over budget: when the n^d grid, or an
     (n^d, nu) eigenvalue table over it, would exceed _SWEEP_BUDGET_BYTES.
     """
+    n = n if n is not None else default_grid_n(d)
     if n < 3:
         raise GridTooCoarseError(f"grid needs at least 3 points per dimension, got {n}")
     # n >= 3, so a d this large is over budget; n**d would be a huge power to compute
@@ -125,7 +128,7 @@ def grid_axis(d: int, n: int, nu: int = 1) -> np.ndarray:
     return axis
 
 
-def theta_grid(d: int, n: int, nu: int = 1) -> np.ndarray:
+def theta_grid(d: int, n: int | None = None, nu: int = 1) -> np.ndarray:
     """Inclusive uniform grid on [-pi, pi]^d, flattened to (n^d, d).
 
     Raises what grid_axis raises, before allocating.
@@ -133,11 +136,6 @@ def theta_grid(d: int, n: int, nu: int = 1) -> np.ndarray:
     axis = grid_axis(d, n, nu)
     mesh = np.meshgrid(*([axis] * d), indexing="ij")
     return np.stack([m.reshape(-1) for m in mesh], axis=1)
-
-
-def _grid(g: FundamentalGraph, grid_n: int | None) -> tuple[int, np.ndarray]:
-    n = grid_n if grid_n is not None else default_grid_n(g.dim)
-    return n, theta_grid(g.dim, n, g.num_vertices)
 
 
 def _chunks(k: int, nu: int, stacks: int = 1) -> list[slice]:
@@ -282,8 +280,7 @@ def band_sweep(
     """
     b = b if b is not None else g.index_form()
     a = a if a is not None else g.magnetic_form()
-    _, thetas = _grid(g, grid_n)
-    lo, hi = _band_ends(g, b, a, thetas, on_chunk)
+    lo, hi = _band_ends(g, b, a, theta_grid(g.dim, grid_n, g.num_vertices), on_chunk)
     _check_spectral_range(g, lo, hi)
     bands = np.stack([lo, hi], axis=1)
     flat = tuple(bool(w < flat_tol) for w in hi - lo)
@@ -326,8 +323,8 @@ def harper_band_edges(q: int, p: int, grid_n: int | None = None) -> np.ndarray:
     when an end escapes the a-priori spectral range.
     """
     g = harper_model(q, p)
-    n = grid_n if grid_n is not None else default_grid_n(2)
-    axis = grid_axis(2, n, q)
+    axis = grid_axis(2, grid_n, q)
+    n = axis.size
     ext1, next1 = _cosine_levels(np.cos(axis))
     ext2, next2 = _cosine_levels(np.cos(q * axis))
     tau, alpha = g.index_form(), g.magnetic_form()
@@ -363,7 +360,7 @@ class Analysis:
     shared: dict = field(default_factory=dict, init=False, repr=False)
 
 
-def analyze(g: FundamentalGraph, cap: int = 10**6) -> Analysis:
+def analyze(g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP) -> Analysis:
     """Invariants, minimal pair and theta0 shift of g from one scan_trees call.
 
     Raises what validate, invariants and theta0_reduction raise.
@@ -384,10 +381,11 @@ def _grid_ends(
     Ends are reused only while b, a and the grid size repeat byte for
     byte (so a -0.0 phase never meets a 0.0 one).
     """
-    n, thetas = _grid(an.g, grid_n)
+    g = an.g
+    n = grid_axis(g.dim, grid_n, g.num_vertices).size
     key = (b.values.tobytes(), a.values.tobytes(), n)
     if key not in an.shared:
-        an.shared[key] = _band_ends(an.g, b, a, thetas)
+        an.shared[key] = _band_ends(g, b, a, theta_grid(g.dim, n, g.num_vertices))
     return an.shared[key]
 
 
@@ -450,7 +448,7 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     and the largest band-end shift and band-width change.
     """
     g, mu, phi_tilde = an.g, an.mu, an.phi_tilde
-    _, thetas = _grid(g, grid_n)
+    thetas = theta_grid(g.dim, grid_n, g.num_vertices)
     lam_min = lam_max = band_shift = width_change = 0.0
     if np.any(phi_tilde.values):
         pairs = (mu, phi_tilde), (mu, zero_phase_form(g))

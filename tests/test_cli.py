@@ -209,57 +209,6 @@ def test_band_csv_is_written_row_by_row(tmp_path):
     assert size > 10**5 and peak < size  # the text is never held whole
 
 
-def _out_dir_after_failed_bands(tmp_path, capsys, graph_file, existing):
-    """Run bands --out into a fresh directory, optionally over an existing file; its listing after."""
-    out = tmp_path / "out"
-    out.mkdir()
-    target = out / "bands.csv"
-    if existing:
-        target.write_bytes(b"kept\n")
-    code, stdout, err = run(capsys, "bands", graph_file, "--grid", "21", "--out", str(target))
-    assert stdout == ""
-    if existing:
-        assert target.read_bytes() == b"kept\n"
-    return code, err, sorted(p.name for p in out.iterdir())
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_bands_out_failed_range_check_leaves_the_target_alone(tmp_path, capsys, monkeypatch,
-                                                             kagome_file, existing):
-    # every row is written before the range check can fail
-    monkeypatch.setattr(FundamentalGraph, "kappa_plus", lambda self: -10)
-    code, err, listing = _out_dir_after_failed_bands(tmp_path, capsys, kagome_file, existing)
-    assert code == 1
-    assert "a-priori spectral range" in err
-    assert listing == (["bands.csv"] if existing else [])
-
-
-@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
-def test_bands_out_write_error_leaves_the_target_alone(tmp_path, capsys, monkeypatch,
-                                                      kagome_file, existing):
-    # the disk fills after some rows are written
-    monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1000)  # 6 fibers per chunk at nu = 3
-    real_csv = cli._band_csv
-    chunks = []
-
-    def filling(g, f):
-        write_rows = real_csv(g, f)
-
-        def write(thetas, eigs):
-            chunks.append(len(thetas))
-            if len(chunks) == 3:
-                raise OSError(errno.ENOSPC, "No space left on device")
-            write_rows(thetas, eigs)
-
-        return write
-
-    monkeypatch.setattr(cli, "_band_csv", filling)
-    code, err, listing = _out_dir_after_failed_bands(tmp_path, capsys, kagome_file, existing)
-    assert code == 2
-    assert err.startswith("error: cannot write --out") and "No space left" in err
-    assert listing == (["bands.csv"] if existing else [])
-
-
 def test_bands_deterministic_output(capsys, kagome_file):
     code1, out1, _ = run(capsys, "bands", kagome_file, "--grid", "21")
     code2, out2, _ = run(capsys, "bands", kagome_file, "--grid", "21")
@@ -467,15 +416,113 @@ def test_out_in_missing_directory_exits_2_before_any_work(tmp_path, capsys, monk
     assert not missing.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["bands", "gen"])
-def test_unwritable_out_exits_2(tmp_path, capsys, kagome_file, command):
-    target = tmp_path / "a-directory"
-    target.mkdir()
-    argv = {"bands": ["bands", kagome_file, "--grid", "5"], "gen": ["gen", "kagome"]}[command]
-    code, out, err = run(capsys, *argv, "--out", str(target))
+def _out_argv(command, kagome_file, z2_file, out_dir):
+    return [a.format(kagome=kagome_file, z2=z2_file, out=out_dir) for a in _OUT_COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, kagome_file, z2_file, command):
+    # refused when the writer opens, before the command's work
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} started work on an --out it cannot write")
+
+    for work in ("generate", "analyze", "build_periodic", "harper_band_edges"):
+        monkeypatch.setattr(cli, work, no_work)
+    argv = _out_argv(command, kagome_file, z2_file, tmp_path)
+    Path(argv[-1]).mkdir()
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: cannot write --out")
+    assert err.startswith("error: cannot write --out") and "Is a directory" in err
+
+
+def _out_dir_after_failed_run(tmp_path, capsys, kagome_file, z2_file, command, existing):
+    """Run command --out into a fresh directory, optionally over an existing file; its listing after."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = _out_argv(command, kagome_file, z2_file, out_dir)
+    target = Path(argv[-1])
+    if existing:
+        target.write_bytes(b"kept\n")
+    code, stdout, err = run(capsys, *argv)
+    assert stdout == ""
+    if existing:
+        assert target.read_bytes() == b"kept\n"
+    listing = sorted(p.name for p in out_dir.iterdir())
+    assert listing == ([target.name] if existing else [])
+    return code, err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_bands_out_failed_range_check_leaves_the_target_alone(tmp_path, capsys, monkeypatch,
+                                                             kagome_file, z2_file, existing):
+    # every row is written before the range check can fail
+    monkeypatch.setattr(FundamentalGraph, "kappa_plus", lambda self: -10)
+    code, err = _out_dir_after_failed_run(tmp_path, capsys, kagome_file, z2_file, "bands", existing)
+    assert code == 1
+    assert "a-priori spectral range" in err
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_write_error_leaves_the_target_alone(tmp_path, capsys, monkeypatch, kagome_file,
+                                                 z2_file, command, existing):
+    # the disk is full at the first write into the temporary file
+    real_output = cli._output
+
+    @contextlib.contextmanager
+    def full_disk(path):
+        with real_output(path) as f:
+            def write(text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            f.write = write
+            yield f
+
+    monkeypatch.setattr(cli, "_output", full_disk)
+    code, err = _out_dir_after_failed_run(tmp_path, capsys, kagome_file, z2_file, command,
+                                          existing)
+    assert code == 2
+    assert err.startswith("error: cannot write --out") and "No space left" in err
+
+
+@pytest.mark.parametrize("command", ["gen", "build-periodic", "butterfly"])
+def test_out_gets_the_bytes_stdout_gets(tmp_path, capsys, kagome_file, z2_file, command):
+    argv = _out_argv(command, kagome_file, z2_file, tmp_path)
+    code, stdout, _ = run(capsys, *argv[:-2])
+    assert code == 0 and stdout
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (0, "")
+    assert Path(argv[-1]).read_bytes() == stdout.encode("utf-8")
+
+
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_out_keeps_the_mode_of_the_file_it_replaces(tmp_path, capsys, kagome_file, z2_file,
+                                                    command):
+    argv = _out_argv(command, kagome_file, z2_file, tmp_path)
+    target = Path(argv[-1])
+    target.write_bytes(b"old\n")
+    target.chmod(0o600)
+    assert run(capsys, *argv)[0] == 0
+    assert target.read_bytes() != b"old\n"
+    assert target.stat().st_mode & 0o7777 == 0o600
+    # a new file gets the mode open(path, "w") gives one
+    target.unlink()
+    assert run(capsys, *argv)[0] == 0
+    fresh = tmp_path / "fresh"
+    fresh.open("w").close()
+    assert target.stat().st_mode == fresh.stat().st_mode
+
+
+def test_out_replaces_a_symlink_instead_of_writing_through_it(tmp_path, capsys):
+    linked = tmp_path / "linked.json"
+    linked.write_bytes(b"kept\n")
+    target = tmp_path / "k.json"
+    target.symlink_to(linked)
+    assert run(capsys, "gen", "kagome", "--out", str(target))[0] == 0
+    assert not target.is_symlink()
+    assert load_graph_json(target).num_vertices == 3
+    assert linked.read_bytes() == b"kept\n"
 
 
 def test_butterfly_single_step(capsys, z2_file):
@@ -729,14 +776,16 @@ def test_int64_overflowing_potentials_exit_2(tmp_path, capsys):
         assert "sum above int64" in err
 
 
-def test_non_finite_output_is_a_named_failed_check(capsys, kagome_file, monkeypatch):
+def test_non_finite_output_is_a_named_failed_check(tmp_path, capsys, kagome_file, monkeypatch):
     import magspec.spectral as spectral
 
     monkeypatch.setattr(spectral, "union_measure", lambda intervals: math.nan)
-    code, out, err = run(capsys, "bands", kagome_file, "--grid", "11")
+    csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "bands", kagome_file, "--grid", "11", "--out", str(csv))
     assert code == 1
     assert out == ""
     assert "non-finite" in err
+    assert not csv.exists()  # the CSV is kept only when the whole command succeeds
     with pytest.raises(NonFiniteOutputError):
         cli._print_json({"measure": math.inf})
 

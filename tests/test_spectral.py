@@ -104,6 +104,12 @@ def test_theta_grid_contains_center_and_edges():
     assert len(pts) == 101
 
 
+def test_theta_grid_defaults_to_the_default_grid():
+    # no n means default_grid_n(d): 101 points per axis up to d = 2, 21 above
+    assert np.array_equal(theta_grid(2), theta_grid(2, 101))
+    assert theta_grid(3).shape == (21**3, 3)
+
+
 def test_theta_grid_too_coarse():
     with pytest.raises(GridTooCoarseError):
         theta_grid(2, 2)
