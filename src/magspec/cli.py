@@ -63,12 +63,6 @@ def _print_json(obj, file: TextIO | None = None) -> None:
     print(text, file=file)
 
 
-def _check_out_dir(path: str | None) -> None:
-    """Refuse an --out whose directory does not exist, before any work."""
-    if path and not Path(path).parent.is_dir():
-        raise BadParamsError(f"--out directory {Path(path).parent} does not exist")
-
-
 def _load(path: str) -> FundamentalGraph:
     g = load_graph_json(path)
     validate(g)
@@ -92,13 +86,16 @@ def _output(path: str | None) -> Iterator[TextIO]:
     moved onto path (a symlink there is replaced, not followed) with the
     permission bits of the file it replaces when the block ends without
     raising. Otherwise it is removed, so path is never left half written
-    and an existing file keeps its bytes. A directory at path is refused
-    at once, since the move onto it could only fail after the work.
+    and an existing file keeps its bytes. A path whose directory does not
+    exist (BadParamsError) or that is a directory is refused at once: the
+    write or the move would otherwise fail only after the work.
     """
     if not path:
         yield sys.stdout
         return
     target = Path(path)
+    if not target.parent.is_dir():
+        raise BadParamsError(f"--out directory {target.parent} does not exist")
     if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
@@ -136,13 +133,10 @@ def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
 def cmd_bands(args: argparse.Namespace, out: TextIO) -> int:
     """The band summary goes to stdout; --out, if given, gets the per-theta CSV."""
     g = load_graph_json(args.graph)  # analyze validates
-    if not 0.0 <= args.flat_tol < float("inf"):
-        raise BadParamsError(f"--flat-tol must be finite and nonnegative, got {args.flat_tol}")
     _check_grid(g, args.grid)
     an = analyze(g, cap=args.tree_cap)
     csv = _band_csv(g, out) if args.out else None
-    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, flat_tol=args.flat_tol,
-                      on_chunk=csv)
+    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, on_chunk=csv)
     summary = spec.to_dict()
     summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
@@ -253,7 +247,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bands", help="sweep the torus grid and report spectral bands")
     p.add_argument("graph")
     p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--flat-tol", type=float, default=1e-8)
     p.add_argument("--out", help="per-theta eigenvalue CSV")
     p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
     p.set_defaults(fn=cmd_bands)
@@ -285,7 +278,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     path = getattr(args, "out", None)
     try:
-        _check_out_dir(path)
         with _output(path) as out:
             return args.fn(args, out)
     except CheckFailedError as exc:

@@ -57,10 +57,6 @@ class TreeCountExceedsCapError(GraphDataError):
     """Exhaustive minimality certification would need too many spanning trees."""
 
 
-class OpenPathError(GraphDataError):
-    pass
-
-
 class FluxImageNotFullLatticeError(GraphDataError):
     """The integer flux image of the cycle space is a proper sublattice of Z^d."""
 

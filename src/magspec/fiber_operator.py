@@ -30,7 +30,7 @@ from .errors import (
     GraphDataError,
     NoIndependentSubsetError,
 )
-from .forms_cycles import _first_tree, _tree_adjacency, _tree_path, integer_determinant
+from .forms_cycles import _tree_adjacency, _tree_path, first_spanning_tree, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 
@@ -139,8 +139,7 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
     FluxMismatchError naming the lowest bad chord.
     """
     _check_forms(g, b, a)
-    tree = _first_tree(g)
-    adj = _tree_adjacency(g, tree)
+    adj = _tree_adjacency(g, first_spanning_tree(g))
     # row v: the signed tree path 0 -> v
     paths = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
     for v in range(g.num_vertices):

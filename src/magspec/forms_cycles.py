@@ -1,11 +1,13 @@
-"""Spanning trees, cycle bases, fluxes, minimal 1-forms and graph invariants.
+"""Spanning trees, chord fluxes, minimal 1-forms and graph invariants.
 
-A spanning tree T of the fundamental graph determines a basis of the
-cycle space: every non-tree edge (chord) closes a unique basic cycle
-through T. The flux of a 1-form along a basic cycle is the sum of its
-values; a tree minimizing the number of basic cycles with nonzero flux
-yields a flux-equivalent form of smallest possible support, supported
-on exactly those chords. Minimality is certified by exhaustive tree
+A spanning tree T of the fundamental graph is the ascending tuple of
+its edge ids. It determines a basis of the cycle space: every non-tree
+edge (chord) closes a unique basic cycle through T. The flux of a
+1-form along a basic cycle is the sum of its values, and flux_table is
+the one walk of basic cycles. A tree minimizing the number of basic
+cycles with nonzero flux yields a flux-equivalent form of smallest
+possible support, the form vanishing on that tree and carrying the
+chord fluxes (tree_form). Minimality is certified by exhaustive tree
 enumeration, never by a rational-independence heuristic.
 
 All integer computations (tree counts, lattice spans) are exact:
@@ -25,30 +27,13 @@ from .errors import (
     CheckFailedError,
     DisconnectedGraphError,
     FluxImageNotFullLatticeError,
+    GraphDataError,
     IndexOverflowError,
-    OpenPathError,
     TreeCountExceedsCapError,
 )
 from .graph_model import INT64_MAX, FundamentalGraph, OneForm, reduce_angle
 
 DEFAULT_TREE_CAP = 10**6  # the largest spanning-tree count a scan accepts
-
-# An oriented edge sequence: (edge_id, sign) steps, sign +1 = canonical.
-Cycle = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True, eq=False)
-class SpanningTreeBasis:
-    """A spanning tree with its chords and their oriented basic cycles.
-
-    cycles[i] belongs to chords[i] and starts with (chords[i], +1)
-    followed by the tree path from the chord head back to its tail;
-    a loop chord is its own basic cycle.
-    """
-
-    tree_edges: tuple[int, ...]
-    chords: tuple[int, ...]
-    cycles: tuple[Cycle, ...]
 
 
 @dataclass(frozen=True)
@@ -155,19 +140,36 @@ def spanning_tree_count(g: FundamentalGraph) -> int:
     return integer_determinant(reduced)
 
 
-def _tree_adjacency(g: FundamentalGraph, tree_ids: tuple[int, ...]):
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(g.num_vertices)]
-    for eid in tree_ids:
+def _tree_adjacency(g: FundamentalGraph, tree: Sequence[int]):
+    """Per vertex, the sorted (edge_id, sign, neighbour) steps of a spanning tree.
+
+    Raises GraphDataError unless tree is nu - 1 distinct edge ids of g
+    that join every vertex.
+    """
+    n = g.num_vertices
+    ids = set(tree)
+    if len(tree) != n - 1 or len(ids) != len(tree) or not ids <= set(range(g.num_edges)):
+        raise GraphDataError(f"edge ids {tuple(tree)} are not a spanning tree of the graph")
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for eid in tree:
         e = g.edges[eid]
         adj[e.tail].append((eid, 1, e.head))
         adj[e.head].append((eid, -1, e.tail))
     for lst in adj:
         lst.sort()
+    seen, stack = {0}, [0]
+    while stack:
+        for _, _, w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != n:
+        raise GraphDataError(f"edge ids {tuple(tree)} do not join every vertex")
     return adj
 
 
-def _tree_path(adj, start: int, goal: int) -> Cycle:
-    """Unique oriented tree path start -> goal as (edge_id, sign) steps."""
+def _tree_path(adj, start: int, goal: int) -> tuple[tuple[int, int], ...]:
+    """Unique oriented tree path start -> goal as (edge_id, sign) steps, sign +1 = canonical."""
     if start == goal:
         return ()
     prev: dict[int, tuple[int, int, int] | None] = {start: None}
@@ -187,21 +189,6 @@ def _tree_path(adj, start: int, goal: int) -> Cycle:
         steps.append((eid, sign))
         v = u
     return tuple(reversed(steps))
-
-
-def _basis_for_tree(g: FundamentalGraph, tree_ids: tuple[int, ...]) -> SpanningTreeBasis:
-    adj = _tree_adjacency(g, tree_ids)
-    tree_set = set(tree_ids)
-    chords = tuple(i for i in range(g.num_edges) if i not in tree_set)
-    cycles = []
-    for c in chords:
-        e = g.edges[c]
-        if e.is_loop:
-            cycles.append(((c, 1),))
-        else:
-            cycles.append(((c, 1),) + _tree_path(adj, e.head, e.tail))
-    return SpanningTreeBasis(tree_edges=tuple(sorted(tree_ids)), chords=chords,
-                             cycles=tuple(cycles))
 
 
 _BLOCK_STATES = 512  # a block of partial forests is split above this many states
@@ -366,10 +353,13 @@ class _TreeScanner:
         return masks
 
 
-def _first_tree(g: FundamentalGraph) -> tuple[int, ...]:
-    """Kruskal by ascending edge id: greedy gives the lexicographically
+def first_spanning_tree(g: FundamentalGraph) -> tuple[int, ...]:
+    """The lexicographically smallest spanning tree, first in enumeration order.
+
+    Kruskal by ascending edge id: greedy gives the lexicographically
     smallest basis of the graphic matroid. Raises DisconnectedGraphError
-    when the edges span no tree."""
+    when the edges span no tree.
+    """
     tree = g.spanning_forest()
     if len(tree) != g.num_vertices - 1:
         raise DisconnectedGraphError("spanning trees need a connected graph")
@@ -378,7 +368,7 @@ def _first_tree(g: FundamentalGraph) -> tuple[int, ...]:
 
 def _checked_tree_count(g: FundamentalGraph, cap: int) -> tuple[int, tuple[int, ...]]:
     """The exact tree count, refused above the cap, and the first tree."""
-    tree = _first_tree(g)
+    tree = first_spanning_tree(g)
     count = spanning_tree_count(g)
     if count > cap:
         raise TreeCountExceedsCapError(f"{count} spanning trees exceed the cap {cap}")
@@ -407,10 +397,9 @@ def _check_leaves(found: int, count: int) -> None:
 
 def enumerate_spanning_trees(
     g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP
-) -> list[SpanningTreeBasis]:
-    """All spanning trees with chord sets and basic cycles.
+) -> list[tuple[int, ...]]:
+    """All spanning trees as ascending edge-id tuples, in lexicographic order.
 
-    Deterministic order: lexicographic by the sorted tree edge-id set.
     Raises TreeCountExceedsCapError when the exact count exceeds the
     cap (the graph is too large for exhaustive minimality certification).
     Materializes every tree; the library itself streams with scan_trees.
@@ -418,17 +407,9 @@ def enumerate_spanning_trees(
     count, _ = _checked_tree_count(g, cap)
     scanner = _TreeScanner(g)
     keys = [key for ints, _ in scanner.blocks() for key in scanner.keys(ints).tolist()]
-    out = [_basis_for_tree(g, tree) for tree in sorted(map(scanner.edges_of, keys))]
+    out = sorted(map(scanner.edges_of, keys))
     _check_leaves(len(out), count)
     return out
-
-
-def first_spanning_tree(g: FundamentalGraph) -> SpanningTreeBasis:
-    """The lexicographically smallest spanning tree, first in enumeration order.
-
-    Raises DisconnectedGraphError when the edges span no tree.
-    """
-    return _basis_for_tree(g, _first_tree(g))
 
 
 class FormScan(NamedTuple):
@@ -509,84 +490,75 @@ def scan_trees(
 # -- fluxes --------------------------------------------------------------------
 
 
-def flux(g: FundamentalGraph, form: OneForm, cycle: Cycle) -> np.ndarray:
-    """Sum of form values along a closed oriented edge sequence.
+def _chords(g: FundamentalGraph, tree: Sequence[int]) -> list[int]:
+    """The edge ids not in tree, ascending."""
+    tree_set = set(tree)
+    return [i for i in range(g.num_edges) if i not in tree_set]
 
-    Magnetic fluxes are reduced modulo 2*pi into (-pi, pi]. Raises
-    OpenPathError when consecutive edges do not chain up or the path
-    does not return to its start.
+
+def flux_table(g: FundamentalGraph, form: OneForm, tree: Sequence[int]) -> np.ndarray:
+    """(beta, dim) fluxes of a form through the basic cycles of a spanning tree.
+
+    Row i belongs to the i-th chord in ascending id. The basic cycle of
+    chord c is c followed by the tree path from its head back to its
+    tail; a loop is its own basic cycle. Magnetic fluxes are reduced
+    modulo 2*pi into (-pi, pi]. Raises GraphDataError when tree is not
+    a spanning tree of g.
     """
-    if not cycle:
-        raise OpenPathError("empty edge sequence is not a cycle")
-    first_tail = g.endpoints(*cycle[0])[0]
-    at = first_tail
-    total = np.zeros(form.dim, dtype=form.values.dtype)
-    for eid, sign in cycle:
-        tail, head = g.endpoints(eid, sign)
-        if tail != at:
-            raise OpenPathError("edge sequence does not chain up")
-        total = total + form.value(eid, sign)
-        at = head
-    if at != first_tail:
-        raise OpenPathError("edge sequence does not close")
-    if form.magnetic:
-        return np.array([reduce_angle(float(total[0]))])
-    return total
-
-
-def flux_table(g: FundamentalGraph, form: OneForm, basis: SpanningTreeBasis) -> np.ndarray:
-    """(beta, dim) fluxes of a form through the basic cycles of a tree basis, row i = chords[i]."""
-    if basis.chords:
-        return np.stack([flux(g, form, c) for c in basis.cycles])
-    return np.zeros((0, form.dim), dtype=form.values.dtype)
+    adj = _tree_adjacency(g, tree)
+    values, rows = form.values, []
+    for c in _chords(g, tree):
+        total = np.zeros(form.dim, dtype=values.dtype) + values[c]
+        for eid, sign in _tree_path(adj, g.edges[c].head, g.edges[c].tail):
+            total = total + sign * values[eid]
+        rows.append(np.array([reduce_angle(float(total[0]))]) if form.magnetic else total)
+    return np.stack(rows) if rows else np.zeros((0, form.dim), dtype=values.dtype)
 
 
 # -- minimal forms ---------------------------------------------------------------
 
 
-def tree_form(g: FundamentalGraph, x: OneForm, basis: SpanningTreeBasis) -> OneForm:
-    """The form vanishing on the tree of basis and equal to the chord fluxes of x on the chords.
+def tree_form(g: FundamentalGraph, x: OneForm, tree: Sequence[int]) -> OneForm:
+    """The form vanishing on a spanning tree and equal to the chord fluxes of x on the chords.
 
     It is flux-equivalent to x, and supported on the chords whose basic
     cycles carry nonzero flux.
     """
     values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if x.exact else float)
-    values[list(basis.chords)] = flux_table(g, x, basis)
+    values[_chords(g, tree)] = flux_table(g, x, tree)
     return OneForm(values, magnetic=x.magnetic)
 
 
-def _scanned_form(
-    g: FundamentalGraph, x: OneForm, scan: FormScan
-) -> tuple[OneForm, SpanningTreeBasis, int]:
+def _scanned_form(g: FundamentalGraph, x: OneForm, scan: FormScan) -> OneForm:
     """tree_form on the first minimal tree of a scan; a support that
     disagrees with the scanned count raises CheckFailedError."""
-    basis = _basis_for_tree(g, scan.tree)
-    mu = tree_form(g, x, basis)
+    mu = tree_form(g, x, scan.tree)
     if mu.support_size_oriented() != 2 * scan.count:
         raise CheckFailedError(
             f"minimal form supports {mu.support_size_oriented()} oriented edges, "
             f"the tree scan counted {scan.count} chords"
         )
-    return mu, basis, scan.count
+    return mu
 
 
 def minimal_form(
     g: FundamentalGraph, x: OneForm, cap: int = DEFAULT_TREE_CAP
-) -> tuple[OneForm, SpanningTreeBasis, int]:
+) -> tuple[OneForm, tuple[int, ...], int]:
     """Smallest-support form with the fluxes of x.
 
     Scans every spanning tree, picks one minimizing the number of basic
     cycles with nonzero flux (ties broken by the enumeration order, i.e.
     lexicographically smallest tree edge-id set), and returns the
-    tree_form of x on that tree, the tree basis and the count, which
-    equals half the support size.
+    tree_form of x on that tree, the tree and the count, which equals
+    half the support size.
     """
-    return _scanned_form(g, x, scan_trees(g, (x,), cap=cap).forms[0])
+    scan = scan_trees(g, (x,), cap=cap).forms[0]
+    return _scanned_form(g, x, scan), scan.tree, scan.count
 
 
-def chord_flux_matrix(g: FundamentalGraph, basis: SpanningTreeBasis) -> np.ndarray:
-    """d x beta integer matrix whose columns are index-form chord fluxes."""
-    return flux_table(g, g.index_form(), basis).T.astype(np.int64)
+def chord_flux_matrix(g: FundamentalGraph, tree: Sequence[int]) -> np.ndarray:
+    """d x beta integer matrix whose columns are index-form chord fluxes on a spanning tree."""
+    return flux_table(g, g.index_form(), tree).T.astype(np.int64)
 
 
 def invariants(
@@ -609,7 +581,7 @@ def invariants(
     """
     if scan is None:
         scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
-    if not lattice_image_check(chord_flux_matrix(g, _basis_for_tree(g, scan.first_tree))):
+    if not lattice_image_check(chord_flux_matrix(g, scan.first_tree)):
         raise FluxImageNotFullLatticeError(
             "index fluxes do not span Z^d; the graph is not a d-periodic fundamental graph"
         )
@@ -639,5 +611,5 @@ def minimal_pair(
     forms = (g.index_form(), g.magnetic_form())
     if scan is None:
         scan = scan_trees(g, forms, cap=cap)
-    mu, phi = (_scanned_form(g, x, s)[0] for x, s in zip(forms, scan.forms))
+    mu, phi = (_scanned_form(g, x, s) for x, s in zip(forms, scan.forms))
     return mu, phi

@@ -184,10 +184,6 @@ class FundamentalGraph:
     def kappa_plus(self) -> int:
         return int(self.degrees().max())
 
-    def endpoints(self, edge_id: int, sign: int = 1) -> tuple[int, int]:
-        e = self.edges[edge_id]
-        return (e.tail, e.head) if sign > 0 else (e.head, e.tail)
-
     def oriented_edges(self) -> Iterator[tuple[int, int, int, int]]:
         """Yield (edge_id, sign, tail, head) over all oriented edges."""
         for i, e in enumerate(self.edges):

@@ -78,6 +78,7 @@ from .inverse_builder import harper_model
 MATRIX_TOL = 1e-9  # matrix-level facts
 SWEEP_TOL = 1e-6  # quantities extremized over a grid
 HERMITICITY_TOL = 1e-12
+FLAT_TOL = 1e-8  # a band narrower than this is flat
 EPS = float(np.finfo(float).eps)
 ROUNDING_ULPS = 64  # rounding allowance, in ulp of max |q|, where q enters both sides
 _CHUNK_BYTES = 4 << 20  # every complex fiber stack a sweep chunk holds at once, together
@@ -267,7 +268,6 @@ def band_sweep(
     b: OneForm | None = None,
     a: OneForm | None = None,
     grid_n: int | None = None,
-    flat_tol: float = 1e-8,
     on_chunk: Callable[[np.ndarray, np.ndarray], object] | None = None,
 ) -> BandSpectrum:
     """Sweep the torus grid and collect per-band intervals.
@@ -283,7 +283,7 @@ def band_sweep(
     lo, hi = _band_ends(g, b, a, theta_grid(g.dim, grid_n, g.num_vertices), on_chunk)
     _check_spectral_range(g, lo, hi)
     bands = np.stack([lo, hi], axis=1)
-    flat = tuple(bool(w < flat_tol) for w in hi - lo)
+    flat = tuple(bool(w < FLAT_TOL) for w in hi - lo)
     return BandSpectrum(bands=bands, flat=flat, measure=union_measure(bands))
 
 

@@ -1,7 +1,7 @@
 """Shared fixtures: stock lattices, a small finite test graph, a
-coordinate form of vertex positions, and a seeded factory of random
-connected fundamental graphs whose index fluxes span the full integer
-lattice."""
+coordinate form of vertex positions, a cycle-walk oracle for chord
+fluxes, and a seeded factory of random connected fundamental graphs
+whose index fluxes span the full integer lattice."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from magspec import MagspecError, enumerate_spanning_trees, generate, lattice_im
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
 from magspec.forms_cycles import chord_flux_matrix
-from magspec.graph_model import Edge, FundamentalGraph, OneForm
+from magspec.graph_model import Edge, FundamentalGraph, OneForm, reduce_angle
 
 # in-cell positions of the kagome vertices v1, v2, v3
 KAGOME_POSITIONS = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0]])
@@ -28,6 +28,57 @@ def coordinate_form(g: FundamentalGraph, positions: np.ndarray) -> OneForm:
     tails = [e.tail for e in g.edges]
     heads = [e.head for e in g.edges]
     return OneForm(positions[heads] + g.index_matrix() - positions[tails])
+
+
+def basic_cycles(g: FundamentalGraph, tree: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """Per chord of a spanning tree, in ascending id, its oriented basic cycle.
+
+    A cycle is (edge_id, sign) steps, sign +1 = canonical: the chord,
+    then the tree path from its head back to its tail, found by a
+    depth-first search that remembers how each vertex was reached.
+    """
+    steps = []  # (edge_id, sign, from, to) for both orientations of every tree edge
+    for eid in tree:
+        e = g.edges[eid]
+        steps += [(eid, 1, e.tail, e.head), (eid, -1, e.head, e.tail)]
+    cycles = []
+    for c in (i for i in range(g.num_edges) if i not in tree):
+        head, tail = g.edges[c].head, g.edges[c].tail
+        reached: dict[int, tuple | None] = {head: None}
+        todo = [head]
+        while todo:
+            v = todo.pop()
+            for eid, sign, u, w in steps:
+                if u == v and w not in reached:
+                    reached[w] = (v, eid, sign)
+                    todo.append(w)
+        path, v = [], tail
+        while reached[v] is not None:
+            v, eid, sign = reached[v]
+            path.append((eid, sign))
+        cycles.append(((c, 1),) + tuple(reversed(path)))
+    return cycles
+
+
+def walk_flux(g: FundamentalGraph, form: OneForm, cycle: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Sum of form values along a closed oriented edge sequence, edge by edge.
+
+    Starts from zero in the form's dtype and adds sign * value per step,
+    asserting that the steps chain up and close; a magnetic sum is
+    reduced into (-pi, pi].
+    """
+    at = start = g.edges[cycle[0][0]].tail
+    total = np.zeros(form.dim, dtype=form.values.dtype)
+    for eid, sign in cycle:
+        e = g.edges[eid]
+        tail, head = (e.tail, e.head) if sign > 0 else (e.head, e.tail)
+        assert tail == at, "edge sequence does not chain up"
+        total = total + sign * form.values[eid]
+        at = head
+    assert at == start, "edge sequence does not close"
+    if form.magnetic:
+        return np.array([reduce_angle(float(total[0]))])
+    return total
 
 
 def diamond_graph() -> FundamentalGraph:

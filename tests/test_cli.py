@@ -18,6 +18,7 @@ import magspec.cli as cli
 import magspec.fiber_operator as fiber_operator
 import magspec.spectral as spectral
 from magspec import (
+    BadParamsError,
     FundamentalGraph,
     NonFiniteOutputError,
     dump_graph_json,
@@ -217,17 +218,12 @@ def test_bands_deterministic_output(capsys, kagome_file):
     assert json.loads(out1)["flat"] == [False, False, True]
 
 
-@pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
-def test_bands_refuses_a_bad_flat_tol_before_the_scan(capsys, monkeypatch, kagome_file, value):
-    # nan and -1 used to print "flat": false for kagome's flat third band
-    def no_scan(*args, **kwargs):
-        raise AssertionError("bands scanned trees before refusing --flat-tol")
-
-    monkeypatch.setattr(cli, "analyze", no_scan)
-    code, out, err = run(capsys, "bands", kagome_file, f"--flat-tol={value}", "--grid", "21")
-    assert code == 2
-    assert out == ""
-    assert "--flat-tol" in err
+def test_bands_has_no_flat_tol_option(capsys, kagome_file):
+    # the flat-band threshold is spectral.FLAT_TOL; argparse refuses the old flag
+    with pytest.raises(SystemExit) as exc:
+        main(["bands", kagome_file, "--flat-tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --flat-tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["bands", "verify"])
@@ -305,8 +301,8 @@ def test_pair_outside_the_flux_class_is_a_failed_gauge_check(capsys, kagome_file
 
     real = spectral.tree_form
 
-    def doubled_index(g, form, basis):
-        out = real(g, form, basis)
+    def doubled_index(g, form, tree):
+        out = real(g, form, tree)
         return out if out.magnetic else OneForm(2 * out.values)
 
     monkeypatch.setattr(spectral, "tree_form", doubled_index)
@@ -414,6 +410,12 @@ def test_out_in_missing_directory_exits_2_before_any_work(tmp_path, capsys, monk
     assert out == ""
     assert err.startswith("error: --out directory") and "Traceback" not in err
     assert not missing.parent.exists()
+
+
+def test_output_refuses_a_missing_directory_itself(tmp_path):
+    with pytest.raises(BadParamsError, match=r"^--out directory .*missing does not exist$"):
+        with cli._output(str(tmp_path / "missing" / "x.json")):
+            raise AssertionError("the block ran for an --out it cannot write")
 
 
 def _out_argv(command, kagome_file, z2_file, out_dir):

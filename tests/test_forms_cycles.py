@@ -7,20 +7,30 @@ from hypothesis import given, settings, strategies as st
 
 from magspec import (
     FluxImageNotFullLatticeError,
-    OpenPathError,
+    GraphDataError,
     TreeCountExceedsCapError,
     enumerate_spanning_trees,
-    flux,
+    first_spanning_tree,
+    flux_table,
     generate,
     integer_determinant,
     invariants,
     lattice_image_check,
     minimal_form,
+    scan_trees,
     spanning_tree_count,
+    tree_form,
 )
 from magspec.graph_model import Edge, FundamentalGraph, OneForm
 
-from conftest import KAGOME_POSITIONS, coordinate_form, diamond_graph, make_random_graph
+from conftest import (
+    KAGOME_POSITIONS,
+    basic_cycles,
+    coordinate_form,
+    diamond_graph,
+    make_random_graph,
+    walk_flux,
+)
 
 
 # -- independent oracles -------------------------------------------------------
@@ -62,15 +72,13 @@ def triangle() -> FundamentalGraph:
 
 
 def test_triangle_has_three_trees():
-    trees = enumerate_spanning_trees(triangle())
-    assert len(trees) == 3
-    assert [t.tree_edges for t in trees] == [(0, 1), (0, 2), (1, 2)]
+    assert enumerate_spanning_trees(triangle()) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_chord_count_equals_beta(kagome):
-    for basis in enumerate_spanning_trees(kagome):
-        assert len(basis.chords) == kagome.beta
-        assert len(basis.tree_edges) == kagome.num_vertices - 1
+    for tree in enumerate_spanning_trees(kagome):
+        assert flux_table(kagome, kagome.index_form(), tree).shape == (kagome.beta, 2)
+        assert len(tree) == kagome.num_vertices - 1
 
 
 def test_loops_never_in_trees():
@@ -78,19 +86,19 @@ def test_loops_never_in_trees():
         dim=1, num_vertices=2,
         edges=(Edge(0, 0, (1,)), Edge(0, 1, (0,)), Edge(1, 0, (1,))),
     )
-    for basis in enumerate_spanning_trees(g):
-        assert 0 not in basis.tree_edges
-    # the loop is always a chord and is its own basic cycle
-    basis = enumerate_spanning_trees(g)[0]
-    loop_pos = basis.chords.index(0)
-    assert basis.cycles[loop_pos] == ((0, 1),)
+    # the loop is always a chord, the first, and is its own basic cycle
+    x = OneForm(np.random.default_rng(2).uniform(-1.0, 1.0, (3, 2)))
+    for tree in enumerate_spanning_trees(g):
+        assert 0 not in tree
+        assert np.array_equal(flux_table(g, x, tree)[0], x.values[0])
 
 
 def test_basic_cycles_are_closed(kagome):
-    zero = OneForm.zeros(kagome.num_edges, 2)
-    for basis in enumerate_spanning_trees(kagome):
-        for cycle in basis.cycles:
-            assert np.array_equal(flux(kagome, zero, cycle), np.zeros(2))
+    # a gradient p(head) - p(tail) has zero flux through every closed cycle
+    p = np.random.default_rng(1).integers(-9, 10, (kagome.num_vertices, 2))
+    grad = OneForm(np.array([p[e.head] - p[e.tail] for e in kagome.edges]))
+    for tree in enumerate_spanning_trees(kagome):
+        assert np.array_equal(flux_table(kagome, grad, tree), np.zeros((kagome.beta, 2)))
 
 
 def test_tree_count_matches_matrix_tree_oracle(generator_graphs):
@@ -121,16 +129,15 @@ def test_tree_cap_exceeded():
 
 def test_flux_zero_form_is_zero(kagome):
     zero = OneForm.zeros(kagome.num_edges, 2)
-    basis = enumerate_spanning_trees(kagome)[0]
-    for cycle in basis.cycles:
-        assert np.array_equal(flux(kagome, zero, cycle), np.zeros(2))
+    tree = enumerate_spanning_trees(kagome)[0]
+    assert np.array_equal(flux_table(kagome, zero, tree), np.zeros((kagome.beta, 2)))
 
 
 def test_flux_kagome_inner_triangle_vanishes(kagome):
-    # the three in-cell edges 2 -> 1 -> 0 reversed chain into a triangle
-    tau = kagome.index_form()
-    cycle = ((0, 1), (1, 1), (2, 1))  # v1->v3, v3->v2, v2->v1, all index (0,0)
-    assert np.array_equal(flux(kagome, tau, cycle), np.zeros(2, dtype=np.int64))
+    # on the tree (0, 1) the basic cycle of chord 2 is the in-cell triangle
+    # v2->v1, v1->v3, v3->v2, all index (0,0); the chords are 2, 3, 4, 5
+    table = flux_table(kagome, kagome.index_form(), (0, 1))
+    assert np.array_equal(table[0], np.zeros(2, dtype=np.int64))
 
 
 def test_flux_magnetic_mod_2pi():
@@ -139,27 +146,42 @@ def test_flux_magnetic_mod_2pi():
         edges=(Edge(0, 1, (0,), 2.0), Edge(1, 2, (0,), 2.0),
                Edge(2, 0, (0,), 2 * math.pi - 4.0)),
     )
-    a = g.magnetic_form()
-    cycle = ((0, 1), (1, 1), (2, 1))
-    assert flux(g, a, cycle)[0] == pytest.approx(0.0, abs=1e-12)
+    # the one basic cycle sums the phases to 2*pi
+    assert flux_table(g, g.magnetic_form(), (0, 1))[0, 0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_flux_additive_over_concatenation(kagome):
+@pytest.mark.parametrize("tree", [(0, 1, 2), (0,), (7, 8), (0, 3), (2, 2), (-1, 0)],
+                         ids=["too-many", "too-few", "out-of-range", "misses-a-vertex", "repeated", "negative"])
+def test_edge_ids_that_are_no_spanning_tree_are_refused(kagome, tree):
+    # too many or too few ids, out of range, parallel edges 0 and 3 that
+    # miss vertex 1, a repeated id, and a negative id
     tau = kagome.index_form()
-    basis = enumerate_spanning_trees(kagome)[0]
-    for cycle in basis.cycles:
-        doubled = cycle + cycle
-        assert np.array_equal(flux(kagome, tau, doubled), 2 * flux(kagome, tau, cycle))
+    with pytest.raises(GraphDataError, match="spanning tree|every vertex"):
+        flux_table(kagome, tau, tree)
+    with pytest.raises(GraphDataError):
+        tree_form(kagome, tau, tree)
 
 
-def test_flux_open_path_errors(kagome):
-    tau = kagome.index_form()
-    with pytest.raises(OpenPathError):
-        flux(kagome, tau, ((0, 1), (0, 1)))  # does not chain
-    with pytest.raises(OpenPathError):
-        flux(kagome, tau, ((0, 1),))  # does not close
-    with pytest.raises(OpenPathError):
-        flux(kagome, tau, ())
+def oracle_table(g: FundamentalGraph, x: OneForm, tree: tuple[int, ...]) -> np.ndarray:
+    rows = [walk_flux(g, x, cycle) for cycle in basic_cycles(g, tree)]
+    return np.stack(rows) if rows else np.zeros((0, x.dim), dtype=x.values.dtype)
+
+
+def test_flux_table_and_tree_form_equal_the_cycle_walk_bit_for_bit(battery_graphs):
+    rng = np.random.default_rng(17)
+    for g in battery_graphs:
+        forms = (g.index_form(), g.magnetic_form(),
+                 OneForm(rng.uniform(-1.0, 1.0, (g.num_edges, 2))))
+        minimal = [s.tree for s in scan_trees(g, forms).forms]
+        for x, tree_x in zip(forms, minimal):
+            for tree in (first_spanning_tree(g), tree_x):
+                want = oracle_table(g, x, tree)
+                got = flux_table(g, x, tree)
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+                values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if x.exact else float)
+                values[[c for c in range(g.num_edges) if c not in tree]] = want
+                want_form = OneForm(values, magnetic=x.magnetic)  # phases pass reduce_angles
+                assert tree_form(g, x, tree).values.tobytes() == want_form.values.tobytes()
 
 
 # -- minimal forms -------------------------------------------------------------------
@@ -170,7 +192,7 @@ def kagome_coordinate_form(kagome):
 
 
 def test_kagome_coordinate_form_minimal_count(kagome):
-    mu, basis, beta_x = minimal_form(kagome, kagome_coordinate_form(kagome))
+    mu, _, beta_x = minimal_form(kagome, kagome_coordinate_form(kagome))
     assert beta_x == 3
     assert mu.support_size_oriented() == 6
 
@@ -179,13 +201,10 @@ def test_kagome_outer_arc_tree_is_minimal(kagome):
     # the tree made of the two out-of-cell arcs 3 and 5 achieves the minimum
     trees = enumerate_spanning_trees(kagome)
     x = kagome_coordinate_form(kagome)
-    counts = {}
-    for basis in trees:
-        nz = sum(
-            1 for cycle in basis.cycles
-            if np.max(np.abs(flux(kagome, x, cycle))) > 1e-9
-        )
-        counts[basis.tree_edges] = nz
+    counts = {
+        tree: int(np.sum(np.max(np.abs(flux_table(kagome, x, tree)), axis=1) > 1e-9))
+        for tree in trees
+    }
     assert counts[(3, 5)] == min(counts.values()) == 3
 
 
@@ -199,9 +218,9 @@ def test_minimal_form_zero_fluxes(kagome):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_minimal_form_zd_is_index_form(d):
     g = generate("zd", d)
-    mu, basis, beta_x = minimal_form(g, g.index_form())
+    mu, tree, beta_x = minimal_form(g, g.index_form())
     assert beta_x == d
-    assert basis.tree_edges == ()
+    assert tree == ()
     assert np.array_equal(mu.values, g.index_matrix())
 
 
@@ -209,9 +228,8 @@ def test_minimal_form_preserves_fluxes_everywhere(kagome):
     trees = enumerate_spanning_trees(kagome)
     x = kagome_coordinate_form(kagome)
     mu, _, _ = minimal_form(kagome, x)
-    for basis in trees:
-        for cycle in basis.cycles:
-            assert np.allclose(flux(kagome, mu, cycle), flux(kagome, x, cycle), atol=1e-12)
+    for tree in trees:
+        assert np.allclose(flux_table(kagome, mu, tree), flux_table(kagome, x, tree), atol=1e-12)
 
 
 def test_minimal_form_preserves_fluxes_random_graphs():
@@ -221,11 +239,10 @@ def test_minimal_form_preserves_fluxes_random_graphs():
         trees = enumerate_spanning_trees(g)
         for form in (g.index_form(), g.magnetic_form()):
             mu, _, _ = minimal_form(g, form)
-            for basis in trees:
-                for cycle in basis.cycles:
-                    got = flux(g, mu, cycle)
-                    want = flux(g, form, cycle)
-                    assert np.allclose(got.astype(float), want.astype(float), atol=1e-9)
+            for tree in trees:
+                got = flux_table(g, mu, tree)
+                want = flux_table(g, form, tree)
+                assert np.allclose(got.astype(float), want.astype(float), atol=1e-9)
 
 
 def test_minimum_is_well_defined_across_minimal_trees():
@@ -234,9 +251,7 @@ def test_minimum_is_well_defined_across_minimal_trees():
         g = make_random_graph(rng)
         trees = enumerate_spanning_trees(g)
         tau = g.index_form()
-        counts = [
-            sum(1 for c in b.cycles if np.any(flux(g, tau, c) != 0)) for b in trees
-        ]
+        counts = [int(np.any(flux_table(g, tau, t) != 0, axis=1).sum()) for t in trees]
         best = min(counts)
         assert all(c == best for c in counts if c == best)  # argmin set is consistent
         _, _, beta_x = minimal_form(g, tau)

@@ -6,11 +6,13 @@ import ast
 import importlib
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import magspec
+import magspec.cli as cli
 
 
 def test_no_assert_statements_in_package():
@@ -50,6 +52,18 @@ def test_readme_python_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(readme), "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    # every magspec line of the shell examples parses, so a removed or renamed
+    # flag cannot stay in the docs
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    lines = [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["magspec"]]
+    assert len(commands) >= 7
+    for argv in commands:
+        cli._parser().parse_args(argv)
 
 
 def test_cli_import_starts_no_pool_machinery():
