@@ -6,20 +6,22 @@ Exit codes: 0 success, 1 failed verification check, 2 input error (an
 Output is deterministic for a fixed input and seed. Every command
 writes its result through _output: to stdout, or with --out to a
 temporary file beside the target that is moved there only when the
-command succeeds, so a failed run creates no file and leaves an
-existing one unchanged. The writer is opened before the command's
-work, so a target that cannot be written is refused first.
+command succeeds, so a failed run creates no file, leaves an existing
+one unchanged and prints nothing to stdout. The writer is opened before
+the command's work, so a target that cannot be written is refused
+first.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import os
 import shutil
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, redirect_stdout, suppress
 from functools import cache, partial
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -86,9 +88,12 @@ def _output(path: str | None) -> Iterator[TextIO]:
     moved onto path (a symlink there is replaced, not followed) with the
     permission bits of the file it replaces when the block ends without
     raising. Otherwise it is removed, so path is never left half written
-    and an existing file keeps its bytes. A path whose directory does not
-    exist (BadParamsError) or that is a directory is refused at once: the
-    write or the move would otherwise fail only after the work.
+    and an existing file keeps its bytes. What the block prints to
+    stdout meanwhile (the bands summary) is held and printed only once
+    path is in place, so a failed run prints nothing. A path whose
+    directory does not exist (BadParamsError) or that is a directory is
+    refused at once: the write or the move would otherwise fail only
+    after the work.
     """
     if not path:
         yield sys.stdout
@@ -99,9 +104,10 @@ def _output(path: str | None) -> Iterator[TextIO]:
     if target.is_dir():
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    held = io.StringIO()
     try:
         # created exclusively, with the permissions open(path, "w") would give a new file
-        with tmp.open("x", encoding="utf-8") as f:
+        with tmp.open("x", encoding="utf-8") as f, redirect_stdout(held):
             yield f
         with suppress(FileNotFoundError):  # no file to keep the mode of
             shutil.copymode(target, tmp)
@@ -109,6 +115,7 @@ def _output(path: str | None) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    sys.stdout.write(held.getvalue())
 
 
 def cmd_gen(args: argparse.Namespace, out: TextIO) -> int:

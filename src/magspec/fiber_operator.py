@@ -10,7 +10,7 @@ fundamental graph by
 for a pair of 1-forms: b with the fluxes of the translation-index form
 and a with the fluxes (mod 2*pi) of the phase form. Different pairs in
 those flux classes give fibers conjugated entry for entry by a diagonal
-gauge of tree-path weights (gauge_weights). Picking minimal-support
+gauge of tree potentials (gauge_weights). Picking minimal-support
 forms and shifting theta by a fixed offset removes all phase content
 outside a small edge set; the fiber with those phases minus the one
 without controls band movement under the magnetic field.
@@ -30,7 +30,7 @@ from .errors import (
     GraphDataError,
     NoIndependentSubsetError,
 )
-from .forms_cycles import _tree_adjacency, _tree_path, first_spanning_tree, integer_determinant
+from .forms_cycles import _rooted_tree, first_spanning_tree, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 
@@ -127,28 +127,30 @@ def add_to_diagonals(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
-    """Tree-path gauge weights relating (b, a) fibers to (index, phase) fibers.
+    """Tree-potential gauge weights relating (b, a) fibers to (index, phase) fibers.
 
     The weights are the potentials of (index - b) and (alpha - a) on the
-    first spanning tree, vanishing at vertex 0; integer forms give
-    exact int64 weights. They are well defined only when b and a carry
-    the fluxes of the stored index and phase forms. The flux of diff
-    through the basic cycle of an edge (t, h) is diff(edge) + w(t) - w(h),
-    zero on tree edges; b's is_nonzero tests it for the index class and
-    the stored phase form's for the phase, and a violation raises
+    first spanning tree, vanishing at vertex 0: in the breadth-first
+    order of _rooted_tree, w(v) = w(parent) + the difference form's
+    value on the step parent -> v. Integer forms give exact int64
+    weights. They are well defined only when b and a carry the fluxes
+    of the stored index and phase forms. The flux of diff through the
+    basic cycle of an edge (t, h) is diff(edge) + w(t) - w(h), zero on
+    tree edges; b's is_nonzero tests it for the index class and the
+    stored phase form's for the phase, and a violation raises
     FluxMismatchError naming the lowest bad chord.
     """
     _check_forms(g, b, a)
-    adj = _tree_adjacency(g, first_spanning_tree(g))
-    # row v: the signed tree path 0 -> v
-    paths = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
-    for v in range(g.num_vertices):
-        for eid, sign in _tree_path(adj, 0, v):
-            paths[v, eid] = sign
     alpha = g.magnetic_form()
     diff_b = g.index_matrix() - b.values
     diff_a = OneForm(alpha.values - a.values, magnetic=True).values[:, 0]
-    w_b, w_a = paths @ diff_b, paths @ diff_a
+    w_b = np.zeros((g.num_vertices, g.dim), dtype=diff_b.dtype)
+    w_a = np.zeros(g.num_vertices)
+    order, up = _rooted_tree(g, first_spanning_tree(g))
+    for v in order[1:]:
+        parent, eid, sign = up[v]  # type: ignore[misc]
+        w_b[v] = w_b[parent] + sign * diff_b[eid]
+        w_a[v] = w_a[parent] + sign * diff_a[eid]
     ends = np.array([(e.tail, e.head) for e in g.edges], dtype=np.intp).reshape(-1, 2)
     t, h = ends[:, 0], ends[:, 1]
     bad_b = b.is_nonzero(diff_b + w_b[t] - w_b[h]).any(axis=1)

@@ -4,7 +4,10 @@ A spanning tree T of the fundamental graph is the ascending tuple of
 its edge ids. It determines a basis of the cycle space: every non-tree
 edge (chord) closes a unique basic cycle through T. The flux of a
 1-form along a basic cycle is the sum of its values, and flux_table is
-the one walk of basic cycles. A tree minimizing the number of basic
+the one walk of basic cycles. It walks the parent steps of
+_rooted_tree, the one breadth-first search that roots a tree at vertex
+0 and validates it, which also gives the gauge potentials of
+fiber_operator.gauge_weights. A tree minimizing the number of basic
 cycles with nonzero flux yields a flux-equivalent form of smallest
 possible support, the form vanishing on that tree and carrying the
 chord fluxes (tree_form). Minimality is certified by exhaustive tree
@@ -17,7 +20,6 @@ integers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -140,55 +142,35 @@ def spanning_tree_count(g: FundamentalGraph) -> int:
     return integer_determinant(reduced)
 
 
-def _tree_adjacency(g: FundamentalGraph, tree: Sequence[int]):
-    """Per vertex, the sorted (edge_id, sign, neighbour) steps of a spanning tree.
+def _rooted_tree(g: FundamentalGraph, tree: Sequence[int]):
+    """A spanning tree rooted at vertex 0 by one breadth-first search.
 
-    Raises GraphDataError unless tree is nu - 1 distinct edge ids of g
-    that join every vertex.
+    The search takes each vertex's tree edges in ascending id. Returns
+    (order, up): the vertices in the order reached, root first, and per
+    vertex its parent step (parent, edge id, sign), sign +1 when
+    parent -> vertex is the edge's canonical orientation (None at the
+    root). Raises GraphDataError unless tree is nu - 1 distinct edge
+    ids of g that join every vertex.
     """
     n = g.num_vertices
     ids = set(tree)
     if len(tree) != n - 1 or len(ids) != len(tree) or not ids <= set(range(g.num_edges)):
         raise GraphDataError(f"edge ids {tuple(tree)} are not a spanning tree of the graph")
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    for eid in tree:
+    for eid in sorted(ids):
         e = g.edges[eid]
-        adj[e.tail].append((eid, 1, e.head))
-        adj[e.head].append((eid, -1, e.tail))
-    for lst in adj:
-        lst.sort()
-    seen, stack = {0}, [0]
-    while stack:
-        for _, _, w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n:
+        adj[e.tail].append((e.head, eid, 1))
+        adj[e.head].append((e.tail, eid, -1))
+    up: list[tuple[int, int, int] | None] = [None] * n
+    order = [0]
+    for v in order:  # grows as the search reaches vertices
+        for w, eid, sign in adj[v]:
+            if w != 0 and up[w] is None:  # the root has no parent step
+                up[w] = (v, eid, sign)
+                order.append(w)
+    if len(order) != n:
         raise GraphDataError(f"edge ids {tuple(tree)} do not join every vertex")
-    return adj
-
-
-def _tree_path(adj, start: int, goal: int) -> tuple[tuple[int, int], ...]:
-    """Unique oriented tree path start -> goal as (edge_id, sign) steps, sign +1 = canonical."""
-    if start == goal:
-        return ()
-    prev: dict[int, tuple[int, int, int] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if v == goal:
-            break
-        for eid, sign, w in adj[v]:
-            if w not in prev:
-                prev[w] = (v, eid, sign)
-                queue.append(w)
-    steps = []
-    v = goal
-    while prev[v] is not None:
-        u, eid, sign = prev[v]  # type: ignore[misc]
-        steps.append((eid, sign))
-        v = u
-    return tuple(reversed(steps))
+    return order, up
 
 
 _BLOCK_STATES = 512  # a block of partial forests is split above this many states
@@ -501,15 +483,27 @@ def flux_table(g: FundamentalGraph, form: OneForm, tree: Sequence[int]) -> np.nd
 
     Row i belongs to the i-th chord in ascending id. The basic cycle of
     chord c is c followed by the tree path from its head back to its
-    tail; a loop is its own basic cycle. Magnetic fluxes are reduced
-    modulo 2*pi into (-pi, pi]. Raises GraphDataError when tree is not
-    a spanning tree of g.
+    tail, read off the parent steps of _rooted_tree and summed step by
+    step in path order; a loop is its own basic cycle. Magnetic fluxes
+    are reduced modulo 2*pi into (-pi, pi]. Raises GraphDataError when
+    tree is not a spanning tree of g.
     """
-    adj = _tree_adjacency(g, tree)
+    order, up = _rooted_tree(g, tree)
+    rank = {v: i for i, v in enumerate(order)}
     values, rows = form.values, []
     for c in _chords(g, tree):
+        # the tree path head -> tail climbs from the end reached later,
+        # never past the two ends' common ancestor, and then descends to tail
+        a, b, climb, descent = g.edges[c].head, g.edges[c].tail, [], []
+        while a != b:
+            if rank[a] > rank[b]:
+                a, eid, sign = up[a]  # type: ignore[misc]
+                climb.append((eid, -sign))
+            else:
+                b, eid, sign = up[b]  # type: ignore[misc]
+                descent.append((eid, sign))
         total = np.zeros(form.dim, dtype=values.dtype) + values[c]
-        for eid, sign in _tree_path(adj, g.edges[c].head, g.edges[c].tail):
+        for eid, sign in climb + descent[::-1]:
             total = total + sign * values[eid]
         rows.append(np.array([reduce_angle(float(total[0]))]) if form.magnetic else total)
     return np.stack(rows) if rows else np.zeros((0, form.dim), dtype=values.dtype)

@@ -1,7 +1,8 @@
 """Shared fixtures: stock lattices, a small finite test graph, a
 coordinate form of vertex positions, a cycle-walk oracle for chord
-fluxes, and a seeded factory of random connected fundamental graphs
-whose index fluxes span the full integer lattice."""
+fluxes, a signed-path-matrix oracle for gauge weights, and a seeded
+factory of random connected fundamental graphs whose index fluxes span
+the full integer lattice."""
 
 from __future__ import annotations
 
@@ -9,7 +10,13 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from magspec import MagspecError, enumerate_spanning_trees, generate, lattice_image_check
+from magspec import (
+    MagspecError,
+    enumerate_spanning_trees,
+    first_spanning_tree,
+    generate,
+    lattice_image_check,
+)
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -30,34 +37,63 @@ def coordinate_form(g: FundamentalGraph, positions: np.ndarray) -> OneForm:
     return OneForm(positions[heads] + g.index_matrix() - positions[tails])
 
 
-def basic_cycles(g: FundamentalGraph, tree: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
-    """Per chord of a spanning tree, in ascending id, its oriented basic cycle.
+def tree_paths(g: FundamentalGraph, tree: tuple[int, ...], start: int) -> dict[int, tuple]:
+    """Per vertex, the oriented tree path from start to it as (edge_id, sign) steps.
 
-    A cycle is (edge_id, sign) steps, sign +1 = canonical: the chord,
-    then the tree path from its head back to its tail, found by a
-    depth-first search that remembers how each vertex was reached.
+    Sign +1 = canonical. Found by a depth-first search over both
+    orientations of every tree edge that remembers how each vertex was
+    reached.
     """
     steps = []  # (edge_id, sign, from, to) for both orientations of every tree edge
     for eid in tree:
         e = g.edges[eid]
         steps += [(eid, 1, e.tail, e.head), (eid, -1, e.head, e.tail)]
-    cycles = []
-    for c in (i for i in range(g.num_edges) if i not in tree):
-        head, tail = g.edges[c].head, g.edges[c].tail
-        reached: dict[int, tuple | None] = {head: None}
-        todo = [head]
-        while todo:
-            v = todo.pop()
-            for eid, sign, u, w in steps:
-                if u == v and w not in reached:
-                    reached[w] = (v, eid, sign)
-                    todo.append(w)
-        path, v = [], tail
+    reached: dict[int, tuple | None] = {start: None}
+    todo = [start]
+    while todo:
+        v = todo.pop()
+        for eid, sign, u, w in steps:
+            if u == v and w not in reached:
+                reached[w] = (v, eid, sign)
+                todo.append(w)
+    paths = {}
+    for goal in reached:
+        path, v = [], goal
         while reached[v] is not None:
             v, eid, sign = reached[v]
             path.append((eid, sign))
-        cycles.append(((c, 1),) + tuple(reversed(path)))
-    return cycles
+        paths[goal] = tuple(reversed(path))
+    return paths
+
+
+def basic_cycles(g: FundamentalGraph, tree: tuple[int, ...]) -> list[tuple[tuple[int, int], ...]]:
+    """Per chord of a spanning tree, in ascending id, its oriented basic cycle.
+
+    A cycle is (edge_id, sign) steps, sign +1 = canonical: the chord,
+    then the tree path from its head back to its tail.
+    """
+    return [
+        ((c, 1),) + tree_paths(g, tree, g.edges[c].head)[g.edges[c].tail]
+        for c in range(g.num_edges)
+        if c not in tree
+    ]
+
+
+def path_matrix_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> tuple[np.ndarray, ...]:
+    """Gauge weights (w_b, w_a) of (b, a) from a signed tree-path matrix.
+
+    Row v of the int64 matrix is the tree path 0 -> v on the first
+    spanning tree, one entry +-1 per step; the weights are that matrix
+    times (index - b) and times (alpha - a), the phase difference
+    reduced into (-pi, pi] first.
+    """
+    paths = np.zeros((g.num_vertices, g.num_edges), dtype=np.int64)
+    for v, path in tree_paths(g, first_spanning_tree(g), 0).items():
+        for eid, sign in path:
+            paths[v, eid] = sign
+    diff_b = g.index_matrix() - b.values
+    diff_a = OneForm(g.magnetic_form().values - a.values, magnetic=True).values[:, 0]
+    return paths @ diff_b, paths @ diff_a
 
 
 def walk_flux(g: FundamentalGraph, form: OneForm, cycle: tuple[tuple[int, int], ...]) -> np.ndarray:

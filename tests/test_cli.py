@@ -488,6 +488,22 @@ def test_out_write_error_leaves_the_target_alone(tmp_path, capsys, monkeypatch, 
     assert err.startswith("error: cannot write --out") and "No space left" in err
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+@pytest.mark.parametrize("command", list(_OUT_COMMANDS))
+def test_refused_move_prints_nothing_and_leaves_no_temporary_file(tmp_path, capsys, monkeypatch,
+                                                                  kagome_file, z2_file, command,
+                                                                  existing):
+    # the OS refuses the final move, as EPERM does for another user's file in a sticky directory
+    def refused(src, dst):
+        raise PermissionError(errno.EPERM, "Operation not permitted")
+
+    monkeypatch.setattr(cli.os, "replace", refused)
+    code, err = _out_dir_after_failed_run(tmp_path, capsys, kagome_file, z2_file, command,
+                                          existing)
+    assert code == 2
+    assert err.startswith("error: cannot write --out") and "Operation not permitted" in err
+
+
 @pytest.mark.parametrize("command", ["gen", "build-periodic", "butterfly"])
 def test_out_gets_the_bytes_stdout_gets(tmp_path, capsys, kagome_file, z2_file, command):
     argv = _out_argv(command, kagome_file, z2_file, tmp_path)

@@ -26,9 +26,9 @@ from magspec import (
     zero_phase_form,
 )
 from magspec.fiber_operator import add_to_diagonals
-from magspec.graph_model import Edge, FundamentalGraph, OneForm
+from magspec.graph_model import Edge, FundamentalGraph, OneForm, reduce_angles
 
-from conftest import make_random_graph
+from conftest import make_random_graph, path_matrix_weights
 
 
 # -- independent assembly oracle -------------------------------------------------
@@ -223,6 +223,22 @@ def test_gauge_weights_index_channel_is_exact_in_int64(kagome):
     off_by_one[5, 0] += 1
     with pytest.raises(FluxMismatchError, match=r"^form is not flux-equivalent to the index form \(chord 5\)$"):
         gauge_weights(g, OneForm(off_by_one), a)
+
+
+def test_gauge_weights_equal_the_path_matrix_oracle(battery_graphs):
+    # the minimal pair and the pair that vanishes on the first tree, per battery graph
+    for g in battery_graphs:
+        first = first_spanning_tree(g)
+        first_pair = (tree_form(g, g.index_form(), first), tree_form(g, g.magnetic_form(), first))
+        tree = list(first)
+        t, h = [g.edges[e].tail for e in tree], [g.edges[e].head for e in tree]
+        for b, a in (minimal_pair(g), first_pair):
+            w = gauge_weights(g, b, a)
+            want_b, want_a = path_matrix_weights(g, b, a)
+            assert w.w_b.dtype == np.int64 and np.array_equal(w.w_b, want_b)
+            assert np.max(np.abs(reduce_angles(w.w_a - want_a))) <= 1e-12
+            on_tree = (g.index_matrix() - b.values)[tree] + w.w_b[t] - w.w_b[h]
+            assert not on_tree.any()  # exactly 0 on every tree edge of the index channel
 
 
 def cycle_walk_mismatch(g, b, a):
