@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     CheckFailedError,
+    DimensionMismatchError,
     DisconnectedGraphError,
     FluxImageNotFullLatticeError,
     GraphDataError,
@@ -202,9 +203,13 @@ class _TreeScanner:
     (p(t) + x) - p(h) to every vertex of h's set, which fixes
     p(h) = p(t) + x, and then joins the two sets. Every potential stays
     a path sum in its tree, so exact forms are exact in int64 under
-    _check_int64_range. Once a state spans, the flux of chord c is
-    x(c) + p(t) - p(h), so no cycle is walked: each form's
-    OneForm.is_nonzero decides which fluxes are nonzero.
+    the range check of _scanned_column. Once a state spans, the flux of
+    chord c is x(c) + p(t) - p(h), so no cycle is walked: each form's
+    OneForm.is_nonzero decides which fluxes are nonzero. Columns are
+    the cost of a scan, so scan_trees hands over no form whose values
+    are all zero (its fluxes are all zero) and an integer form of
+    dim > 1 as one packed column when int64 allows (_scanned_column);
+    the scanner itself treats every form alike.
     """
 
     def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
@@ -357,17 +362,30 @@ def _checked_tree_count(g: FundamentalGraph, cap: int) -> tuple[int, tuple[int, 
     return count, tree
 
 
-def _check_int64_range(forms: Sequence[OneForm]) -> None:
-    """Refuse an integer form whose |values| sum above int64: that sum
-    bounds every tree potential and flux of the form."""
-    for x in forms:
-        if not x.exact:
-            continue
-        for col in x.values.T.tolist():
-            if sum(map(abs, col)) > INT64_MAX:
-                raise IndexOverflowError(
-                    "an integer form's values sum above int64, so its potentials could overflow"
-                )
+def _scanned_column(x: OneForm) -> OneForm:
+    """The form a tree scan carries for a nonzero form x.
+
+    Refuses an integer form whose |values| sum above int64 in some
+    component (IndexOverflowError): that sum B bounds every tree
+    potential and flux of the component. An integer form of dim d > 1
+    becomes the one column x @ (1, R, ..., R^(d-1)), R = 2B + 1. Sums
+    are linear, so its potentials and fluxes are those of x packed the
+    same way, and digits of size at most B < R/2 make a packed flux
+    zero exactly when every component is. The scanner's sums reach
+    3B per component (a value and two potentials), so x is packed only
+    when 3B * (1 + R + ... + R^(d-1)) fits in int64.
+    """
+    if not x.exact:
+        return x
+    b = max(sum(map(abs, col)) for col in x.values.T.tolist())
+    if b > INT64_MAX:
+        raise IndexOverflowError(
+            "an integer form's values sum above int64, so its potentials could overflow"
+        )
+    weights = [(2 * b + 1) ** s for s in range(x.dim)]
+    if x.dim == 1 or 3 * b * sum(weights) > INT64_MAX:
+        return x
+    return OneForm(x.values.astype(np.int64) @ np.array(weights, dtype=np.int64))
 
 
 def _check_leaves(found: int, count: int) -> None:
@@ -423,15 +441,27 @@ def scan_trees(
     enumeration order (the largest tree key of a _TreeScanner); the
     first tree of all is the Kruskal tree of the connectivity check.
     Memory stays flat in the number of trees: only the distinct minimal
-    supports are kept. Raises TreeCountExceedsCapError before scanning
-    when the exact count exceeds the cap, IndexOverflowError when an
-    integer form could overflow int64, and CheckFailedError if the scan
-    does not find exactly that many trees.
+    supports are kept. The scanner carries only what it must: a form
+    whose values are all exactly zero has zero flux on every cycle, so
+    it is not scanned and scores (0, first tree, 0, {0}), what scanning
+    it would give; an integer form of dim > 1 is scanned as one packed
+    int64 column when its size allows (_scanned_column), which gives
+    the same nonzero chords. Raises DimensionMismatchError before any
+    work when a form does not have one row per edge,
+    TreeCountExceedsCapError before scanning when the exact count
+    exceeds the cap, IndexOverflowError when an integer form could
+    overflow int64, and CheckFailedError if the scan does not find
+    exactly that many trees.
     """
+    for x in forms:
+        if x.num_edges != g.num_edges:
+            raise DimensionMismatchError(
+                f"form has shape {x.values.shape}, expected {g.num_edges} rows"
+            )
     count, first = _checked_tree_count(g, cap)
-    _check_int64_range(forms)
-    scanner = _TreeScanner(g, forms)
-    best: list[list | None] = [None] * len(forms)  # [count, tree key, support, supports]
+    live = [k for k, x in enumerate(forms) if np.any(x.values)]
+    scanner = _TreeScanner(g, [_scanned_column(forms[k]) for k in live])
+    best: list[list | None] = [None] * len(live)  # [count, tree key, support, supports]
     leaves = 0
     for ints, flts in scanner.blocks():
         leaves += len(ints)
@@ -459,14 +489,10 @@ def scan_trees(
     def as_int(support: bytes) -> int:
         return int.from_bytes(support, "little")
 
-    return TreeScan(
-        tree_count=leaves,
-        first_tree=first,
-        forms=tuple(
-            FormScan(c, scanner.edges_of(key), as_int(m), frozenset(map(as_int, s)))
-            for c, key, m, s in best  # type: ignore[misc]
-        ),
-    )
+    scans = [FormScan(0, first, 0, frozenset({0}))] * len(forms)
+    for k, (c, key, m, s) in zip(live, best):  # type: ignore[misc]
+        scans[k] = FormScan(c, scanner.edges_of(key), as_int(m), frozenset(map(as_int, s)))
+    return TreeScan(tree_count=leaves, first_tree=first, forms=tuple(scans))
 
 
 # -- fluxes --------------------------------------------------------------------

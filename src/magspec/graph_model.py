@@ -452,10 +452,12 @@ def graph_to_dict(g: FundamentalGraph) -> dict:
 
 
 def load_graph_json(path: str | Path) -> FundamentalGraph:
+    """The graph of a JSON file; a file that cannot be read, is not
+    UTF-8, is not JSON or nests too deeply raises GraphDataError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise GraphDataError(f"cannot read graph file {path}: {exc}") from exc
     return graph_from_dict(data)
 

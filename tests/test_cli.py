@@ -81,6 +81,16 @@ def test_gen_refuses_a_decoration_for_other_kinds(tmp_path, capsys, kind):
     assert "--decoration needs kind decorated" in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 200_000], ids=["not-utf8", "deep-nesting"])
+@pytest.mark.parametrize("command", [["invariants"], ["gen", "decorated", "--decoration"]])
+def test_unreadable_graph_file_is_an_input_error(tmp_path, capsys, content, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, out, err = run(capsys, *command, str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read graph file") and "Traceback" not in err
+
+
 def test_gen_refuses_a_dimension_above_the_limit_before_building(capsys):
     tracemalloc.start()
     try:

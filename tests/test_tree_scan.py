@@ -19,6 +19,7 @@ import pytest
 import magspec.forms_cycles as fc
 from magspec import (
     CheckFailedError,
+    DimensionMismatchError,
     DisconnectedGraphError,
     IndexOverflowError,
     OneForm,
@@ -282,6 +283,100 @@ def test_int64_potential_guard():
         scan_trees(wide(-(2**62)), (wide(-(2**62)).index_form(),))
     g = wide(-(2**62) + 1)  # |values| sum to exactly 2^63 - 1: the flux still fits
     assert scan_trees(g, (g.index_form(),)).forms[0].count == 1
+
+
+def pack_threshold(dim: int) -> int:
+    """The smallest per-component |values| sum B whose packed sums 3B * (1 + R + ...
+    + R^(dim-1)), R = 2B + 1, pass int64: forms with B below it are scanned packed."""
+    def over(b: int) -> bool:
+        return 3 * b * sum((2 * b + 1) ** s for s in range(dim)) > INT64_MAX
+
+    low, high = 1, 2**62  # over(high), not over(low)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (low, mid) if over(mid) else (mid, high)
+    return high
+
+
+def integer_form(rng, g: FundamentalGraph, dim: int, scale: int, sum_to: int | None = None) -> OneForm:
+    """A seeded integer form: per component a multiple (-1, 0 or 1) of an index
+    column plus the coboundary of vertex values in [-scale, scale], so some
+    chord fluxes cancel. With sum_to, an entry of component 0 grows so that
+    component's |values| sum to exactly that (which bounds the others)."""
+    tails = [e.tail for e in g.edges]
+    heads = [e.head for e in g.edges]
+    tau = g.index_matrix()
+    cols = []
+    for _ in range(dim):
+        f = rng.integers(-scale, scale + 1, g.num_vertices)
+        cols.append(int(rng.integers(-1, 2)) * tau[:, rng.integers(g.dim)] + f[heads] - f[tails])
+    values = np.stack(cols, axis=1).astype(np.int64)
+    if sum_to is not None:
+        slack = sum_to - int(np.abs(values[:, 0]).sum())
+        assert slack >= 0 and int(np.abs(values).sum(axis=0).max()) <= sum_to
+        values[0, 0] += slack if values[0, 0] >= 0 else -slack
+    return OneForm(values)
+
+
+@pytest.fixture()
+def scanned(monkeypatch):
+    """Per _TreeScanner built, the (dim, exact) of each form it is handed."""
+    seen: list[list[tuple[int, bool]]] = []
+
+    class Spy(fc._TreeScanner):
+        def __init__(self, g, forms=()):
+            seen.append([(x.dim, x.exact) for x in forms])
+            super().__init__(g, forms)
+
+    monkeypatch.setattr(fc, "_TreeScanner", Spy)
+    return seen
+
+
+def test_packed_and_zero_forms_match_the_cycle_walk(battery_graphs, walks, scanned):
+    # components 1 apart in a cycle's flux: a radix of B instead of 2B + 1 would read zero
+    parallel = FundamentalGraph(dim=1, num_vertices=2, edges=tuple(Edge(0, 1, (k,)) for k in range(3)))
+    near = OneForm(np.array([[1, 0], [0, 1], [0, 0]], dtype=np.int64))
+    assert_scans_match_reference(walks, parallel, [(near,)])
+    rng = np.random.default_rng(24)
+    for g in battery_graphs[::4]:
+        e = g.num_edges
+        zeros = (OneForm(np.zeros((e, 2), dtype=np.int64)), OneForm.zeros(e, 1, magnetic=True),
+                 OneForm.zeros(e, 3))
+        small = [integer_form(rng, g, dim, 3) for dim in (2, 3)]
+        edge = [integer_form(rng, g, dim, 2**14, sum_to=pack_threshold(dim) + over)
+                for dim in (2, 3) for over in (-1, 0)]
+        scanned.clear()
+        assert_scans_match_reference(walks, g, [(small[0], zeros[1], small[1]), zeros, tuple(edge)])
+        packed, zero, at_edge = scanned
+        assert zero == []
+        assert packed == [(1, True), (1, True)]
+        assert at_edge == [(1, True), (2, True), (1, True), (3, True)]
+
+
+def test_scanner_carries_one_column_per_packable_form_and_none_for_zero(kagome, scanned):
+    tau, alpha = kagome.index_form(), kagome.magnetic_form()  # the stock phases are zero
+    scan = scan_trees(kagome, (tau, alpha))
+    assert scan.forms[1] == (0, scan.first_tree, 0, frozenset({0}))
+    wide = integer_form(np.random.default_rng(1), kagome, 2, 8, sum_to=pack_threshold(2))
+    scan_trees(kagome, (wide, OneForm.zeros(kagome.num_edges, 2)))
+    assert scanned == [[(1, True)], [(2, True)]]
+
+
+@pytest.mark.parametrize("rows", [5, 7])
+@pytest.mark.parametrize("zero", [True, False])
+def test_misshaped_forms_are_refused_before_scanning(kagome, monkeypatch, rows, zero):
+    assert kagome.num_edges == 6
+    values = np.zeros((rows, 2), dtype=np.int64) if zero else np.ones((rows, 2), dtype=np.int64)
+    bad = OneForm(values)
+
+    def no_count(g):
+        raise AssertionError("a misshaped form reached the tree count")
+
+    monkeypatch.setattr(fc, "spanning_tree_count", no_count)
+    with pytest.raises(DimensionMismatchError, match=f"{rows}, 2"):
+        scan_trees(kagome, (kagome.index_form(), bad))
+    with pytest.raises(DimensionMismatchError):
+        minimal_form(kagome, bad)
 
 
 def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs, walks):
