@@ -44,7 +44,8 @@ class NonFinitePotentialError(GraphDataError):
 
 class IndexOverflowError(GraphDataError):
     """An edge index entry, or a tree potential of an integer form, does
-    not fit in a signed 64-bit integer."""
+    not fit in a signed 64-bit integer, or a fiber phase is too large to
+    check in float arithmetic."""
 
 
 class BettiBelowRankError(GraphDataError):

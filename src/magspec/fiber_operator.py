@@ -28,10 +28,17 @@ from .errors import (
     DimensionMismatchError,
     FluxMismatchError,
     GraphDataError,
+    IndexOverflowError,
     NoIndependentSubsetError,
+    NotHermitianError,
 )
 from .forms_cycles import _rooted_tree, first_spanning_tree, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
+
+HERMITICITY_TOL = 1e-12
+# largest phase check_phase_sizes admits: 64 ulp of it (spectral's rounding
+# allowance) is 1/16, while a fiber entry without potential moves by at most 2
+MAX_PHASE = 2.0**42
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,14 +62,8 @@ class GaugeWeights:
 
 
 def _check_forms(g: FundamentalGraph, b: OneForm, a: OneForm) -> None:
-    if b.num_edges != g.num_edges or b.dim != g.dim:
-        raise DimensionMismatchError(
-            f"index-class form has shape {b.values.shape}, expected ({g.num_edges}, {g.dim})"
-        )
-    if a.num_edges != g.num_edges or a.dim != 1:
-        raise DimensionMismatchError(
-            f"phase form has shape {a.values.shape}, expected ({g.num_edges}, 1)"
-        )
+    g.check_form(b, g.dim)
+    g.check_form(a, 1)
 
 
 def zero_phase_form(g: FundamentalGraph) -> OneForm:
@@ -100,17 +101,59 @@ def fiber_stack(
     # lone row keeps every fiber independent of the batch it is built in
     rows = th if k != 1 else np.repeat(th, 2, axis=0)
     out = np.zeros((k, nu, nu), dtype=complex)
-    deg = np.zeros(nu)
     for eid, e in enumerate(g.edges):
         if not mask[eid]:
             continue
-        deg[e.tail] += 1
-        deg[e.head] += 1
         phase = a.values[eid, 0] + (rows @ b.values[eid].astype(float))[:k]
         hop = np.exp(1j * phase)
         out[:, e.tail, e.head] -= hop
         out[:, e.head, e.tail] -= np.conj(hop)
-    return add_to_diagonals(out, deg)
+    return add_to_diagonals(out, g.degrees(mask))
+
+
+def max_phase(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest |a| + pi * ||b||_1 over the rows of (b, a) value pairs.
+
+    A row is an edge of a form pair, whose fibers exponentiate
+    a(e) + <b(e), theta>, or a vertex of GaugeWeights (w_b, w_a). For
+    theta in [-pi, pi]^d this bounds every such phase, and float
+    rounding moves exp(i phase) by about eps times it.
+    """
+    return max(
+        float((np.abs(np.ravel(a)) + np.pi * np.abs(b.astype(float)).sum(axis=1)).max(initial=0.0))
+        for b, a in pairs
+    )
+
+
+def check_phase_sizes(g: FundamentalGraph, mu: OneForm, phi: OneForm) -> None:
+    """IndexOverflowError when a phase of the stored or the (mu, phi) pair can pass MAX_PHASE.
+
+    The checks that compare exponentiated phases allow rounding in
+    proportion to max_phase; past MAX_PHASE (indices beyond about 2^40)
+    that allowance would pass wrong fibers, so such graphs are refused.
+    """
+    largest = max_phase((g.index_form().values, g.magnetic_form().values), (mu.values, phi.values))
+    if largest > MAX_PHASE:
+        raise IndexOverflowError(
+            f"fiber phases reach {largest:.3g}, above 2^42: indices this large "
+            "cannot be checked in float arithmetic"
+        )
+
+
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix.
+
+    Rejects matrices whose anti-Hermitian part exceeds
+    1e-12 * (1 + max |m_ij|), or that hold a NaN, with NotHermitianError.
+    """
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotHermitianError("expected a square matrix")
+    # the entrywise max cannot overflow where a norm of huge entries does
+    scale = 1.0 + np.max(np.abs(m), initial=0.0)
+    if not np.max(np.abs(m - m.conj().T), initial=0.0) <= HERMITICITY_TOL * scale:
+        raise NotHermitianError("matrix is not Hermitian within tolerance")
+    return np.linalg.eigvalsh(m)
 
 
 def add_to_diagonals(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -151,8 +194,7 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
         parent, eid, sign = up[v]  # type: ignore[misc]
         w_b[v] = w_b[parent] + sign * diff_b[eid]
         w_a[v] = w_a[parent] + sign * diff_a[eid]
-    ends = np.array([(e.tail, e.head) for e in g.edges], dtype=np.intp).reshape(-1, 2)
-    t, h = ends[:, 0], ends[:, 1]
+    t, h = g.ends().T
     bad_b = b.is_nonzero(diff_b + w_b[t] - w_b[h]).any(axis=1)
     bad = np.flatnonzero(bad_b | alpha.is_nonzero(diff_a + w_a[t] - w_a[h]))
     if bad.size:
@@ -218,23 +260,16 @@ def theta0_reduction(
     theta0 = reduce_angles(np.linalg.solve(m, rhs)).reshape(d)
 
     raw = phi.values[:, 0] + mu_int.astype(float) @ theta0
-    keep = np.zeros(g.num_edges, dtype=bool)
-    union = set(supp_mu) | set(phi.support())
-    for eid in union:
-        keep[eid] = True
-    for eid in chosen:
-        keep[eid] = False
+    keep = mu.support_mask() | phi.support_mask()
+    keep[list(chosen)] = False
     phi_tilde = OneForm(np.where(keep, raw, 0.0), magnetic=True)
     return theta0, phi_tilde
 
 
 def phase_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:
     """Row-sum bound 2 max_v sum over oriented support edges at v of |sin(phase/2)|."""
-    supp = set(phi_tilde.support())
-    per_vertex = np.zeros(g.num_vertices)
-    for eid, _sign, tail, _head in g.oriented_edges():
-        if eid in supp:
-            per_vertex[tail] += abs(np.sin(phi_tilde.values[eid, 0] / 2.0))
+    sines = np.abs(np.sin(phi_tilde.values[:, 0] / 2.0))
+    per_vertex = g.degrees(np.where(phi_tilde.support_mask(), sines, 0.0))
     return float(2.0 * per_vertex.max()) if g.num_vertices else 0.0
 
 
@@ -251,20 +286,13 @@ def split_fiber(
     since mu vanishes there), the second on the support subgraph. Their
     sum is exactly the full fiber without potential.
     """
-    on = np.zeros(g.num_edges, dtype=bool)
-    on[list(mu.support())] = True
+    on = mu.support_mask()
     return fiber_stack(g, mu, a, thetas, edge_mask=~on), fiber_stack(g, mu, a, thetas, edge_mask=on)
 
 
 def support_degrees(g: FundamentalGraph, mu: OneForm) -> np.ndarray:
     """Vertex degrees on the support subgraph of mu (loops count 2)."""
-    supp = set(mu.support())
-    deg = np.zeros(g.num_vertices, dtype=np.int64)
-    for eid in supp:
-        e = g.edges[eid]
-        deg[e.tail] += 1
-        deg[e.head] += 1
-    return deg
+    return g.degrees(mu.support_mask())
 
 
 def count_nontrivial_exponents(

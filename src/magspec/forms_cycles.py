@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     CheckFailedError,
-    DimensionMismatchError,
     DisconnectedGraphError,
     FluxImageNotFullLatticeError,
     GraphDataError,
@@ -215,8 +214,7 @@ class _TreeScanner:
     def __init__(self, g: FundamentalGraph, forms: Sequence[OneForm] = ()) -> None:
         n = self.n = g.num_vertices
         edges = self.num_edges = g.num_edges
-        self.tails = np.array([e.tail for e in g.edges], dtype=np.intp)
-        self.heads = np.array([e.head for e in g.edges], dtype=np.intp)
+        self.tails, self.heads = g.ends().T
         # columns of ints: vertex sets, exact potentials, tree; flts: the other potentials
         self.words = -(-n // 64)  # words per vertex set
         sets_end = self.words * n
@@ -454,10 +452,7 @@ def scan_trees(
     exactly that many trees.
     """
     for x in forms:
-        if x.num_edges != g.num_edges:
-            raise DimensionMismatchError(
-                f"form has shape {x.values.shape}, expected {g.num_edges} rows"
-            )
+        g.check_form(x)
     count, first = _checked_tree_count(g, cap)
     live = [k for k, x in enumerate(forms) if np.any(x.values)]
     scanner = _TreeScanner(g, [_scanned_column(forms[k]) for k in live])
@@ -511,9 +506,10 @@ def flux_table(g: FundamentalGraph, form: OneForm, tree: Sequence[int]) -> np.nd
     chord c is c followed by the tree path from its head back to its
     tail, read off the parent steps of _rooted_tree and summed step by
     step in path order; a loop is its own basic cycle. Magnetic fluxes
-    are reduced modulo 2*pi into (-pi, pi]. Raises GraphDataError when
-    tree is not a spanning tree of g.
+    are reduced modulo 2*pi into (-pi, pi]. Raises what g.check_form
+    raises, and GraphDataError when tree is not a spanning tree of g.
     """
+    g.check_form(form)
     order, up = _rooted_tree(g, tree)
     rank = {v: i for i, v in enumerate(order)}
     values, rows = form.values, []
@@ -542,7 +538,7 @@ def tree_form(g: FundamentalGraph, x: OneForm, tree: Sequence[int]) -> OneForm:
     """The form vanishing on a spanning tree and equal to the chord fluxes of x on the chords.
 
     It is flux-equivalent to x, and supported on the chords whose basic
-    cycles carry nonzero flux.
+    cycles carry nonzero flux. Raises what flux_table raises.
     """
     values = np.zeros((g.num_edges, x.dim), dtype=np.int64 if x.exact else float)
     values[_chords(g, tree)] = flux_table(g, x, tree)

@@ -27,6 +27,7 @@ from .errors import (
     BadIndexLengthError,
     BadParamsError,
     BettiBelowRankError,
+    DimensionMismatchError,
     DisconnectedGraphError,
     GraphDataError,
     IndexOverflowError,
@@ -125,9 +126,13 @@ class OneForm:
             return np.minimum(a, TWO_PI - a) > SUPPORT_TOL
         return np.abs(f) > SUPPORT_TOL
 
+    def support_mask(self) -> np.ndarray:
+        """(E,) bool: whether each edge's value is nonzero (is_nonzero in some component)."""
+        return self.is_nonzero(self.values).any(axis=1)
+
     def support(self) -> tuple[int, ...]:
-        """Canonical edge ids with a nonzero value (is_nonzero in some component)."""
-        return tuple(np.flatnonzero(self.is_nonzero(self.values).any(axis=1)).tolist())
+        """Canonical edge ids with a nonzero value, ascending."""
+        return tuple(np.flatnonzero(self.support_mask()).tolist())
 
     def support_size_oriented(self) -> int:
         """Number of oriented edges with nonzero value (twice the canonical count)."""
@@ -173,12 +178,22 @@ class FundamentalGraph:
         """First Betti number, #edges - #vertices + 1 (connected graphs)."""
         return self.num_edges - self.num_vertices + 1
 
-    def degrees(self) -> np.ndarray:
-        """Oriented-edge out-degrees; a loop adds 2 at its vertex."""
-        deg = np.zeros(self.num_vertices, dtype=np.int64)
-        for e in self.edges:
-            deg[e.tail] += 1
-            deg[e.head] += 1
+    def ends(self) -> np.ndarray:
+        """(E, 2) read-only array of every edge's (tail, head), in edge-id order."""
+        if "_ends" not in self.__dict__:  # built on first use: validate runs after construction
+            ends = np.array([(e.tail, e.head) for e in self.edges], dtype=np.intp).reshape(-1, 2)
+            ends.setflags(write=False)
+            object.__setattr__(self, "_ends", ends)
+        return self.__dict__["_ends"]
+
+    def degrees(self, weights: Sequence | np.ndarray | None = None) -> np.ndarray:
+        """Weighted vertex degrees, int64 unless the per-edge weights (default 1) are floats.
+
+        Each edge adds its weight at its tail, then at its head, in edge-id order: a loop twice.
+        """
+        w = np.ones(self.num_edges, dtype=np.int64) if weights is None else np.asarray(weights)
+        deg = np.zeros(self.num_vertices, dtype=np.result_type(w, np.int64))
+        np.add.at(deg, self.ends().ravel(), np.repeat(w, 2))
         return deg
 
     def kappa_plus(self) -> int:
@@ -214,6 +229,12 @@ class FundamentalGraph:
 
     def is_connected(self) -> bool:
         return len(self.spanning_forest()) == self.num_vertices - 1
+
+    def check_form(self, x: OneForm, dim: int | None = None) -> None:
+        """DimensionMismatchError unless x has a row per edge (and dim columns, if given)."""
+        if x.num_edges != self.num_edges or dim not in (None, x.dim):
+            want = f"{self.num_edges} rows" if dim is None else f"({self.num_edges}, {dim})"
+            raise DimensionMismatchError(f"form has shape {x.values.shape}, expected {want}")
 
     # -- stored forms ----------------------------------------------------
 

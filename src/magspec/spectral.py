@@ -31,7 +31,9 @@ band ends. Vanishing shifted phases leave the perturbation sandwich
 nothing to solve.
 Tolerances of comparisons that the potential q enters on both sides
 grow by ROUNDING_ULPS * eps * max |q|, the rounding of eigenvalues of
-size |q|.
+size |q|; those of matrix entries that exponentiate phases grow by
+ROUNDING_ULPS * eps times the largest such phase (max_phase), which
+large indices make large.
 """
 
 from __future__ import annotations
@@ -49,14 +51,16 @@ from .errors import (
     GridTooLargeError,
     LocalizationViolatedError,
     MeasureBoundViolatedError,
-    NotHermitianError,
     SandwichViolatedError,
 )
 from .fiber_operator import (
     add_to_diagonals,
+    check_phase_sizes,
     count_nontrivial_exponents,
     fiber_stack,
     gauge_weights,
+    hermitian_eigenvalues,
+    max_phase,
     phase_perturbation_bound,
     split_fiber,
     support_degrees,
@@ -77,28 +81,11 @@ from .inverse_builder import harper_model
 
 MATRIX_TOL = 1e-9  # matrix-level facts
 SWEEP_TOL = 1e-6  # quantities extremized over a grid
-HERMITICITY_TOL = 1e-12
 FLAT_TOL = 1e-8  # a band narrower than this is flat
 EPS = float(np.finfo(float).eps)
 ROUNDING_ULPS = 64  # rounding allowance, in ulp of max |q|, where q enters both sides
 _CHUNK_BYTES = 4 << 20  # every complex fiber stack a sweep chunk holds at once, together
 _SWEEP_BUDGET_BYTES = 1 << 28  # largest sweep: bytes of its theta grid or of a (K, nu) table
-
-
-def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
-
-    Rejects matrices whose anti-Hermitian part exceeds
-    1e-12 * (1 + max |m_ij|), or that hold a NaN, with NotHermitianError.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotHermitianError("expected a square matrix")
-    # the entrywise max cannot overflow where a norm of huge entries does
-    scale = 1.0 + np.max(np.abs(m), initial=0.0)
-    if not np.max(np.abs(m - m.conj().T), initial=0.0) <= HERMITICITY_TOL * scale:
-        raise NotHermitianError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)
 
 
 def default_grid_n(d: int) -> int:
@@ -255,6 +242,11 @@ def _potential_tol(g: FundamentalGraph, base: float) -> float:
     return base + ROUNDING_ULPS * EPS * float(np.abs(g.potential).max(initial=0.0))
 
 
+def _phase_tol(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """MATRIX_TOL plus the rounding of exp(i phase) at the largest phase of the pairs."""
+    return MATRIX_TOL + ROUNDING_ULPS * EPS * max_phase(*pairs)
+
+
 def _check_spectral_range(g: FundamentalGraph, lo: np.ndarray, hi: np.ndarray) -> None:
     """Band ends must lie in [0, 2 kappa_+], shifted by the potential range."""
     q_lo, q_hi = float(g.potential.min()), float(g.potential.max())
@@ -363,12 +355,14 @@ class Analysis:
 def analyze(g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP) -> Analysis:
     """Invariants, minimal pair and theta0 shift of g from one scan_trees call.
 
-    Raises what validate, invariants and theta0_reduction raise.
+    Raises what validate, invariants, check_phase_sizes and
+    theta0_reduction raise.
     """
     validate(g)
     scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
     report = invariants(g, scan=scan)
     mu, phi = minimal_pair(g, scan=scan)
+    check_phase_sizes(g, mu, phi)
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
     return Analysis(g=g, report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
 
@@ -409,7 +403,7 @@ def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     delta0 = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0][0]
     h0 = delta0 + np.diag(g.potential)
     floors = hermitian_eigenvalues(h0)
-    kplus = int(support_degrees(g, mu).max()) if mu.support() else 0
+    kplus = int(support_degrees(g, mu).max())
 
     # every grid eigenvalue lies in its window exactly when the band ends do
     lo, hi = _grid_ends(an, mu, alpha, grid_n)
@@ -438,8 +432,9 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     Sweeps the shifted-phase fiber against the phase-free fiber and
     verifies: pointwise eigenvalue sandwich by the extreme eigenvalues
     of the perturbation matrix, the induced bounds on band ends and
-    band widths, the row-sum bound on the extreme eigenvalues, and
-    exact spectral agreement when the shifted phase form vanishes.
+    band widths, the row-sum bound on the extreme eigenvalues (within
+    _phase_tol of the fiber's phases), and exact spectral agreement
+    when the shifted phase form vanishes.
     Shifted phases that are all zero make both fibers equal and the
     perturbation matrix zero, so nothing is solved. Raises
     SandwichViolatedError on any failure, and what grid_axis raises.
@@ -481,9 +476,10 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
         band_shift = float(np.max(np.abs(shifts), initial=0.0))
         width_change = float(np.max(widths, initial=0.0))
     c_bound = phase_perturbation_bound(g, phi_tilde)
-    if not max(abs(lam_min), abs(lam_max)) <= c_bound + MATRIX_TOL:
+    c_tol = _phase_tol((mu.values, phi_tilde.values))
+    if not max(abs(lam_min), abs(lam_max)) <= c_bound + c_tol:
         raise SandwichViolatedError("extreme perturbation eigenvalue exceeds the row-sum bound")
-    if not lam_max - lam_min <= 2.0 * c_bound + MATRIX_TOL:
+    if not lam_max - lam_min <= 2.0 * c_bound + c_tol:
         raise SandwichViolatedError("perturbation spread exceeds twice the row-sum bound")
 
     return {
@@ -545,9 +541,10 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
     quasimomenta for the minimal pair and the pair gauged to vanish on
     the first spanning tree, with D from gauge_weights(g, b, a); equal
     spectra follow. The fibers leave out the potential, a diagonal that
-    D leaves unchanged, so the tolerance is an absolute 1e-9. Raises
-    CheckFailedError beyond it, or when a pair is not flux-equivalent.
-    Returns the numbers of pairs (the stored one included) and thetas.
+    D leaves unchanged, so the tolerance is MATRIX_TOL plus the
+    rounding of the largest phase either side exponentiates
+    (_phase_tol). Raises CheckFailedError beyond it, or when a pair is
+    not flux-equivalent. Returns the numbers of pairs (the stored one included) and thetas.
     """
     g = an.g
     tau, alpha = g.index_form(), g.magnetic_form()
@@ -564,7 +561,8 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
             raise CheckFailedError(f"a scanned pair is not flux-equivalent: {exc}") from exc
         d = weights.diagonal_unitary(thetas)
         conjugated = np.conj(d)[:, :, None] * fiber_stack(g, b, a, thetas) * d[:, None, :]
-        if not np.max(np.abs(conjugated - stored)) <= MATRIX_TOL:
+        phases = (tau.values, alpha.values), (b.values, a.values), (weights.w_b, weights.w_a)
+        if not np.max(np.abs(conjugated - stored)) <= _phase_tol(*phases):
             raise CheckFailedError("the gauge does not conjugate flux-equivalent fibers")
     return {"pairs": 1 + len(pairs), "thetas": N_THETAS}
 

@@ -1,6 +1,7 @@
 """Shared fixtures: stock lattices, a small finite test graph, a
 coordinate form of vertex positions, a cycle-walk oracle for chord
-fluxes, a signed-path-matrix oracle for gauge weights, and a seeded
+fluxes, a signed-path-matrix oracle for gauge weights, edge-loop
+oracles for fiber diagonals and the phase row-sum bound, and a seeded
 factory of random connected fundamental graphs whose index fluxes span
 the full integer lattice."""
 
@@ -96,6 +97,43 @@ def path_matrix_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> tuple[np
     return paths @ diff_b, paths @ diff_a
 
 
+def loop_fiber_stack(g: FundamentalGraph, b: OneForm, a: OneForm, thetas: np.ndarray,
+                     edge_mask=None) -> np.ndarray:
+    """fiber_stack as one loop over the (masked) edges that also counts their degrees.
+
+    Each edge adds 1.0 at its tail and at its head in a float array (a
+    loop twice) and subtracts its hop; the degrees go onto every
+    diagonal at the end.
+    """
+    th = np.atleast_2d(np.asarray(thetas, dtype=float))
+    k, nu = th.shape[0], g.num_vertices
+    mask = np.ones(g.num_edges, dtype=bool) if edge_mask is None else np.asarray(edge_mask)
+    rows = th if k != 1 else np.repeat(th, 2, axis=0)  # as fiber_stack: no lone row
+    out = np.zeros((k, nu, nu), dtype=complex)
+    deg = np.zeros(nu)
+    for eid, e in enumerate(g.edges):
+        if not mask[eid]:
+            continue
+        deg[e.tail] += 1
+        deg[e.head] += 1
+        hop = np.exp(1j * (a.values[eid, 0] + (rows @ b.values[eid].astype(float))[:k]))
+        out[:, e.tail, e.head] -= hop
+        out[:, e.head, e.tail] -= np.conj(hop)
+    for v in range(nu):
+        out[:, v, v] += deg[v]
+    return out
+
+
+def loop_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:
+    """2 max_v of |sin(phase/2)| summed over the oriented support edges leaving v, in a loop."""
+    supp = set(phi_tilde.support())
+    per_vertex = np.zeros(g.num_vertices)
+    for eid, _sign, tail, _head in g.oriented_edges():
+        if eid in supp:
+            per_vertex[tail] += abs(np.sin(phi_tilde.values[eid, 0] / 2.0))
+    return float(2.0 * per_vertex.max())
+
+
 def walk_flux(g: FundamentalGraph, form: OneForm, cycle: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Sum of form values along a closed oriented edge sequence, edge by edge.
 
@@ -143,11 +181,12 @@ def make_random_graph(
     max_dim: int = 2,
     with_phases: bool = True,
     with_potential: bool = True,
+    max_index: int = 2,
 ) -> FundamentalGraph:
     """Random connected multigraph with full-lattice index fluxes.
 
-    Indices are drawn from [-2, 2]^d, phases uniformly from (-pi, pi],
-    potentials from [-1, 1]. Rejection-samples until the chord fluxes
+    Indices are drawn from [-max_index, max_index]^d, phases uniformly
+    from (-pi, pi], potentials from [-1, 1]. Rejection-samples until the chord fluxes
     span Z^d, so every draw is the fundamental graph of a genuine
     d-periodic graph.
     """
@@ -160,7 +199,7 @@ def make_random_graph(
             pairs.append((int(rng.integers(0, nu)), int(rng.integers(0, nu))))
         if not pairs:
             continue
-        idx = rng.integers(-2, 3, size=(len(pairs), d))
+        idx = rng.integers(-max_index, max_index + 1, size=(len(pairs), d))
         alphas = rng.uniform(-np.pi, np.pi, len(pairs)) if with_phases else np.zeros(len(pairs))
         pot = rng.uniform(-1.0, 1.0, nu) if with_potential else np.zeros(nu)
         edges = tuple(

@@ -28,6 +28,8 @@ from magspec import (
 )
 from magspec.cli import main
 
+from conftest import make_random_graph
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -399,6 +401,72 @@ def test_verify_passes_large_potentials(tmp_path, capsys, q):
     assert code == 0, err
     assert err == ""
     assert json.loads(out)["checks"][-1]["name"] == "bottom_of_spectrum"
+
+
+# Rounding moves exp(i phase) by about eps * |phase|, and a fiber's phase
+# a(e) + <b(e), theta> reaches pi * ||b(e)||_1: above 1e-9 for these indices,
+# so a fixed 1e-9 tolerance fails each graph at seeds 0-2, on either grid.
+LARGE_INDEX_GRAPHS = {
+    # index 2^23, minimal form [0, -1]: the gauge check
+    "gauge": {"dim": 1, "vertices": ["a", "b"], "edges": [
+        {"tail": "a", "head": "b", "index": [8388608]},
+        {"tail": "a", "head": "b", "index": [8388607]}]},
+    # perturbation spread against twice the row-sum bound
+    "spread": {"dim": 2, "vertices": ["v0"], "edges": [
+        {"tail": "v0", "head": "v0", "index": [-450990, 674888], "alpha": 1e-10},
+        {"tail": "v0", "head": "v0", "index": [-805141, 954423], "alpha": 2e-09},
+        {"tail": "v0", "head": "v0", "index": [-735179, -571852], "alpha": 1e-10},
+        {"tail": "v0", "head": "v0", "index": [29753, 43936], "alpha": -1e-10}]},
+    # extreme perturbation eigenvalue against the row-sum bound
+    "extreme": {"dim": 2, "vertices": ["v0", "v1"], "edges": [
+        {"tail": "v0", "head": "v1", "index": [-420325, 159161], "alpha": -1e-10},
+        {"tail": "v1", "head": "v1", "index": [-331977, 125440], "alpha": 1e-10},
+        {"tail": "v1", "head": "v0", "index": [61451, 38652], "alpha": 1e-10},
+        {"tail": "v1", "head": "v0", "index": [-861176, 67409], "alpha": 0.7736927449632454},
+        {"tail": "v0", "head": "v0", "index": [338815, -876636], "alpha": 2e-09}],
+        "potential": {"v0": 1000000.0, "v1": -1000000.0}},
+}
+
+
+@pytest.mark.parametrize("argv", [[], ["--grid", "21", "--seed", "2"]], ids=["default", "grid21"])
+@pytest.mark.parametrize("name", list(LARGE_INDEX_GRAPHS))
+def test_verify_passes_large_indices(tmp_path, capsys, name, argv):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(LARGE_INDEX_GRAPHS[name]), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path), *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_passes_a_seeded_large_index_slice(tmp_path, capsys):
+    # index entries up to 10^6; phases of 0, pi, +-1e-10 (below SUPPORT_TOL),
+    # 2e-9 or uniform. Without the phase rounding term 5 of these graphs fail
+    # the gauge check and 2 the row-sum bound of the perturbation check.
+    rng = np.random.default_rng(2)
+    path = tmp_path / "g.json"
+    for i in range(30):
+        g = make_random_graph(rng, max_nu=4, max_edges=6, max_index=10**6)
+        kinds = rng.integers(0, 6, g.num_edges)
+        fixed = np.array([0.0, np.pi, 1e-10, -1e-10, 2e-9, 0.0])[kinds]
+        uniform = g.magnetic_form().values[:, 0]
+        dump_graph_json(g.with_phases(np.where(kinds == 5, uniform, fixed)), path)
+        code, out, err = run(capsys, "verify", str(path), "--grid", "21", "--seed", str(i % 3))
+        assert (code, err) == (0, ""), f"graph {i}"
+
+
+def test_indices_beyond_the_phase_limit_exit_2(tmp_path, capsys):
+    # at index 2^46 the rounding allowance of the gauge check would pass 2, the
+    # most a fiber entry can move, so verify and bands refuse the graph; its
+    # invariants are exact integer work and still run
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"dim": 1, "vertices": ["a", "b"], "edges": [
+        {"tail": "a", "head": "b", "index": [2**46]},
+        {"tail": "a", "head": "b", "index": [2**46 - 1]}]}), encoding="utf-8")
+    for command in ("verify", "bands"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "above 2^42" in err
+    assert run(capsys, "invariants", str(path))[0] == 0
 
 
 _OUT_COMMANDS = {

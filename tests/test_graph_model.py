@@ -8,6 +8,7 @@ from magspec import (
     AlphaOutOfRangeError,
     BadIndexLengthError,
     BadParamsError,
+    DimensionMismatchError,
     DisconnectedGraphError,
     GraphDataError,
     IndexOverflowError,
@@ -23,7 +24,7 @@ from magspec import (
     reduce_angle,
     validate,
 )
-from magspec.graph_model import Edge, FundamentalGraph
+from magspec.graph_model import Edge, FundamentalGraph, OneForm
 
 from conftest import KAGOME_POSITIONS, coordinate_form, diamond_graph
 
@@ -71,7 +72,23 @@ def test_validate_kagome():
 def test_loop_counts_twice_in_degree():
     g = FundamentalGraph(dim=1, num_vertices=2,
                          edges=(Edge(0, 0, (1,)), Edge(0, 1, (0,))))
+    assert g.ends().tolist() == [[0, 0], [0, 1]]
     assert list(g.degrees()) == [3, 1]
+    # a weight lands at the tail and at the head, so the loop adds its weight twice
+    masked = g.degrees(np.array([True, False]))
+    assert masked.dtype == np.int64 and list(masked) == [2, 0]
+    weighted = g.degrees([0.25, 1.5])
+    assert weighted.dtype == np.float64 and list(weighted) == [2.0, 1.5]
+
+
+def test_check_form_wants_one_row_per_edge_and_the_asked_columns(kagome):
+    kagome.check_form(kagome.index_form())
+    kagome.check_form(kagome.index_form(), 2)
+    cases = [(OneForm(np.zeros((5, 2))), None), (OneForm(np.zeros((7, 2))), 2),
+             (kagome.index_form(), 1)]
+    for form, dim in cases:
+        with pytest.raises(DimensionMismatchError, match=r"form has shape \(\d, 2\)"):
+            kagome.check_form(form, dim)
 
 
 def test_validate_rejects_disconnected():

@@ -18,6 +18,7 @@ from magspec import (
     hermitian_eigenvalues,
     minimal_form,
     minimal_pair,
+    phase_perturbation_bound,
     sy_sunada_check,
     theta0_reduction,
     theta_grid,
@@ -29,9 +30,9 @@ from magspec import (
     zero_phase_form,
 )
 
-from magspec.graph_model import OneForm
+from magspec.graph_model import Edge, FundamentalGraph, OneForm
 
-from conftest import make_random_graph
+from conftest import loop_fiber_stack, loop_perturbation_bound, make_random_graph
 
 
 # -- independent eigenvalue oracle ------------------------------------------------
@@ -480,6 +481,39 @@ def test_gauge_identity_catches_wrong_fibers_on_the_battery(fiber_mutant, batter
             caught += 1
     # 80 of 100 for each mutant; on the rest both non-stored pairs have zero gauge weights
     assert caught >= 75
+
+
+def _wide_pair(k: int) -> FundamentalGraph:
+    return FundamentalGraph(dim=1, num_vertices=2, edges=(
+        Edge(0, 1, (2**k,), 0.7), Edge(0, 1, (2**k - 1,), -0.4), Edge(0, 0, (1,), 1.1)))
+
+
+def test_gauge_identity_catches_wrong_fibers_at_the_largest_admitted_index(fiber_mutant):
+    # the gauge tolerance grows with the phases; up to the largest index that
+    # check_phase_sizes admits it still tells a wrong fiber from rounding
+    from magspec import CheckFailedError, IndexOverflowError
+
+    with pytest.raises(CheckFailedError):
+        verify_gauge_equivalence(analyze(_wide_pair(40)))
+    with pytest.raises(IndexOverflowError):
+        analyze(_wide_pair(41))
+
+
+def test_degrees_keep_the_bits_of_the_edge_loops_on_the_battery(battery_analyses):
+    # fiber diagonals (whole graph, support, off-support) and C_phi read
+    # FundamentalGraph.degrees; each must equal its old edge loop bit for bit
+    rng = np.random.default_rng(25)
+    for an in battery_analyses:
+        g, mu, alpha = an.g, an.mu, an.g.magnetic_form()
+        thetas = rng.uniform(-np.pi, np.pi, (3, g.dim))
+        on = mu.support_mask()
+        for mask in (None, on, ~on):
+            got = fiber_stack(g, mu, alpha, thetas, edge_mask=mask)
+            assert got.tobytes() == loop_fiber_stack(g, mu, alpha, thetas, mask).tobytes()
+        # sub-tolerance phases off the support, phases of pi and -pi/2 on it
+        noisy = OneForm(rng.choice([0.0, 5e-10, np.pi, -np.pi / 2], g.num_edges), magnetic=True)
+        for phi in (an.phi_tilde, alpha, noisy):
+            assert phase_perturbation_bound(g, phi).hex() == loop_perturbation_bound(g, phi).hex()
 
 
 def test_verify_fails_wrong_fibers_on_phased_kagome(fiber_mutant, tmp_path, capsys):

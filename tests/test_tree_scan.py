@@ -377,6 +377,10 @@ def test_misshaped_forms_are_refused_before_scanning(kagome, monkeypatch, rows, 
         scan_trees(kagome, (kagome.index_form(), bad))
     with pytest.raises(DimensionMismatchError):
         minimal_form(kagome, bad)
+    # so does the cycle walk: a short form must not index past its rows, nor a long one lose rows
+    for walk in (flux_table, tree_form):
+        with pytest.raises(DimensionMismatchError, match=f"{rows}, 2"):
+            walk(kagome, bad, first_spanning_tree(kagome))
 
 
 def test_pair_minimum_over_distinct_supports_equals_all_pairs(scan_graphs, walks):
