@@ -39,7 +39,7 @@ class BadParamsError(GraphDataError):
 
 
 class NonFinitePotentialError(GraphDataError):
-    """A vertex potential is infinite or NaN."""
+    """A vertex potential is infinite or NaN, or too large to check in float arithmetic."""
 
 
 class IndexOverflowError(GraphDataError):

@@ -11,9 +11,9 @@ for a pair of 1-forms: b with the fluxes of the translation-index form
 and a with the fluxes (mod 2*pi) of the phase form. Different pairs in
 those flux classes give fibers conjugated entry for entry by a diagonal
 gauge of tree potentials (gauge_weights). Picking minimal-support
-forms and shifting theta by a fixed offset removes all phase content
-outside a small edge set; the fiber with those phases minus the one
-without controls band movement under the magnetic field.
+forms and shifting theta by a fixed offset clears the phases of d
+edges; the fiber with the shifted phases, every one kept exactly,
+minus the one without controls band movement under the magnetic field.
 """
 
 from __future__ import annotations
@@ -30,14 +30,16 @@ from .errors import (
     GraphDataError,
     IndexOverflowError,
     NoIndependentSubsetError,
+    NonFinitePotentialError,
     NotHermitianError,
 )
 from .forms_cycles import _rooted_tree, first_spanning_tree, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 HERMITICITY_TOL = 1e-12
-# largest phase check_phase_sizes admits: 64 ulp of it (spectral's rounding
-# allowance) is 1/16, while a fiber entry without potential moves by at most 2
+# largest phase check_phase_sizes admits, and largest |potential| that
+# check_potential_size does: 64 ulp of it (spectral's rounding allowance) is
+# 1/16, while a fiber entry without potential moves by at most 2
 MAX_PHASE = 2.0**42
 
 
@@ -140,6 +142,21 @@ def check_phase_sizes(g: FundamentalGraph, mu: OneForm, phi: OneForm) -> None:
         )
 
 
+def check_potential_size(g: FundamentalGraph) -> None:
+    """NonFinitePotentialError when a vertex potential exceeds MAX_PHASE in size.
+
+    The checks that compare eigenvalues allow rounding in proportion to
+    max |q|; past MAX_PHASE that allowance would pass band widths of
+    order 1 (or hide them entirely), so such graphs are refused.
+    """
+    largest = float(np.abs(g.potential).max(initial=0.0))
+    if largest > MAX_PHASE:
+        raise NonFinitePotentialError(
+            f"vertex potentials reach {largest:.3g}, above 2^42: spectra this "
+            "large cannot be checked in float arithmetic"
+        )
+
+
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
@@ -225,23 +242,23 @@ def theta0_reduction(
 ) -> tuple[np.ndarray, OneForm]:
     """Quasimomentum shift removing phases from d independent support edges.
 
-    Picks d support edges of mu with linearly independent integer
-    values (scanning d-subsets in lexicographic order and preferring a
+    Picks d edges with linearly independent nonzero integer values of mu
+    (scanning d-subsets in lexicographic order and preferring a
     unimodular one, which makes the shift unique mod 2*pi), solves
     phi(e_s) + <mu(e_s), theta0> = 0, and returns theta0 together with
-    the shifted phase form: phi(e) + <mu(e), theta0> on the remaining
-    union support, zero elsewhere. When several shifts solve the
-    system they differ by a gauge and give unitarily equivalent fibers;
-    the representative returned here is the deterministic solve.
+    the shifted phase form: phi(e) + <mu(e), theta0>, however small, on
+    every edge but the d solved ones, which get zero. When several
+    shifts solve the system they differ by a gauge and give unitarily
+    equivalent fibers; the representative returned here is the
+    deterministic solve.
     """
     _check_forms(g, mu, phi)
     mu_int = _integer_form_values(mu)
-    supp_mu = mu.support()
     d = g.dim
 
     chosen: tuple[int, ...] | None = None
     fallback: tuple[int, ...] | None = None
-    for subset in combinations(supp_mu, d):
+    for subset in combinations(np.flatnonzero(mu_int.any(axis=1)).tolist(), d):
         det = integer_determinant(mu_int[list(subset)])
         if abs(det) == 1:
             chosen = subset
@@ -259,17 +276,14 @@ def theta0_reduction(
     rhs = -phi.values[list(chosen), 0]
     theta0 = reduce_angles(np.linalg.solve(m, rhs)).reshape(d)
 
-    raw = phi.values[:, 0] + mu_int.astype(float) @ theta0
-    keep = mu.support_mask() | phi.support_mask()
-    keep[list(chosen)] = False
-    phi_tilde = OneForm(np.where(keep, raw, 0.0), magnetic=True)
-    return theta0, phi_tilde
+    shifted = phi.values[:, 0] + mu_int.astype(float) @ theta0
+    shifted[list(chosen)] = 0.0
+    return theta0, OneForm(shifted, magnetic=True)
 
 
 def phase_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:
-    """Row-sum bound 2 max_v sum over oriented support edges at v of |sin(phase/2)|."""
-    sines = np.abs(np.sin(phi_tilde.values[:, 0] / 2.0))
-    per_vertex = g.degrees(np.where(phi_tilde.support_mask(), sines, 0.0))
+    """Row-sum bound 2 max_v sum over every oriented edge at v of |sin(phase/2)|."""
+    per_vertex = g.degrees(np.abs(np.sin(phi_tilde.values[:, 0] / 2.0)))
     return float(2.0 * per_vertex.max()) if g.num_vertices else 0.0
 
 

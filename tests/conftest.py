@@ -125,12 +125,10 @@ def loop_fiber_stack(g: FundamentalGraph, b: OneForm, a: OneForm, thetas: np.nda
 
 
 def loop_perturbation_bound(g: FundamentalGraph, phi_tilde: OneForm) -> float:
-    """2 max_v of |sin(phase/2)| summed over the oriented support edges leaving v, in a loop."""
-    supp = set(phi_tilde.support())
+    """2 max_v of |sin(phase/2)| summed over every oriented edge leaving v, in a loop."""
     per_vertex = np.zeros(g.num_vertices)
     for eid, _sign, tail, _head in g.oriented_edges():
-        if eid in supp:
-            per_vertex[tail] += abs(np.sin(phi_tilde.values[eid, 0] / 2.0))
+        per_vertex[tail] += abs(np.sin(phi_tilde.values[eid, 0] / 2.0))
     return float(2.0 * per_vertex.max())
 
 

@@ -133,9 +133,10 @@ def test_criterion_5_perturbation_battery(generator_graphs, battery_graphs):
         rep = verify_perturbation(analyze(g), grid_n=41 if g.dim < 3 else 15)
         if rep["shifted_support_size"] == 0:
             vanishing += 1
-            # vanishing shifted phases force spectra equal to 1e-9 (exactly
-            # zero ones solve nothing); verify_perturbation enforces it, the
-            # report confirms it
+            # shifted phases below the support tolerance move the spectrum by
+            # at most C_phi: verify_perturbation's pointwise sandwich and its
+            # row-sum bound over every edge enforce it (exactly zero ones
+            # solve nothing); the report confirms spectra equal to 1e-9
             assert rep["band_shift_max"] <= 1e-9
     for g in battery_graphs:
         rep = verify_perturbation(analyze(g), grid_n=31)

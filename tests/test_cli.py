@@ -389,15 +389,21 @@ def test_exponent_count_mismatch_fails_the_battery(capsys, kagome_file, monkeypa
     assert report["checks"][-1] == {"name": "exponent_counts", "passed": False, "detail": message}
 
 
-@pytest.mark.parametrize("q", [1e8, 1e16, 1e300])
+@pytest.mark.parametrize("q", [1e8, 4e12, 1e16, 1e300])
 def test_verify_passes_large_potentials(tmp_path, capsys, q):
-    # eigenvalues of size q are rounded to a few ulp of q, far above 1e-9; at
-    # 1e300 the Hermiticity scale of the localization floors once overflowed
+    # eigenvalues of size q are rounded to a few ulp of q, far above 1e-9; up
+    # to 2^42 the tolerances allow 64 ulp of q. Past it that allowance would
+    # pass any band (at 1e17 Z^2 read flat), so such potentials are refused
+    # before the scan; at 1e300 the Hermiticity scale once overflowed
     path = tmp_path / "kagome.json"
     dump_graph_json(generate("kagome").with_potential([q, 0.0, -q / 2]), path)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, "verify", str(path))
+    if q > 2.0**42:
+        assert (code, out) == (2, "")
+        assert err.startswith("error: vertex potentials reach") and "above 2^42" in err
+        return
     assert code == 0, err
     assert err == ""
     assert json.loads(out)["checks"][-1]["name"] == "bottom_of_spectrum"
@@ -467,6 +473,48 @@ def test_indices_beyond_the_phase_limit_exit_2(tmp_path, capsys):
         assert (code, out) == (2, ""), command
         assert "above 2^42" in err
     assert run(capsys, "invariants", str(path))[0] == 0
+
+
+def test_potentials_beyond_the_ceiling_exit_2(tmp_path, capsys):
+    # at 1e17 the eigenvalues of Z^2 round to its potential, so bands once read
+    # flat and verify passed; both refuse the graph, invariants still run
+    path = tmp_path / "z2.json"
+    dump_graph_json(generate("zd", 2).with_potential([1e17]), path)
+    for command in ("verify", "bands"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, ""), command
+        assert "above 2^42" in err
+    assert run(capsys, "invariants", str(path))[0] == 0
+
+
+# Phases below or near SUPPORT_TOL that verify once failed: the fiber carried
+# them while C_phi, the vanishing-phase comparison or the stored pair's phase
+# count read them as zero
+NEAR_TOLERANCE_GRAPHS = {
+    # theta0 = 0 leaves shifted phases of 9e-10 on two loops
+    "loops": {"dim": 1, "vertices": ["a"], "edges": [
+        {"tail": "a", "head": "a", "index": [1]},
+        {"tail": "a", "head": "a", "index": [1], "alpha": 9e-10},
+        {"tail": "a", "head": "a", "index": [1], "alpha": 9e-10}]},
+    # two phases of 6e-10 add up to a chord flux of 1.2e-9, so I_alpha = 1
+    "pair": {"dim": 1, "vertices": ["a", "b"], "edges": [
+        {"tail": "a", "head": "b", "index": [0], "alpha": 6e-10},
+        {"tail": "b", "head": "a", "index": [1], "alpha": 6e-10}]},
+    # the theta0 shift moves an input phase of 2e-9 to -7.7e-10
+    "shifted-under": {"dim": 1, "vertices": ["v0"], "edges": [
+        {"tail": "v0", "head": "v0", "index": [2816159], "alpha": 2e-09},
+        {"tail": "v0", "head": "v0", "index": [866894], "alpha": 0.0}],
+        "potential": {"v0": 0.8486801535511337}},
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_TOLERANCE_GRAPHS))
+def test_verify_passes_phases_near_the_support_tolerance(tmp_path, capsys, name):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(NEAR_TOLERANCE_GRAPHS[name]), encoding="utf-8")
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["passed"] is True
 
 
 _OUT_COMMANDS = {

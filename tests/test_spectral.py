@@ -1,9 +1,14 @@
+import io
+import json
 import math
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from magspec import (
     GraphDataError,
@@ -378,6 +383,24 @@ def test_perturbation_nontrivial_shifted_support():
     pytest.skip("no draw produced a surviving shifted phase")
 
 
+def test_sub_tolerance_chord_phase_stays_in_the_shifted_fiber():
+    # the 5e-10 chord lies outside both minimal supports; the fiber keeps its
+    # phase exactly, and C_phi and the sandwich bound it
+    g = FundamentalGraph(dim=1, num_vertices=2, edges=(
+        Edge(0, 1, (0,), 0.0), Edge(0, 1, (1,), 0.3), Edge(0, 1, (0,), 5e-10)))
+    an = analyze(g)
+    assert an.mu.support() == an.phi.support() == (1,)
+    solved = 1  # the one edge whose shifted phase the solve clears
+    want = OneForm(an.phi.values[:, 0] + an.mu.values @ an.theta0, magnetic=True).values
+    got = an.phi_tilde.values
+    assert got[solved, 0] == 0.0
+    assert np.delete(got, solved).tobytes() == np.delete(want, solved).tobytes()
+    assert got[2, 0] != 0.0 and not an.phi_tilde.support()
+    rep = verify_perturbation(an, grid_n=11)
+    assert rep["Lambda_nu"] > 0 and rep["C_phi"] > 0
+    assert rep["shifted_support_size"] == 0
+
+
 # -- remaining checks ----------------------------------------------------------------------
 
 
@@ -524,6 +547,80 @@ def test_verify_fails_wrong_fibers_on_phased_kagome(fiber_mutant, tmp_path, caps
     dump_graph_json(generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)), path)
     assert main(["verify", str(path), "--grid", "21"]) == 1
     assert capsys.readouterr().err.strip() == "check failed: gauge_equivalence"
+
+
+# -- no valid input exits 1: every check tests a theorem, so a failure on a valid
+# graph is a defect of the checks, whatever the magnitudes ----------------------
+
+# below, near and above the support tolerance, pi, and anywhere in (-pi, pi]
+DRAWN_PHASES = st.one_of(
+    st.sampled_from([0.0, 5e-10, -5e-10, 9e-10, -9e-10, 2e-9, math.pi]),
+    st.floats(-math.pi, math.pi, exclude_min=True),
+)
+
+
+@st.composite
+def drawn_graph_dicts(draw) -> dict:
+    """Graph JSON of 1-4 vertices, d <= 2: a tree path v0 - v1 - ... plus d to 3 chords.
+
+    Index entries reach 2^40 and potentials lie on both sides of the
+    2^42 ceiling. Chord j < d has the unit flux e_j (its index is e_j
+    plus the path's from its tail to its head), so the fluxes span Z^d.
+    """
+    d, nu = draw(st.integers(1, 2)), draw(st.integers(1, 4))
+    top = draw(st.sampled_from([2, 2, 10**8, 2**40]))
+    index = st.lists(st.integers(-top, top), min_size=d, max_size=d)
+    path = [draw(index) for _ in range(nu - 1)]
+    chords = draw(st.lists(st.tuples(st.integers(0, nu - 1), st.integers(0, nu - 1)),
+                           min_size=d, max_size=3))
+    edges = [(v, v + 1, x) for v, x in enumerate(path)]
+    for j, (t, h) in enumerate(chords):
+        sign, lo, hi = (1, t, h) if t < h else (-1, h, t)
+        across = [sign * sum(x[k] for x in path[lo:hi]) for k in range(d)]  # path index t -> h
+        edges.append((t, h, [int(k == j) + across[k] for k in range(d)] if j < d else draw(index)))
+    scale = draw(st.sampled_from([1.0, 1.0, 1.0, 1.0, 4e12, 1e16]))
+    return {
+        "dim": d,
+        "vertices": [f"v{v}" for v in range(nu)],
+        "edges": [{"tail": f"v{t}", "head": f"v{h}", "index": x, "alpha": draw(DRAWN_PHASES)}
+                  for t, h, x in edges],
+        "potential": {f"v{v}": scale * draw(st.floats(-1.0, 1.0)) for v in range(nu)},
+    }
+
+
+def verify_on_grid_5(graph: dict) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `magspec verify --grid 5` on graph JSON."""
+    from magspec.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        path.write_text(json.dumps(graph), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["verify", str(path), "--grid", "5"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _no_constant(name: str):
+    raise ValueError(f"verify printed {name}")
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=drawn_graph_dicts())
+def test_verify_never_fails_a_valid_graph(graph):
+    code, out, err = verify_on_grid_5(graph)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+        return
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_constant=_no_constant)["passed"] is True
+
+
+def test_wrong_fibers_fail_drawn_graphs(fiber_mutant):
+    # the property above is not vacuous: the same draws reach exit 1 under a
+    # wrong fiber assembly
+    find(drawn_graph_dicts(), lambda graph: verify_on_grid_5(graph)[0] == 1,
+         settings=settings(max_examples=100, database=None, phases=[Phase.generate]))
 
 
 @pytest.mark.parametrize(

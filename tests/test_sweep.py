@@ -21,6 +21,7 @@ import magspec.fiber_operator as fiber_operator
 import magspec.spectral as spectral
 from magspec import (
     CheckFailedError,
+    Edge,
     FundamentalGraph,
     GridTooCoarseError,
     GridTooLargeError,
@@ -365,6 +366,19 @@ def test_one_grid_point_out_of_the_sandwich_fails_pointwise(monkeypatch, shift, 
     shift_one_grid_eigenvalue(monkeypatch, shift, in_perturbation=True)
     with pytest.raises(SandwichViolatedError, match=f"{side} pointwise sandwich violated"):
         verify_perturbation(an, 21)
+
+
+def test_sub_tolerance_shifted_phases_keep_the_pointwise_sandwich(monkeypatch):
+    # shifted phases of 9e-10 lie below the support tolerance but stay in the
+    # fiber; a 1e-8 error at one grid point still exceeds Lambda_nu + 1e-9
+    g = FundamentalGraph(dim=1, num_vertices=1, edges=(
+        Edge(0, 0, (1,), 0.0), Edge(0, 0, (1,), 9e-10), Edge(0, 0, (1,), 9e-10)))
+    an = analyze(g)
+    assert np.any(an.phi_tilde.values) and not an.phi_tilde.support()
+    assert verify_perturbation(an, 11)["Lambda_nu"] < 1e-8
+    shift_one_grid_eigenvalue(monkeypatch, 1e-8, in_perturbation=True)
+    with pytest.raises(SandwichViolatedError, match="upper pointwise sandwich violated"):
+        verify_perturbation(an, 11)
 
 
 def test_vanishing_shifted_phases_still_check_the_grid():
