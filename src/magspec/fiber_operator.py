@@ -37,7 +37,7 @@ from .forms_cycles import _rooted_tree, first_spanning_tree, integer_determinant
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 HERMITICITY_TOL = 1e-12
-# largest phase check_phase_sizes admits, and largest |potential| that
+# largest phase max_phase admits, and largest |potential| that
 # check_potential_size does: 64 ulp of it (spectral's rounding allowance) is
 # 1/16, while a fiber entry without potential moves by at most 2
 MAX_PHASE = 2.0**42
@@ -114,32 +114,32 @@ def fiber_stack(
 
 
 def max_phase(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest |a| + pi * ||b||_1 over the rows of (b, a) value pairs.
+    """Largest |a| + pi * ||b||_1 over the rows of (b, a) value pairs, at most MAX_PHASE.
 
     A row is an edge of a form pair, whose fibers exponentiate
     a(e) + <b(e), theta>, or a vertex of GaugeWeights (w_b, w_a). For
     theta in [-pi, pi]^d this bounds every such phase, and float
-    rounding moves exp(i phase) by about eps times it.
+    rounding moves exp(i phase) by about eps times it. The checks that
+    compare exponentiated phases allow rounding in proportion to it;
+    past MAX_PHASE (indices beyond about 2^40, or gauge weights summed
+    along long tree paths) that allowance would pass wrong fibers, so
+    a larger bound raises IndexOverflowError.
     """
-    return max(
+    largest = max(
         float((np.abs(np.ravel(a)) + np.pi * np.abs(b.astype(float)).sum(axis=1)).max(initial=0.0))
         for b, a in pairs
     )
-
-
-def check_phase_sizes(g: FundamentalGraph, mu: OneForm, phi: OneForm) -> None:
-    """IndexOverflowError when a phase of the stored or the (mu, phi) pair can pass MAX_PHASE.
-
-    The checks that compare exponentiated phases allow rounding in
-    proportion to max_phase; past MAX_PHASE (indices beyond about 2^40)
-    that allowance would pass wrong fibers, so such graphs are refused.
-    """
-    largest = max_phase((g.index_form().values, g.magnetic_form().values), (mu.values, phi.values))
     if largest > MAX_PHASE:
         raise IndexOverflowError(
             f"fiber phases reach {largest:.3g}, above 2^42: indices this large "
             "cannot be checked in float arithmetic"
         )
+    return largest
+
+
+def check_phase_sizes(g: FundamentalGraph, mu: OneForm, phi: OneForm) -> None:
+    """IndexOverflowError when a phase of the stored or the (mu, phi) pair can pass MAX_PHASE."""
+    max_phase((g.index_form().values, g.magnetic_form().values), (mu.values, phi.values))
 
 
 def check_potential_size(g: FundamentalGraph) -> None:

@@ -190,20 +190,21 @@ class _TreeScanner:
     spanning tree, each tree once. Blocks split above _BLOCK_STATES
     states, so memory stays flat in the number of trees.
 
-    Each state is one row of two arrays, and needs no union-find.
-    `ints` holds the vertex set of every vertex's tree as bit words
-    (vertex v is bit v % 64 of word v // 64), one column block per
-    exact form with the potential p(v) of every vertex relative to an
-    anchor of its tree, per value component, and the included edges as
-    bit-reversed words (edge e is bit 63 - e % 64 of word e // 64), so
-    the largest key is the lexicographically smallest edge set. `flts`
-    holds one such potential block per phase or real form. Edge t -> h
-    is a chord when h is in t's set. Including it with value x adds
-    (p(t) + x) - p(h) to every vertex of h's set, which fixes
-    p(h) = p(t) + x, and then joins the two sets. Every potential stays
-    a path sum in its tree, so exact forms are exact in int64 under
-    the range check of _scanned_column. Once a state spans, the flux of
-    chord c is x(c) + p(t) - p(h), so no cycle is walked: each form's
+    Each state is one int64 row, and needs no union-find. A row holds
+    the vertex set of every vertex's tree as bit words (vertex v is bit
+    v % 64 of word v // 64), then one column block per form with the
+    potential p(v) of every vertex relative to an anchor of its tree,
+    per value component, and then the included edges as bit-reversed
+    words (edge e is bit 63 - e % 64 of word e // 64), so the largest
+    key is the lexicographically smallest edge set. A phase or real
+    form's block holds float64 bit patterns, read and updated in place
+    through a float view of its columns. Edge t -> h is a chord when h
+    is in t's set. Including it with value x adds (p(t) + x) - p(h) to
+    every vertex of h's set, which fixes p(h) = p(t) + x, and then
+    joins the two sets. Every potential stays a path sum in its tree,
+    so exact forms are exact in int64 under the range check of
+    _scanned_column. Once a state spans, the flux of chord c is
+    x(c) + p(t) - p(h), so no cycle is walked: each form's
     OneForm.is_nonzero decides which fluxes are nonzero. Columns are
     the cost of a scan, so scan_trees hands over no form whose values
     are all zero (its fluxes are all zero) and an integer form of
@@ -215,22 +216,19 @@ class _TreeScanner:
         n = self.n = g.num_vertices
         edges = self.num_edges = g.num_edges
         self.tails, self.heads = g.ends().T
-        # columns of ints: vertex sets, exact potentials, tree; flts: the other potentials
+        # columns of a row: vertex sets, one potential block per form, tree
         self.words = -(-n // 64)  # words per vertex set
-        sets_end = self.words * n
-        ends = [sets_end, 0]  # first free column of ints, flts
-        # per form: (form, array 0 = ints / 1 = flts, potential columns, (dim, E) values)
+        sets_end = end = self.words * n
+        # per form: (form, potential columns, (dim, E) values in the dtype of its potentials)
         self.pots = []
         for x in forms:
-            which = 0 if x.exact else 1
-            cols = slice(ends[which], ends[which] + x.dim * n)
+            cols = slice(end, end + x.dim * n)
             values = np.ascontiguousarray(x.values.T, dtype=np.int64 if x.exact else float)
-            self.pots.append((x, which, cols, values))
-            ends[which] = cols.stop
-        self.tree_col = ends[0]
-        self.ints0 = np.zeros((1, self.tree_col + (-(-edges // 64) or 1)), dtype=np.int64)
-        self.ints0[0, :sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
-        self.flts0 = np.zeros((1, ends[1]))
+            self.pots.append((x, cols, values))
+            end = cols.stop
+        self.tree_col = end
+        self.rows0 = np.zeros((1, end + (-(-edges // 64) or 1)), dtype=np.int64)
+        self.rows0[0, :sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
         v = np.arange(n)
         self.vertex_words, self.vertex_bits = v // 64, v % 64
         e = np.arange(edges)
@@ -245,7 +243,7 @@ class _TreeScanner:
             self.levels.append((
                 t, h, self.tree_col + eid // 64,
                 np.array(1 << (63 - eid % 64), dtype=np.uint64).view(np.int64),
-                [values[:, eid] for _, _, _, values in self.pots],
+                [values[:, eid] for _, _, values in self.pots],
                 None if sets[t] >> h & 1 else self._bit_words(sets),
             ))
             merged = sets[t] | sets[h]
@@ -257,17 +255,17 @@ class _TreeScanner:
         words = [(s >> (64 * i)) & (2**64 - 1) for s in sets for i in range(self.words)]
         return np.array(words, dtype=np.uint64).view(np.int64).reshape(len(sets), self.words)
 
-    def _sets(self, ints: np.ndarray) -> np.ndarray:
+    def _sets(self, rows: np.ndarray) -> np.ndarray:
         """(S, nu, words) view: the vertex set of every vertex's tree."""
-        return ints[:, : self.words * self.n].reshape(len(ints), self.n, self.words)
+        return rows[:, : self.words * self.n].reshape(len(rows), self.n, self.words)
 
     def _members(self, words: np.ndarray) -> np.ndarray:
         """(S, nu) bool: per row of (S, words) vertex-set words, whether each vertex is in it."""
         return words[:, self.vertex_words] >> self.vertex_bits & 1 == 1
 
-    def _bypassed(self, ints: np.ndarray, later: np.ndarray, t: int, h: int) -> np.ndarray:
+    def _bypassed(self, rows: np.ndarray, later: np.ndarray, t: int, h: int) -> np.ndarray:
         """Per state, whether its forest and the later edges join t and h."""
-        near = self._sets(ints) | later  # per vertex, the vertices one step away
+        near = self._sets(rows) | later  # per vertex, the vertices one step away
         reach = near[:, t]
         while True:
             member = self._members(reach)
@@ -278,62 +276,61 @@ class _TreeScanner:
                 return member[:, h]
             reach = grown
 
-    def _advance(self, ints: np.ndarray, flts: np.ndarray, level: int) -> tuple:
+    def _advance(self, rows: np.ndarray, level: int) -> np.ndarray:
         """Decide one edge for a block: chord, include child, exclude child."""
         t, h, word, bit, xs, later = self.levels[level]
-        stay = ints[:, t * self.words + h // 64] >> h % 64 & 1 == 1  # h in t's tree: a chord
+        stay = rows[:, t * self.words + h // 64] >> h % 64 & 1 == 1  # h in t's tree: a chord
         inc = np.logical_not(stay).nonzero()[0]
         k = len(inc)
         if not k:
-            return ints, flts
+            return rows
         if later is None:  # the later edges alone join t and h
             stay[:] = True
         else:
-            stay[inc] = self._bypassed(ints.take(inc, axis=0), later, t, h)
-        order = np.concatenate((stay.nonzero()[0], inc))
-        ints, flts = ints.take(order, axis=0), flts.take(order, axis=0)
-        new = ints[-k:]
+            stay[inc] = self._bypassed(rows.take(inc, axis=0), later, t, h)
+        rows = rows.take(np.concatenate((stay.nonzero()[0], inc)), axis=0)
+        new = rows[-k:]
         sets = self._sets(new)
         moved = self._members(sets[:, h])  # h's tree, re-anchored at t's anchor
-        for (_, which, cols, _), x in zip(self.pots, xs):
-            pot = (ints, flts)[which][-k:, cols].reshape(k, len(x), self.n)
+        for (_, cols, values), x in zip(self.pots, xs):
+            pot = new[:, cols].view(values.dtype).reshape(k, len(x), self.n)
             shift = pot[:, :, t] + x - pot[:, :, h]
             pot += shift[:, :, None] * moved[:, None, :]
         merged = sets[:, t] | sets[:, h]
         np.copyto(sets, merged[:, None, :], where=self._members(merged)[:, :, None])
         new[:, word] |= bit
-        return ints, flts
+        return rows
 
-    def blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Blocks (ints, flts) of spanning states, every tree once."""
-        stack = [(0, self.ints0, self.flts0)]
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Blocks of spanning states, one row each, every tree once."""
+        stack = [(0, self.rows0)]
         while stack:
-            level, ints, flts = stack.pop()
+            level, rows = stack.pop()
             while level < len(self.levels):
-                ints, flts = self._advance(ints, flts, level)
+                rows = self._advance(rows, level)
                 level += 1
-                if len(ints) > _BLOCK_STATES:
-                    half = len(ints) // 2
-                    stack.append((level, ints[half:].copy(), flts[half:].copy()))
-                    ints, flts = ints[:half], flts[:half]
-            yield ints, flts
+                if len(rows) > _BLOCK_STATES:
+                    half = len(rows) // 2
+                    stack.append((level, rows[half:].copy()))
+                    rows = rows[:half]
+            yield rows
 
-    def keys(self, ints: np.ndarray) -> np.ndarray:
+    def keys(self, rows: np.ndarray) -> np.ndarray:
         """(S, words) tree keys; the largest is the lexicographically first tree."""
-        return ints[:, self.tree_col :].view(np.uint64)
+        return rows[:, self.tree_col :].view(np.uint64)
 
     def edges_of(self, key: Sequence[int]) -> tuple[int, ...]:
         return tuple(e for e in range(self.num_edges) if key[e // 64] >> (63 - e % 64) & 1)
 
-    def chord_masks(self, ints: np.ndarray, flts: np.ndarray) -> np.ndarray:
+    def chord_masks(self, rows: np.ndarray) -> np.ndarray:
         """(S, forms, E): per spanning state and form, the chords with nonzero flux."""
-        s = len(ints)
+        s = len(rows)
         masks = np.empty((s, len(self.pots), self.num_edges), dtype=bool)
-        for k, (x, which, cols, values) in enumerate(self.pots):
-            pot = (ints, flts)[which][:, cols].reshape(s, len(values), self.n)
+        for k, (x, cols, values) in enumerate(self.pots):
+            pot = rows[:, cols].view(values.dtype).reshape(s, len(values), self.n)
             flux = values + pot.take(self.tails, axis=2) - pot.take(self.heads, axis=2)
             np.logical_or.reduce(x.is_nonzero(flux), axis=1, out=masks[:, k])
-        tree = ints.take(self.edge_words, axis=1) >> self.edge_bits & 1
+        tree = rows.take(self.edge_words, axis=1) >> self.edge_bits & 1
         masks &= (tree == 0)[:, None, :]
         return masks
 
@@ -404,7 +401,7 @@ def enumerate_spanning_trees(
     """
     count, _ = _checked_tree_count(g, cap)
     scanner = _TreeScanner(g)
-    keys = [key for ints, _ in scanner.blocks() for key in scanner.keys(ints).tolist()]
+    keys = [key for rows in scanner.blocks() for key in scanner.keys(rows).tolist()]
     out = sorted(map(scanner.edges_of, keys))
     _check_leaves(len(out), count)
     return out
@@ -458,10 +455,10 @@ def scan_trees(
     scanner = _TreeScanner(g, [_scanned_column(forms[k]) for k in live])
     best: list[list | None] = [None] * len(live)  # [count, tree key, support, supports]
     leaves = 0
-    for ints, flts in scanner.blocks():
-        leaves += len(ints)
-        keys = scanner.keys(ints)
-        masks = scanner.chord_masks(ints, flts)
+    for rows in scanner.blocks():
+        leaves += len(rows)
+        keys = scanner.keys(rows)
+        masks = scanner.chord_masks(rows)
         counts = masks.sum(axis=2)
         supports = np.packbits(masks, axis=2, bitorder="little")  # bit i of byte j: edge 8j + i
         for k, cur in enumerate(best):

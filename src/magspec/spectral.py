@@ -245,7 +245,10 @@ def _potential_tol(g: FundamentalGraph, base: float) -> float:
 
 
 def _phase_tol(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """MATRIX_TOL plus the rounding of exp(i phase) at the largest phase of the pairs."""
+    """MATRIX_TOL plus the rounding of exp(i phase) at the largest phase of the pairs.
+
+    Raises IndexOverflowError when that phase passes MAX_PHASE (max_phase).
+    """
     return MATRIX_TOL + ROUNDING_ULPS * EPS * max_phase(*pairs)
 
 
@@ -520,16 +523,18 @@ def verify_exponent_counts(an: Analysis) -> dict:
 def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
     """Bottom of the first band of the phase-free operator sits at theta = 0.
 
-    Defined only for graphs with zero phases (GraphDataError otherwise);
-    the potential may be arbitrary. Sweeps the fiber of (mu, 0), which an
-    integer gauge conjugates to that of (tau, 0) at every theta, so on a
-    graph whose phases are all +0.0 it reads band localization's band ends.
-    Raises CheckFailedError when the first band dips below its value at
-    theta = 0 by more than the tolerance; returns {"attained_at_zero": True}.
+    Defined only for graphs whose phases carry no flux, I_alpha == 0
+    (GraphDataError otherwise): a gauge then makes them zero, whatever
+    their stored values. The potential may be arbitrary. Sweeps the
+    fiber of (mu, 0), which an integer gauge conjugates to that of
+    (tau, 0) at every theta, so on a graph whose phases are all +0.0 it
+    reads band localization's band ends. Raises CheckFailedError when
+    the first band dips below its value at theta = 0 by more than the
+    tolerance; returns {"attained_at_zero": True}.
     """
     g = an.g
-    if g.magnetic_form().support():
-        raise GraphDataError("bottom-of-spectrum check requires zero phases")
+    if an.report.I_alpha:
+        raise GraphDataError("bottom-of-spectrum check requires phases without flux")
     zero = zero_phase_form(g)
     at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
     lo, _ = _grid_ends(an, an.mu, zero, grid_n)
@@ -548,25 +553,31 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
     D leaves unchanged, so the tolerance is MATRIX_TOL plus the
     rounding of the largest phase either side exponentiates
     (_phase_tol). Raises CheckFailedError beyond it, or when a pair is
-    not flux-equivalent. Returns the numbers of pairs (the stored one included) and thetas.
+    not flux-equivalent, and IndexOverflowError, before any fiber is
+    assembled, when a gauge weight's phase passes MAX_PHASE: weights sum
+    along tree paths, so they can pass it where no edge does. Returns
+    the numbers of pairs (the stored one included) and thetas.
     """
     g = an.g
     tau, alpha = g.index_form(), g.magnetic_form()
     first = first_spanning_tree(g)
     pairs = [(an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
-
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
-    stored = fiber_stack(g, tau, alpha, thetas)
+    gauges = []  # per pair: (b, a, weights, tolerance)
     for b, a in pairs:
         try:
             weights = gauge_weights(g, b, a)
         except FluxMismatchError as exc:
             raise CheckFailedError(f"a scanned pair is not flux-equivalent: {exc}") from exc
+        phases = (tau.values, alpha.values), (b.values, a.values), (weights.w_b, weights.w_a)
+        gauges.append((b, a, weights, _phase_tol(*phases)))
+
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
+    stored = fiber_stack(g, tau, alpha, thetas)
+    for b, a, weights, tol in gauges:
         d = weights.diagonal_unitary(thetas)
         conjugated = np.conj(d)[:, :, None] * fiber_stack(g, b, a, thetas) * d[:, None, :]
-        phases = (tau.values, alpha.values), (b.values, a.values), (weights.w_b, weights.w_a)
-        if not np.max(np.abs(conjugated - stored)) <= _phase_tol(*phases):
+        if not np.max(np.abs(conjugated - stored)) <= tol:
             raise CheckFailedError("the gauge does not conjugate flux-equivalent fibers")
     return {"pairs": 1 + len(pairs), "thetas": N_THETAS}
 

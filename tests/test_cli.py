@@ -282,6 +282,22 @@ def test_verify_with_phases_skips_bottom_check(tmp_path, capsys):
     assert "bottom_of_spectrum" not in names
 
 
+def test_verify_runs_bottom_check_on_gauged_lattices(tmp_path, capsys):
+    # a gauge change by a vertex function leaves the phases without flux (I_alpha = 0)
+    rng = np.random.default_rng(27)
+    for kind in ("hexagonal", "kagome", "decorated"):
+        g = generate(kind, 2 if kind == "decorated" else None)
+        f = rng.uniform(-np.pi, np.pi, g.num_vertices)
+        path = tmp_path / f"{kind}.json"
+        dump_graph_json(g.with_phases([e.alpha + f[e.head] - f[e.tail] for e in g.edges]), path)
+        code, out, err = run(capsys, "verify", str(path), "--grid", "21")
+        assert (code, err) == (0, ""), kind
+        report = json.loads(out)
+        assert report["invariants"]["I_alpha"] == 0
+        assert report["checks"][-1] == {"name": "bottom_of_spectrum", "passed": True,
+                                        "detail": {"attained_at_zero": True}}
+
+
 def test_verify_deterministic_output(capsys, kagome_file):
     code1, out1, _ = run(capsys, "verify", kagome_file, "--grid", "21", "--seed", "7")
     code2, out2, _ = run(capsys, "verify", kagome_file, "--grid", "21", "--seed", "7")
@@ -515,6 +531,16 @@ def test_verify_passes_phases_near_the_support_tolerance(tmp_path, capsys, name)
     code, out, err = run(capsys, "verify", str(path))
     assert (code, err) == (0, "")
     assert json.loads(out)["passed"] is True
+
+
+def test_near_tolerance_pair_runs_no_bottom_check(tmp_path, capsys):
+    # its phases carry a chord flux of 1.2e-9, above SUPPORT_TOL
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(NEAR_TOLERANCE_GRAPHS["pair"]), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", str(path), "--grid", "21")
+    report = json.loads(out)
+    assert (code, report["invariants"]["I_alpha"]) == (0, 1)
+    assert "bottom_of_spectrum" not in [c["name"] for c in report["checks"]]
 
 
 _OUT_COMMANDS = {

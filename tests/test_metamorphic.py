@@ -4,16 +4,29 @@ change the answer.
 Relabelling the vertices (so that vertex 0, where trees are rooted,
 moves), reversing edges (which negates their index and phase) and a
 gauge change of the phases by a vertex function each describe the same
-periodic operator. Each must leave the InvariantReport identical and the
-gauge check passing.
+periodic operator. Each must leave the InvariantReport identical, the
+gauge check passing, and the checks that `verify` runs, with their
+verdicts, unchanged.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from magspec import analyze, invariants, verify_gauge_equivalence
+from magspec import (
+    SupercellSpec,
+    analyze,
+    dump_graph_json,
+    generate,
+    harper_model,
+    invariants,
+    supercell,
+    verify_gauge_equivalence,
+)
+from magspec.cli import main
 from magspec.graph_model import Edge, FundamentalGraph, reduce_angle
 
 
@@ -51,3 +64,27 @@ def test_transform_keeps_invariants_and_gauge_check(battery_graphs, transform):
         an = analyze(transform(g, rng))
         assert an.report == invariants(g), i
         verify_gauge_equivalence(an, seed=i)  # raises CheckFailedError on a failure
+
+
+@pytest.fixture(scope="module")
+def verdict_graphs(generator_graphs, battery_graphs):
+    """The stock lattices of the verify benchmark and every 10th battery graph."""
+    hex_2x2 = supercell(generate("hexagonal"), SupercellSpec((2, 2)))
+    return generator_graphs + [hex_2x2, harper_model(12, 5)] + battery_graphs[::10]
+
+
+def _verdicts(g: FundamentalGraph, tmp_path, capsys) -> tuple:
+    """The exit code of `verify --grid 11` on g, and each check's name and verdict."""
+    path = tmp_path / "g.json"
+    dump_graph_json(g, path)
+    code = main(["verify", str(path), "--grid", "11"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    return code, [(c["name"], c["passed"]) for c in checks]
+
+
+@pytest.mark.parametrize("transform", [relabelled, reversed_edges, gauged])
+def test_transform_keeps_verify_verdicts(verdict_graphs, transform, tmp_path, capsys):
+    rng = np.random.default_rng(27)
+    for i, g in enumerate(verdict_graphs):
+        before = _verdicts(g, tmp_path, capsys)
+        assert _verdicts(transform(g, rng), tmp_path, capsys) == before, i

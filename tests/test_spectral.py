@@ -422,6 +422,23 @@ def test_sy_sunada_requires_zero_phases(z2):
         sy_sunada_check(analyze(z2.with_phases([0.5, 0.0])))
 
 
+def test_sy_sunada_runs_exactly_when_the_phases_carry_no_flux(battery_analyses, generator_graphs):
+    # a gauge change gives the lattices nonzero phases without flux; the
+    # battery's random phases carry flux on every graph
+    rng = np.random.default_rng(27)
+    gauged = []
+    for g in generator_graphs:
+        f = rng.uniform(-np.pi, np.pi, g.num_vertices)
+        gauged.append(analyze(g.with_phases([e.alpha + f[e.head] - f[e.tail] for e in g.edges])))
+    assert sum(bool(np.any(an.g.magnetic_form().values)) for an in gauged) == 3
+    for an in battery_analyses + gauged:
+        if an.report.I_alpha:
+            with pytest.raises(GraphDataError, match="phases without flux"):
+                sy_sunada_check(an, grid_n=11)
+        else:
+            assert sy_sunada_check(an, grid_n=11) == {"attained_at_zero": True}
+
+
 def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
     # at |q| = 1e8 the scaled tolerance (about 1.4e-6) still catches a table shifted
     # by 1e-3, and the gauge identity, whose fibers leave the potential out, still
@@ -520,6 +537,43 @@ def test_gauge_identity_catches_wrong_fibers_at_the_largest_admitted_index(fiber
         verify_gauge_equivalence(analyze(_wide_pair(40)))
     with pytest.raises(IndexOverflowError):
         analyze(_wide_pair(41))
+
+
+def _long_path(k: int) -> FundamentalGraph:
+    """40 vertices in a path of edges of index 2^k, and a unit loop: one spanning tree.
+
+    Each edge's phase bound stays near pi 2^k, while the gauge weights
+    sum along the path to 39 times that.
+    """
+    edges = tuple(Edge(v, v + 1, (2**k,), 0.5) for v in range(39))
+    return FundamentalGraph(dim=1, num_vertices=40, edges=edges + (Edge(0, 0, (1,), 0.3),))
+
+
+def test_gauge_weights_past_the_ceiling_exit_2(tmp_path, capsys):
+    # at 2^40 every edge's phase bound (3.45e12) is under 2^42, but the gauge
+    # weights reach 1.35e14, where the gauge tolerance (1.9) would pass any fiber
+    from magspec import dump_graph_json
+    from magspec.cli import main
+
+    for k, code in ((40, 2), (30, 0)):
+        path = tmp_path / f"path{k}.json"
+        dump_graph_json(_long_path(k), path)
+        assert main(["verify", str(path), "--grid", "11"]) == code, k
+        out, err = capsys.readouterr()
+        if code:
+            assert (out, "above 2^42" in err) == ("", True)
+        for command in ("bands", "invariants"):  # neither exponentiates gauge weights
+            assert main([command, str(path)]) == 0, (k, command)
+
+
+def test_verify_fails_wrong_fibers_on_a_long_path(fiber_mutant, tmp_path, capsys):
+    from magspec import dump_graph_json
+    from magspec.cli import main
+
+    path = tmp_path / "path30.json"
+    dump_graph_json(_long_path(30), path)
+    assert main(["verify", str(path), "--grid", "11"]) == 1
+    assert capsys.readouterr().err.strip() == "check failed: gauge_equivalence"
 
 
 def test_degrees_keep_the_bits_of_the_edge_loops_on_the_battery(battery_analyses):
