@@ -27,20 +27,21 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     FluxMismatchError,
-    GraphDataError,
     IndexOverflowError,
     NoIndependentSubsetError,
     NonFinitePotentialError,
     NotHermitianError,
 )
-from .forms_cycles import _rooted_tree, first_spanning_tree, integer_determinant
+from .forms_cycles import first_spanning_tree, integer_determinant, tree_potentials
 from .graph_model import FundamentalGraph, OneForm, reduce_angles
 
 HERMITICITY_TOL = 1e-12
-# largest phase max_phase admits, and largest |potential| that
-# check_potential_size does: 64 ulp of it (spectral's rounding allowance) is
-# 1/16, while a fiber entry without potential moves by at most 2
-MAX_PHASE = 2.0**42
+# The rounding rule: a comparison of floats of size up to x allows ROUNDING_ULPS
+# ulp of x, for x up to MAX_MAGNITUDE (where that is 1/16, while a fiber entry
+# without potential moves by at most 2); larger magnitudes are refused
+EPS = float(np.finfo(float).eps)
+ROUNDING_ULPS = 64
+MAX_MAGNITUDE = 2.0**42
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,48 +114,40 @@ def fiber_stack(
     return add_to_diagonals(out, g.degrees(mask))
 
 
-def max_phase(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest |a| + pi * ||b||_1 over the rows of (b, a) value pairs, at most MAX_PHASE.
+def _rounding_allowance(largest: float, error: type, what: str, whose: str) -> float:
+    """ROUNDING_ULPS * EPS * largest; error when largest passes MAX_MAGNITUDE."""
+    if largest > MAX_MAGNITUDE:
+        raise error(
+            f"{what} reach {largest:.3g}, above 2^42: {whose} this large "
+            "cannot be checked in float arithmetic"
+        )
+    return ROUNDING_ULPS * EPS * largest
+
+
+def potential_allowance(g: FundamentalGraph) -> float:
+    """The rounding rule on max |q|, added where the potential enters both sides.
+
+    Eigenvalues of size |q| are rounded to a few ulp of |q|. Raises
+    NonFinitePotentialError above MAX_MAGNITUDE.
+    """
+    largest = float(np.abs(g.potential).max(initial=0.0))
+    return _rounding_allowance(largest, NonFinitePotentialError, "vertex potentials", "spectra")
+
+
+def phase_allowance(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
+    """The rounding rule on the largest phase of (b, a) value pairs, for entries exp(i phase).
 
     A row is an edge of a form pair, whose fibers exponentiate
-    a(e) + <b(e), theta>, or a vertex of GaugeWeights (w_b, w_a). For
-    theta in [-pi, pi]^d this bounds every such phase, and float
-    rounding moves exp(i phase) by about eps times it. The checks that
-    compare exponentiated phases allow rounding in proportion to it;
-    past MAX_PHASE (indices beyond about 2^40, or gauge weights summed
-    along long tree paths) that allowance would pass wrong fibers, so
-    a larger bound raises IndexOverflowError.
+    a(e) + <b(e), theta>, or a vertex of GaugeWeights (w_b, w_a); for
+    theta in [-pi, pi]^d, |a| + pi * ||b||_1 bounds every such phase.
+    Raises IndexOverflowError above MAX_MAGNITUDE (indices beyond
+    about 2^40, or gauge weights summed along long tree paths).
     """
     largest = max(
         float((np.abs(np.ravel(a)) + np.pi * np.abs(b.astype(float)).sum(axis=1)).max(initial=0.0))
         for b, a in pairs
     )
-    if largest > MAX_PHASE:
-        raise IndexOverflowError(
-            f"fiber phases reach {largest:.3g}, above 2^42: indices this large "
-            "cannot be checked in float arithmetic"
-        )
-    return largest
-
-
-def check_phase_sizes(g: FundamentalGraph, mu: OneForm, phi: OneForm) -> None:
-    """IndexOverflowError when a phase of the stored or the (mu, phi) pair can pass MAX_PHASE."""
-    max_phase((g.index_form().values, g.magnetic_form().values), (mu.values, phi.values))
-
-
-def check_potential_size(g: FundamentalGraph) -> None:
-    """NonFinitePotentialError when a vertex potential exceeds MAX_PHASE in size.
-
-    The checks that compare eigenvalues allow rounding in proportion to
-    max |q|; past MAX_PHASE that allowance would pass band widths of
-    order 1 (or hide them entirely), so such graphs are refused.
-    """
-    largest = float(np.abs(g.potential).max(initial=0.0))
-    if largest > MAX_PHASE:
-        raise NonFinitePotentialError(
-            f"vertex potentials reach {largest:.3g}, above 2^42: spectra this "
-            "large cannot be checked in float arithmetic"
-        )
+    return _rounding_allowance(largest, IndexOverflowError, "fiber phases", "indices")
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -189,28 +182,21 @@ def add_to_diagonals(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
 def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
     """Tree-potential gauge weights relating (b, a) fibers to (index, phase) fibers.
 
-    The weights are the potentials of (index - b) and (alpha - a) on the
-    first spanning tree, vanishing at vertex 0: in the breadth-first
-    order of _rooted_tree, w(v) = w(parent) + the difference form's
-    value on the step parent -> v. Integer forms give exact int64
-    weights. They are well defined only when b and a carry the fluxes
-    of the stored index and phase forms. The flux of diff through the
-    basic cycle of an edge (t, h) is diff(edge) + w(t) - w(h), zero on
-    tree edges; b's is_nonzero tests it for the index class and the
-    stored phase form's for the phase, and a violation raises
-    FluxMismatchError naming the lowest bad chord.
+    The weights are the tree_potentials of (index - b) and (alpha - a)
+    on the first spanning tree, vanishing at vertex 0. Integer forms
+    give exact int64 weights. They are well defined only when b and a
+    carry the fluxes of the stored index and phase forms. The flux of
+    diff through the basic cycle of an edge (t, h) is diff(edge) +
+    w(t) - w(h), zero on tree edges; b's is_nonzero tests it for the
+    index class and the stored phase form's for the phase, and a
+    violation raises FluxMismatchError naming the lowest bad chord.
     """
     _check_forms(g, b, a)
     alpha = g.magnetic_form()
     diff_b = g.index_matrix() - b.values
     diff_a = OneForm(alpha.values - a.values, magnetic=True).values[:, 0]
-    w_b = np.zeros((g.num_vertices, g.dim), dtype=diff_b.dtype)
-    w_a = np.zeros(g.num_vertices)
-    order, up = _rooted_tree(g, first_spanning_tree(g))
-    for v in order[1:]:
-        parent, eid, sign = up[v]  # type: ignore[misc]
-        w_b[v] = w_b[parent] + sign * diff_b[eid]
-        w_a[v] = w_a[parent] + sign * diff_a[eid]
+    first = first_spanning_tree(g)
+    w_b, w_a = tree_potentials(g, first, diff_b), tree_potentials(g, first, diff_a)
     t, h = g.ends().T
     bad_b = b.is_nonzero(diff_b + w_b[t] - w_b[h]).any(axis=1)
     bad = np.flatnonzero(bad_b | alpha.is_nonzero(diff_a + w_a[t] - w_a[h]))
@@ -223,18 +209,6 @@ def gauge_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> GaugeWeights:
 
 
 # -- theta-shift reduction ------------------------------------------------------
-
-
-def _integer_form_values(mu: OneForm) -> np.ndarray:
-    vals = mu.values
-    if mu.exact:
-        return vals.astype(np.int64)
-    if not np.all(np.isfinite(vals)):  # before rint: inf - rint(inf) is NaN and warns
-        raise GraphDataError("expected a finite form")
-    rounded = np.rint(vals)
-    if np.max(np.abs(vals - rounded)) > 1e-9:
-        raise GraphDataError("expected an integer-valued form")
-    return rounded.astype(np.int64)
 
 
 def theta0_reduction(
@@ -253,7 +227,7 @@ def theta0_reduction(
     deterministic solve.
     """
     _check_forms(g, mu, phi)
-    mu_int = _integer_form_values(mu)
+    mu_int = mu.integer_values()
     d = g.dim
 
     chosen: tuple[int, ...] | None = None

@@ -6,12 +6,13 @@ edge (chord) closes a unique basic cycle through T. The flux of a
 1-form along a basic cycle is the sum of its values, and flux_table is
 the one walk of basic cycles. It walks the parent steps of
 _rooted_tree, the one breadth-first search that roots a tree at vertex
-0 and validates it, which also gives the gauge potentials of
-fiber_operator.gauge_weights. A tree minimizing the number of basic
-cycles with nonzero flux yields a flux-equivalent form of smallest
-possible support, the form vanishing on that tree and carrying the
-chord fluxes (tree_form). Minimality is certified by exhaustive tree
-enumeration, never by a rational-independence heuristic.
+0 and validates it; tree_potentials, the gauge weights of
+fiber_operator.gauge_weights, sums a form along the same steps. A tree
+minimizing the number of basic cycles with nonzero flux yields a
+flux-equivalent form of smallest possible support, the form vanishing
+on that tree and carrying the chord fluxes (tree_form). Minimality is
+certified by exhaustive tree enumeration, never by a
+rational-independence heuristic.
 
 All integer computations (tree counts, lattice spans) are exact:
 fraction-free determinants and a column reduction over Python
@@ -171,6 +172,23 @@ def _rooted_tree(g: FundamentalGraph, tree: Sequence[int]):
     if len(order) != n:
         raise GraphDataError(f"edge ids {tuple(tree)} do not join every vertex")
     return order, up
+
+
+def tree_potentials(g: FundamentalGraph, tree: Sequence[int], values: np.ndarray) -> np.ndarray:
+    """Potentials of per-edge values on a spanning tree, zero at vertex 0.
+
+    values has a row per edge; the result has a row per vertex, in the
+    same dtype (exact for int64). In the order of _rooted_tree,
+    p(v) = p(parent) + sign * values[eid] over v's parent step. Raises
+    GraphDataError when tree is not a spanning tree of g.
+    """
+    order, up = _rooted_tree(g, tree)
+    values = np.asarray(values)
+    p = np.zeros((g.num_vertices,) + values.shape[1:], dtype=values.dtype)
+    for v in order[1:]:
+        parent, eid, sign = up[v]  # type: ignore[misc]
+        p[v] = p[parent] + sign * values[eid]
+    return p
 
 
 _BLOCK_STATES = 512  # a block of partial forests is split above this many states

@@ -112,6 +112,18 @@ class OneForm:
         """Integer valued and not magnetic: its values and fluxes are exact."""
         return not self.magnetic and np.issubdtype(self.values.dtype, np.integer)
 
+    def integer_values(self) -> np.ndarray:
+        """(E, n) int64 values of a finite form within 1e-9 of integers; GraphDataError otherwise."""
+        vals = self.values
+        if self.exact:
+            return vals.astype(np.int64)
+        if not np.all(np.isfinite(vals)):  # before rint: inf - rint(inf) is NaN and warns
+            raise GraphDataError("expected a finite form")
+        rounded = np.rint(vals)
+        if np.max(np.abs(vals - rounded)) > 1e-9:
+            raise GraphDataError("expected an integer-valued form")
+        return rounded.astype(np.int64)
+
     def is_nonzero(self, f: np.ndarray) -> np.ndarray:
         """Elementwise whether values or fluxes f of this form are nonzero.
 

@@ -21,7 +21,6 @@ from itertools import product
 import numpy as np
 
 from .errors import BadMultipliersError, FluxImageNotFullLatticeError, NotMinimalError
-from .fiber_operator import _check_forms, _integer_form_values
 from .forms_cycles import DEFAULT_TREE_CAP, lattice_image_check, minimal_form
 from .graph_model import Edge, FundamentalGraph, OneForm, generate
 
@@ -51,9 +50,10 @@ def build_periodic(
     """
     mu = mu if mu is not None else g.index_form()
     phi = phi if phi is not None else g.magnetic_form()
-    _check_forms(g, mu, phi)
+    g.check_form(mu, g.dim)
+    g.check_form(phi, 1)
     # certify the integer form itself: float noise would add up along cycles
-    mu = OneForm(_integer_form_values(mu))
+    mu = OneForm(mu.integer_values())
 
     mu_min, _, beta_x = minimal_form(g, mu, cap=cap)
     if len(mu.support()) != beta_x:

@@ -30,11 +30,9 @@ sy_sunada_check's (mu, 0) sweep reads band localization's (mu, alpha)
 band ends. Shifted phases that are all exactly zero leave the
 perturbation sandwich nothing to solve; a phase below the support
 tolerance is swept, bounded by C_phi and counted like any other.
-Tolerances of comparisons that the potential q enters on both sides
-grow by ROUNDING_ULPS * eps * max |q|, the rounding of eigenvalues of
-size |q|; those of matrix entries that exponentiate phases grow by
-ROUNDING_ULPS * eps times the largest such phase (max_phase), which
-large indices make large.
+Tolerances here are base tolerances; the rounding rule of
+fiber_operator (potential_allowance, phase_allowance) adds float
+rounding to them, or refuses magnitudes it cannot bound.
 """
 
 from __future__ import annotations
@@ -56,14 +54,13 @@ from .errors import (
 )
 from .fiber_operator import (
     add_to_diagonals,
-    check_phase_sizes,
-    check_potential_size,
     count_nontrivial_exponents,
     fiber_stack,
     gauge_weights,
     hermitian_eigenvalues,
-    max_phase,
+    phase_allowance,
     phase_perturbation_bound,
+    potential_allowance,
     split_fiber,
     support_degrees,
     theta0_reduction,
@@ -84,8 +81,6 @@ from .inverse_builder import harper_model
 MATRIX_TOL = 1e-9  # matrix-level facts
 SWEEP_TOL = 1e-6  # quantities extremized over a grid
 FLAT_TOL = 1e-8  # a band narrower than this is flat
-EPS = float(np.finfo(float).eps)
-ROUNDING_ULPS = 64  # rounding allowance, in ulp of max |q|, where q enters both sides
 _CHUNK_BYTES = 4 << 20  # every complex fiber stack a sweep chunk holds at once, together
 _SWEEP_BUDGET_BYTES = 1 << 28  # largest sweep: bytes of its theta grid or of a (K, nu) table
 
@@ -239,23 +234,10 @@ class BandSpectrum:
         }
 
 
-def _potential_tol(g: FundamentalGraph, base: float) -> float:
-    """base plus the rounding of eigenvalues of size max |q| (a few ulp each)."""
-    return base + ROUNDING_ULPS * EPS * float(np.abs(g.potential).max(initial=0.0))
-
-
-def _phase_tol(*pairs: tuple[np.ndarray, np.ndarray]) -> float:
-    """MATRIX_TOL plus the rounding of exp(i phase) at the largest phase of the pairs.
-
-    Raises IndexOverflowError when that phase passes MAX_PHASE (max_phase).
-    """
-    return MATRIX_TOL + ROUNDING_ULPS * EPS * max_phase(*pairs)
-
-
 def _check_spectral_range(g: FundamentalGraph, lo: np.ndarray, hi: np.ndarray) -> None:
     """Band ends must lie in [0, 2 kappa_+], shifted by the potential range."""
     q_lo, q_hi = float(g.potential.min()), float(g.potential.max())
-    tol = _potential_tol(g, MATRIX_TOL)
+    tol = MATRIX_TOL + potential_allowance(g)
     if not (q_lo - tol <= lo.min() and hi.max() <= 2.0 * g.kappa_plus() + q_hi + tol):
         raise CheckFailedError("fiber eigenvalue escaped the a-priori spectral range")
 
@@ -271,16 +253,19 @@ def band_sweep(
 
     Defaults to the stored index and phase forms. Band ends are checked
     against the a-priori range [0, 2 kappa_+] shifted by the potential
-    range. on_chunk, if given, gets the theta rows and eigenvalue rows
-    of each chunk, in grid order, as they are solved (before the range
-    check); no table of them is kept.
+    range, and a band is flat when narrower than FLAT_TOL plus the
+    potential_allowance, which refuses potentials above 2^42 before
+    any solve. on_chunk, if given, gets the theta rows and eigenvalue
+    rows of each chunk, in grid order, as they are solved (before the
+    range check); no table of them is kept.
     """
+    flat_tol = FLAT_TOL + potential_allowance(g)
     b = b if b is not None else g.index_form()
     a = a if a is not None else g.magnetic_form()
     lo, hi = _band_ends(g, b, a, theta_grid(g.dim, grid_n, g.num_vertices), on_chunk)
     _check_spectral_range(g, lo, hi)
     bands = np.stack([lo, hi], axis=1)
-    flat = tuple(bool(w < FLAT_TOL) for w in hi - lo)
+    flat = tuple(bool(w < flat_tol) for w in hi - lo)
     return BandSpectrum(bands=bands, flat=flat, measure=union_measure(bands))
 
 
@@ -360,15 +345,17 @@ class Analysis:
 def analyze(g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP) -> Analysis:
     """Invariants, minimal pair and theta0 shift of g from one scan_trees call.
 
-    Raises what validate, check_potential_size (before the scan),
-    invariants, check_phase_sizes and theta0_reduction raise.
+    Raises what validate, potential_allowance (before the scan),
+    invariants, phase_allowance (on the stored and the minimal pair)
+    and theta0_reduction raise.
     """
     validate(g)
-    check_potential_size(g)
-    scan = scan_trees(g, (g.index_form(), g.magnetic_form()), cap=cap)
+    potential_allowance(g)
+    tau, alpha = g.index_form(), g.magnetic_form()
+    scan = scan_trees(g, (tau, alpha), cap=cap)
     report = invariants(g, scan=scan)
     mu, phi = minimal_pair(g, scan=scan)
-    check_phase_sizes(g, mu, phi)
+    phase_allowance((tau.values, alpha.values), (mu.values, phi.values))
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
     return Analysis(g=g, report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
 
@@ -404,7 +391,8 @@ def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     """
     g, mu = an.g, an.mu
     alpha = g.magnetic_form()
-    tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
+    allowance = potential_allowance(g)
+    tol, sweep_tol = MATRIX_TOL + allowance, SWEEP_TOL + allowance
 
     delta0 = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0][0]
     h0 = delta0 + np.diag(g.potential)
@@ -439,12 +427,12 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     verifies: pointwise eigenvalue sandwich by the extreme eigenvalues
     of the perturbation matrix, the induced bounds on band ends and
     band widths, and the row-sum bound C_phi over every edge on the
-    extreme eigenvalues (within _phase_tol of the fiber's phases), so
-    no shift, even by phases below the support tolerance, exceeds C_phi
-    and the tolerances. Shifted phases that are all exactly zero make
-    both fibers equal and the perturbation matrix zero, so nothing is
-    solved. Raises
-    SandwichViolatedError on any failure, and what grid_axis raises.
+    extreme eigenvalues (within MATRIX_TOL plus the phase_allowance of
+    the fiber's phases), so no shift, even by phases below the support
+    tolerance, exceeds C_phi and the tolerances. Shifted phases that are
+    all exactly zero make both fibers equal and the perturbation matrix
+    zero, so nothing is solved. Raises SandwichViolatedError on any
+    failure, and what grid_axis raises.
     Returns the extreme perturbation eigenvalues Lambda_1 and Lambda_nu,
     the row-sum bound C_phi, the theta0 shift, the shifted support size,
     and the largest band-end shift and band-width change.
@@ -462,7 +450,8 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
             gap, lam = _fold(gap, (shifted - free).ravel()), _fold(lam, x_eigs[:, [0, -1]])
         lam_min, lam_max = float(lam[0][0]), float(lam[1][1])
         # Both swept spectra carry the potential; the perturbation matrix does not.
-        tol, sweep_tol = _potential_tol(g, MATRIX_TOL), _potential_tol(g, SWEEP_TOL)
+        allowance = potential_allowance(g)
+        tol, sweep_tol = MATRIX_TOL + allowance, SWEEP_TOL + allowance
 
         # free + Lambda_1 - tol <= shifted <= free + Lambda_nu + tol at every grid point
         if not lam_min - tol <= gap[0]:
@@ -480,7 +469,7 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
         band_shift = float(np.max(np.abs(shifts), initial=0.0))
         width_change = float(np.max(widths, initial=0.0))
     c_bound = phase_perturbation_bound(g, phi_tilde)
-    c_tol = _phase_tol((mu.values, phi_tilde.values))
+    c_tol = MATRIX_TOL + phase_allowance((mu.values, phi_tilde.values))
     if not max(abs(lam_min), abs(lam_max)) <= c_bound + c_tol:
         raise SandwichViolatedError("extreme perturbation eigenvalue exceeds the row-sum bound")
     if not lam_max - lam_min <= 2.0 * c_bound + c_tol:
@@ -538,7 +527,7 @@ def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
     zero = zero_phase_form(g)
     at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
     lo, _ = _grid_ends(an, an.mu, zero, grid_n)
-    if not at_zero <= lo[0] + _potential_tol(g, MATRIX_TOL):
+    if not at_zero <= lo[0] + (MATRIX_TOL + potential_allowance(g)):
         raise CheckFailedError("first band bottom is not attained at theta = 0")
     return {"attained_at_zero": True}
 
@@ -551,10 +540,10 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
     the first spanning tree, with D from gauge_weights(g, b, a); equal
     spectra follow. The fibers leave out the potential, a diagonal that
     D leaves unchanged, so the tolerance is MATRIX_TOL plus the
-    rounding of the largest phase either side exponentiates
-    (_phase_tol). Raises CheckFailedError beyond it, or when a pair is
-    not flux-equivalent, and IndexOverflowError, before any fiber is
-    assembled, when a gauge weight's phase passes MAX_PHASE: weights sum
+    phase_allowance of the largest phase either side exponentiates.
+    Raises CheckFailedError beyond it, or when a pair is not
+    flux-equivalent, and IndexOverflowError, before any fiber is
+    assembled, when a gauge weight's phase passes 2^42: weights sum
     along tree paths, so they can pass it where no edge does. Returns
     the numbers of pairs (the stored one included) and thetas.
     """
@@ -569,7 +558,7 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
         except FluxMismatchError as exc:
             raise CheckFailedError(f"a scanned pair is not flux-equivalent: {exc}") from exc
         phases = (tau.values, alpha.values), (b.values, a.values), (weights.w_b, weights.w_a)
-        gauges.append((b, a, weights, _phase_tol(*phases)))
+        gauges.append((b, a, weights, MATRIX_TOL + phase_allowance(*phases)))
 
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))

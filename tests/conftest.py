@@ -1,6 +1,7 @@
 """Shared fixtures: stock lattices, a small finite test graph, a
 coordinate form of vertex positions, a cycle-walk oracle for chord
-fluxes, a signed-path-matrix oracle for gauge weights, edge-loop
+fluxes, a path-walk oracle for tree potentials, a signed-path-matrix
+oracle for gauge weights, edge-loop
 oracles for fiber diagonals and the phase row-sum bound, and a seeded
 factory of random connected fundamental graphs whose index fluxes span
 the full integer lattice."""
@@ -78,6 +79,22 @@ def basic_cycles(g: FundamentalGraph, tree: tuple[int, ...]) -> list[tuple[tuple
         for c in range(g.num_edges)
         if c not in tree
     ]
+
+
+def walk_potentials(g: FundamentalGraph, tree: tuple[int, ...], values: np.ndarray) -> np.ndarray:
+    """Per vertex, the values summed step by step along the tree path from vertex 0 to it.
+
+    Each sum starts from zero in the values' dtype and adds
+    sign * value per step of the path that tree_paths finds.
+    """
+    values = np.asarray(values)
+    out = np.zeros((g.num_vertices,) + values.shape[1:], dtype=values.dtype)
+    for v, path in tree_paths(g, tree, 0).items():
+        total = np.zeros(values.shape[1:], dtype=values.dtype)
+        for eid, sign in path:
+            total = total + sign * values[eid]
+        out[v] = total
+    return out
 
 
 def path_matrix_weights(g: FundamentalGraph, b: OneForm, a: OneForm) -> tuple[np.ndarray, ...]:

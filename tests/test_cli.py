@@ -425,6 +425,20 @@ def test_verify_passes_large_potentials(tmp_path, capsys, q):
     assert json.loads(out)["checks"][-1]["name"] == "bottom_of_spectrum"
 
 
+@pytest.mark.parametrize("q", [0.0, 1e6, 1e9, 4e12])
+def test_bands_flat_allows_the_rounding_of_the_potential(tmp_path, capsys, q):
+    # kagome's third band is flat; a potential q at every vertex rounds its width
+    # to 1.8e-6 at 1e9 and 4.4e-3 at 4e12, inside FLAT_TOL + 64 eps q (0.057 at
+    # 4e12), while hexagonal's bands stay 2.8 wide
+    for name, flat in (("kagome", [False, False, True]), ("hexagonal", [False, False])):
+        g = generate(name)
+        path = tmp_path / f"{name}.json"
+        dump_graph_json(g.with_potential([q] * g.num_vertices), path)
+        code, out, err = run(capsys, "bands", str(path), "--grid", "21")
+        assert (code, err) == (0, ""), name
+        assert json.loads(out)["flat"] == flat, name
+
+
 # Rounding moves exp(i phase) by about eps * |phase|, and a fiber's phase
 # a(e) + <b(e), theta> reaches pi * ||b(e)||_1: above 1e-9 for these indices,
 # so a fixed 1e-9 tolerance fails each graph at seeds 0-2, on either grid.

@@ -9,7 +9,9 @@ from magspec import (
     DimensionMismatchError,
     FluxMismatchError,
     GraphDataError,
+    IndexOverflowError,
     NoIndependentSubsetError,
+    NonFinitePotentialError,
     count_nontrivial_exponents,
     enumerate_spanning_trees,
     first_spanning_tree,
@@ -25,7 +27,7 @@ from magspec import (
     tree_form,
     zero_phase_form,
 )
-from magspec.fiber_operator import add_to_diagonals
+from magspec.fiber_operator import add_to_diagonals, phase_allowance, potential_allowance
 from magspec.graph_model import Edge, FundamentalGraph, OneForm, reduce_angles
 
 from conftest import make_random_graph, path_matrix_weights
@@ -451,3 +453,18 @@ def test_exponent_counts_minimal_vs_stored():
         r_theta, r_phase, _ = count_nontrivial_exponents(g, g.index_form(), g.magnetic_form())
         assert r_theta >= n_theta
         assert r_phase >= n_phase
+
+
+def test_the_rounding_rule_admits_2_42_and_refuses_above():
+    # 64 ulp of 2^42 is exactly 1/16; one ulp more is refused, with the CLI's messages
+    top, past = 2.0**42, np.nextafter(2.0**42, np.inf)
+    z1 = generate("zd", 1)
+    for q in (top, -top):
+        assert potential_allowance(z1.with_potential([q])) == 1 / 16
+    with pytest.raises(NonFinitePotentialError, match=r"^vertex potentials reach .*, above 2\^42"):
+        potential_allowance(z1.with_potential([-past]))
+    no_index = np.zeros((1, 1), dtype=np.int64)
+    assert phase_allowance((no_index, np.array([top]))) == 1 / 16
+    for b, a in ((no_index, np.array([past])), (np.array([[2**41]]), np.zeros(1))):
+        with pytest.raises(IndexOverflowError, match=r"^fiber phases reach .*, above 2\^42"):
+            phase_allowance((no_index, np.zeros(1)), (b, a))

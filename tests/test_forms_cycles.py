@@ -20,6 +20,7 @@ from magspec import (
     scan_trees,
     spanning_tree_count,
     tree_form,
+    tree_potentials,
 )
 from magspec.graph_model import Edge, FundamentalGraph, OneForm
 
@@ -30,6 +31,7 @@ from conftest import (
     diamond_graph,
     make_random_graph,
     walk_flux,
+    walk_potentials,
 )
 
 
@@ -182,6 +184,32 @@ def test_flux_table_and_tree_form_equal_the_cycle_walk_bit_for_bit(battery_graph
                 values[[c for c in range(g.num_edges) if c not in tree]] = want
                 want_form = OneForm(values, magnetic=x.magnetic)  # phases pass reduce_angles
                 assert tree_form(g, x, tree).values.tobytes() == want_form.values.tobytes()
+
+
+def test_tree_potentials_equal_the_path_walk_bit_for_bit(battery_graphs):
+    # the int64 index and float phase differences that gauge_weights sums, on the
+    # first tree and on the index form's first minimal tree
+    for g in battery_graphs:
+        tau, alpha = g.index_form(), g.magnetic_form()
+        for tree in (first_spanning_tree(g), scan_trees(g, (tau,)).forms[0].tree):
+            diff_b = g.index_matrix() - tree_form(g, tau, tree).values
+            phases = alpha.values - tree_form(g, alpha, tree).values
+            diff_a = OneForm(phases, magnetic=True).values[:, 0]
+            for values in (diff_b, diff_a):
+                want, got = walk_potentials(g, tree, values), tree_potentials(g, tree, values)
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert diff_b.dtype == np.int64 and diff_a.dtype == np.float64
+
+
+def test_tree_potentials_refuse_a_non_tree(kagome):
+    first = first_spanning_tree(kagome)
+    # two parallel edges close a cycle and miss the third vertex
+    ends = [frozenset((e.tail, e.head)) for e in kagome.edges]
+    parallel = next((i, j) for i, j in combinations(range(kagome.num_edges), 2) if ends[i] == ends[j])
+    values = kagome.index_matrix()
+    for tree in (first[:-1], first + first[:1], (first[0], first[0]), parallel, (0, kagome.num_edges)):
+        with pytest.raises(GraphDataError):
+            tree_potentials(kagome, tree, values)
 
 
 # -- minimal forms -------------------------------------------------------------------

@@ -25,6 +25,22 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements in magspec: {found}"
 
 
+def test_no_module_imports_a_private_name_of_another():
+    # a leading underscore keeps a name inside its module; what another module
+    # needs is public, so the rule it follows is written in one place
+    found = []
+    for path in sorted(Path(magspec.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} {alias.name}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert not found, f"private names imported across modules: {found}"
+
+
 def test_spectral_stays_below_the_compile_peak_step():
     # compiling a module of more than about 4 096 tokens at import raises the
     # peak RSS of every command by about 0.2 MB (measured with ru_maxrss after

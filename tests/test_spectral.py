@@ -530,7 +530,7 @@ def _wide_pair(k: int) -> FundamentalGraph:
 
 def test_gauge_identity_catches_wrong_fibers_at_the_largest_admitted_index(fiber_mutant):
     # the gauge tolerance grows with the phases; up to the largest index that
-    # check_phase_sizes admits it still tells a wrong fiber from rounding
+    # phase_allowance admits it still tells a wrong fiber from rounding
     from magspec import CheckFailedError, IndexOverflowError
 
     with pytest.raises(CheckFailedError):

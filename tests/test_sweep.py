@@ -26,6 +26,7 @@ from magspec import (
     GridTooCoarseError,
     GridTooLargeError,
     LocalizationViolatedError,
+    NonFinitePotentialError,
     OneForm,
     SandwichViolatedError,
     SupercellSpec,
@@ -233,10 +234,17 @@ def test_oversize_grid_exits_2_before_allocating(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 def test_band_sweep_range_check_fails_on_non_finite_potential(value):
-    # built without validate: the a-priori range bound itself is non-finite
+    # built without validate: the rounding rule refuses inf before any solve,
+    # and NaN passes it, so the a-priori range bound itself is NaN
     g = generate("hexagonal").with_potential([value, 0.0])
-    with pytest.raises(CheckFailedError):
+    with pytest.raises(NonFinitePotentialError if np.isinf(value) else CheckFailedError):
         band_sweep(g, grid_n=11)
+
+
+def test_library_band_sweep_refuses_potentials_above_the_ceiling():
+    # at 1e17 the bands of Z^2, 8 wide, round to one flat band of measure 0
+    with pytest.raises(NonFinitePotentialError, match=r"above 2\^42"):
+        band_sweep(generate("zd", 2).with_potential([1e17]), grid_n=11)
 
 
 def test_perturbation_fails_on_nan_bound(monkeypatch):
