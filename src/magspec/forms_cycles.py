@@ -214,15 +214,17 @@ class _TreeScanner:
     potential p(v) of every vertex relative to an anchor of its tree,
     per value component, and then the included edges as bit-reversed
     words (edge e is bit 63 - e % 64 of word e // 64), so the largest
-    key is the lexicographically smallest edge set. A phase or real
-    form's block holds float64 bit patterns, read and updated in place
-    through a float view of its columns. Edge t -> h is a chord when h
-    is in t's set. Including it with value x adds (p(t) + x) - p(h) to
-    every vertex of h's set, which fixes p(h) = p(t) + x, and then
-    joins the two sets. Every potential stays a path sum in its tree,
-    so exact forms are exact in int64 under the range check of
-    _scanned_column. Once a state spans, the flux of chord c is
-    x(c) + p(t) - p(h), so no cycle is walked: each form's
+    key is the lexicographically smallest edge set. One np.unpackbits
+    decodes either: the little-endian bytes of set words give vertex v
+    at bit v, the big-endian bytes of tree words edge e at bit e. A
+    phase or real form's block holds float64 bit patterns, read and
+    updated in place through a float view of its columns. Edge t -> h
+    is a chord when h is in t's set. Including it with value x adds
+    (p(t) + x) - p(h) to every vertex of h's set, which fixes
+    p(h) = p(t) + x, and then joins the two sets. Every potential stays
+    a path sum in its tree, so exact forms are exact in int64 under the
+    range check of _scanned_column. Once a state spans, the flux of
+    chord c is x(c) + p(t) - p(h), so no cycle is walked: each form's
     OneForm.is_nonzero decides which fluxes are nonzero. Columns are
     the cost of a scan, so scan_trees hands over no form whose values
     are all zero (its fluxes are all zero) and an integer form of
@@ -247,10 +249,6 @@ class _TreeScanner:
         self.tree_col = end
         self.rows0 = np.zeros((1, end + (-(-edges // 64) or 1)), dtype=np.int64)
         self.rows0[0, :sets_end] = self._bit_words([1 << v for v in range(n)]).ravel()
-        v = np.arange(n)
-        self.vertex_words, self.vertex_bits = v // 64, v % 64
-        e = np.arange(edges)
-        self.edge_words, self.edge_bits = self.tree_col + e // 64, 63 - e % 64
         # per non-loop edge: its ends, tree word and bit, values per form,
         # and per vertex the set joined to it by the later non-loop edges
         # (None when those alone join the ends)
@@ -279,7 +277,13 @@ class _TreeScanner:
 
     def _members(self, words: np.ndarray) -> np.ndarray:
         """(S, nu) bool: per row of (S, words) vertex-set words, whether each vertex is in it."""
-        return words[:, self.vertex_words] >> self.vertex_bits & 1 == 1
+        octets = words.astype("<i8", copy=False).view(np.uint8)
+        return np.unpackbits(octets, axis=1, count=self.n, bitorder="little").view(bool)
+
+    def _tree_edges(self, rows: np.ndarray) -> np.ndarray:
+        """(S, E) bool: per spanning state, whether each edge is in its tree."""
+        octets = rows[:, self.tree_col :].astype(">i8", copy=False).view(np.uint8)
+        return np.unpackbits(octets, axis=1, count=self.num_edges).view(bool)
 
     def _bypassed(self, rows: np.ndarray, later: np.ndarray, t: int, h: int) -> np.ndarray:
         """Per state, whether its forest and the later edges join t and h."""
@@ -287,9 +291,9 @@ class _TreeScanner:
         reach = near[:, t]
         while True:
             member = self._members(reach)
-            if np.logical_and.reduce(member[:, h], axis=None):
+            if member[:, h].all():
                 return member[:, h]
-            grown = np.bitwise_or.reduce(near * member[:, :, None], axis=1)
+            grown = np.bitwise_or.reduce(near, axis=1, where=member[:, :, None], initial=0)
             if np.array_equal(grown, reach):
                 return member[:, h]
             reach = grown
@@ -333,12 +337,10 @@ class _TreeScanner:
                     rows = rows[:half]
             yield rows
 
-    def keys(self, rows: np.ndarray) -> np.ndarray:
-        """(S, words) tree keys; the largest is the lexicographically first tree."""
-        return rows[:, self.tree_col :].view(np.uint64)
-
-    def edges_of(self, key: Sequence[int]) -> tuple[int, ...]:
-        return tuple(e for e in range(self.num_edges) if key[e // 64] >> (63 - e % 64) & 1)
+    def edges_of(self, rows: np.ndarray) -> list[tuple[int, ...]]:
+        """The tree of every spanning state as ascending edge ids (each has nu - 1)."""
+        edges = self._tree_edges(rows).nonzero()[1].reshape(len(rows), self.n - 1)
+        return list(map(tuple, edges.tolist()))
 
     def chord_masks(self, rows: np.ndarray) -> np.ndarray:
         """(S, forms, E): per spanning state and form, the chords with nonzero flux."""
@@ -348,8 +350,7 @@ class _TreeScanner:
             pot = rows[:, cols].view(values.dtype).reshape(s, len(values), self.n)
             flux = values + pot.take(self.tails, axis=2) - pot.take(self.heads, axis=2)
             np.logical_or.reduce(x.is_nonzero(flux), axis=1, out=masks[:, k])
-        tree = rows.take(self.edge_words, axis=1) >> self.edge_bits & 1
-        masks &= (tree == 0)[:, None, :]
+        masks &= ~self._tree_edges(rows)[:, None, :]
         return masks
 
 
@@ -419,8 +420,7 @@ def enumerate_spanning_trees(
     """
     count, _ = _checked_tree_count(g, cap)
     scanner = _TreeScanner(g)
-    keys = [key for rows in scanner.blocks() for key in scanner.keys(rows).tolist()]
-    out = sorted(map(scanner.edges_of, keys))
+    out = sorted(tree for rows in scanner.blocks() for tree in scanner.edges_of(rows))
     _check_leaves(len(out), count)
     return out
 
@@ -471,11 +471,11 @@ def scan_trees(
     count, first = _checked_tree_count(g, cap)
     live = [k for k, x in enumerate(forms) if np.any(x.values)]
     scanner = _TreeScanner(g, [_scanned_column(forms[k]) for k in live])
-    best: list[list | None] = [None] * len(live)  # [count, tree key, support, supports]
+    best: list[list | None] = [None] * len(live)  # [count, tree, support, supports]
     leaves = 0
     for rows in scanner.blocks():
         leaves += len(rows)
-        keys = scanner.keys(rows)
+        keys = rows[:, scanner.tree_col :].view(np.uint64)  # the largest is the first tree
         masks = scanner.chord_masks(rows)
         counts = masks.sum(axis=2)
         supports = np.packbits(masks, axis=2, bitorder="little")  # bit i of byte j: edge 8j + i
@@ -483,25 +483,25 @@ def scan_trees(
             low = int(counts[:, k].min())
             if cur is not None and low > cur[0]:
                 continue
-            rows = (counts[:, k] == low).nonzero()[0]
-            row = rows[_first_row(keys[rows])]
-            key, mask = keys[row].tolist(), supports[row, k].tobytes()
-            found = np.ascontiguousarray(supports[rows, k])
+            ties = (counts[:, k] == low).nonzero()[0]
+            row = ties[_first_row(keys[ties])]
+            (tree,), mask = scanner.edges_of(rows[row : row + 1]), supports[row, k].tobytes()
+            found = np.ascontiguousarray(supports[ties, k])
             found = set(found.view(f"V{found.shape[1]}").ravel().tolist())
             if cur is None or low < cur[0]:
-                best[k] = [low, key, mask, found]
+                best[k] = [low, tree, mask, found]
                 continue
             cur[3] |= found
-            if key > cur[1]:
-                cur[1], cur[2] = key, mask
+            if tree < cur[1]:
+                cur[1], cur[2] = tree, mask
     _check_leaves(leaves, count)
 
     def as_int(support: bytes) -> int:
         return int.from_bytes(support, "little")
 
     scans = [FormScan(0, first, 0, frozenset({0}))] * len(forms)
-    for k, (c, key, m, s) in zip(live, best):  # type: ignore[misc]
-        scans[k] = FormScan(c, scanner.edges_of(key), as_int(m), frozenset(map(as_int, s)))
+    for k, (c, tree, m, s) in zip(live, best):  # type: ignore[misc]
+        scans[k] = FormScan(c, tree, as_int(m), frozenset(map(as_int, s)))
     return TreeScan(tree_count=leaves, first_tree=first, forms=tuple(scans))
 
 

@@ -5,8 +5,8 @@ Relabelling the vertices (so that vertex 0, where trees are rooted,
 moves), reversing edges (which negates their index and phase) and a
 gauge change of the phases by a vertex function each describe the same
 periodic operator. Each must leave the InvariantReport identical, the
-gauge check passing, and the checks that `verify` runs, with their
-verdicts, unchanged.
+gauge check passing, the checks that `verify` runs, with their
+verdicts, unchanged, and the band ends equal up to rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from magspec import (
     SupercellSpec,
     analyze,
+    band_sweep,
     dump_graph_json,
     generate,
     harper_model,
@@ -27,7 +28,9 @@ from magspec import (
     verify_gauge_equivalence,
 )
 from magspec.cli import main
+from magspec.fiber_operator import potential_allowance
 from magspec.graph_model import Edge, FundamentalGraph, reduce_angle
+from magspec.spectral import MATRIX_TOL
 
 
 def relabelled(g: FundamentalGraph, rng: np.random.Generator) -> FundamentalGraph:
@@ -88,3 +91,13 @@ def test_transform_keeps_verify_verdicts(verdict_graphs, transform, tmp_path, ca
     for i, g in enumerate(verdict_graphs):
         before = _verdicts(g, tmp_path, capsys)
         assert _verdicts(transform(g, rng), tmp_path, capsys) == before, i
+
+
+@pytest.mark.parametrize("transform", [relabelled, reversed_edges, gauged])
+def test_transform_keeps_band_ends(verdict_graphs, transform):
+    # every fiber is unitarily equivalent to the untransformed one: only rounding moves eigenvalues
+    rng = np.random.default_rng(29)
+    for i, g in enumerate(verdict_graphs):
+        want = band_sweep(g, grid_n=11).bands
+        got = band_sweep(transform(g, rng), grid_n=11).bands
+        assert np.abs(got - want).max() <= MATRIX_TOL + potential_allowance(g), i

@@ -164,11 +164,61 @@ def test_scan_matches_cycle_walk_reference(scan_graphs, walks):
         assert_scans_match_reference(walks, g)
 
 
-def test_batched_scan_past_one_word(walks):
-    # 70 vertices and 140 edges: vertex sets and tree keys take several words
-    g = harper_model(70, 3)
+@pytest.mark.parametrize("q, p", [(64, 3), (65, 2), (70, 3)])
+def test_batched_scan_past_one_word(walks, q, p):
+    # q vertices and 2q edges: at 64 a vertex set fills exactly one word,
+    # at 65 it passes it by one bit; tree keys take two or three words
+    g = harper_model(q, p)
     assert_scans_match_reference(walks, g)
     assert enumerate_spanning_trees(g) == reference_trees(g)
+
+
+def byte_swapped(a: np.ndarray) -> np.ndarray:
+    """The same values stored in the opposite byte order (a non-native dtype)."""
+    return a.astype(a.dtype.newbyteorder())
+
+
+@pytest.mark.parametrize("nu", [1, 63, 64, 65, 130])
+def test_vertex_set_words_decode_bit_v_mod_64_of_word_v_div_64(nu):
+    ring = tuple(Edge(v, (v + 1) % nu, (1,)) for v in range(nu))
+    scanner = fc._TreeScanner(FundamentalGraph(dim=1, num_vertices=nu, edges=ring))
+    words = -(-nu // 64)
+    for v in range(nu):
+        want = [1 << v % 64 if i == v // 64 else 0 for i in range(words)]
+        assert scanner._bit_words([1 << v]).view(np.uint64)[0].tolist() == want
+    rng = np.random.default_rng(nu)
+    sets = [0, (1 << nu) - 1] + [1 << v for v in range(nu)]
+    sets += [int.from_bytes(rng.bytes(words * 8), "little") % (1 << nu) for _ in range(20)]
+    want = np.array([[s >> v & 1 for v in range(nu)] for s in sets], dtype=bool)
+    packed = scanner._bit_words(sets)
+    wide = np.zeros((len(sets), words + 2), dtype=np.int64)
+    wide[:, 1:-1] = packed  # a strided view, as a row's vertex set is
+    for rows in (packed, wide[:, 1:-1], byte_swapped(packed)):
+        got = scanner._members(rows)
+        assert got.dtype == bool and got.shape == (len(sets), nu)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("num_edges", [1, 63, 64, 65, 140])
+def test_tree_key_words_decode_bit_63_minus_e_mod_64_of_word_e_div_64(num_edges):
+    # two vertices joined by parallel edges: every spanning tree is one edge
+    g = FundamentalGraph(dim=1, num_vertices=2, edges=tuple(Edge(0, 1, (1,)) for _ in range(num_edges)))
+    scanner = fc._TreeScanner(g)
+    rng = np.random.default_rng(num_edges)
+    edge_sets = [set(), set(range(num_edges))] + [{e} for e in range(num_edges)]
+    edge_sets += [set(np.flatnonzero(rng.random(num_edges) < 0.5).tolist()) for _ in range(20)]
+    rows = np.zeros((len(edge_sets), scanner.rows0.shape[1]), dtype=np.int64)
+    keys = rows[:, scanner.tree_col :].view(np.uint64)
+    assert keys.shape[1] == -(-num_edges // 64)
+    for r, edges in enumerate(edge_sets):
+        for e in edges:
+            keys[r, e // 64] |= np.uint64(1 << (63 - e % 64))
+    want = np.array([[e in edges for e in range(num_edges)] for edges in edge_sets])
+    for got in (scanner._tree_edges(rows), scanner._tree_edges(byte_swapped(rows))):
+        assert got.dtype == bool and np.array_equal(got, want)
+    single = rows[2 : 2 + num_edges]
+    assert scanner.edges_of(single) == [(e,) for e in range(num_edges)]
+    assert scanner.edges_of(byte_swapped(single)) == scanner.edges_of(single)
 
 
 def test_batched_scan_needs_no_numpy_2_names(monkeypatch, walks):
