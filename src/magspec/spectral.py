@@ -23,13 +23,13 @@ entry, through gauge_weights), and the exponent counts of the minimal
 pair. Each takes the Analysis of one graph (analyze validates it) and
 returns the detail dict that `verify` prints, or raises
 CheckFailedError. sy_sunada_check, the bottom-of-spectrum property of
-the phase-free operator, follows the same contract.
-The grid checks share band ends through their Analysis, reused while
-the forms and the grid repeat byte for byte: on a zero-phase graph
-sy_sunada_check's (mu, 0) sweep reads band localization's (mu, alpha)
-band ends. Shifted phases that are all exactly zero leave the
-perturbation sandwich nothing to solve; a phase below the support
-tolerance is swept, bounded by C_phi and counted like any other.
+the phase-free operator, follows the same contract. The grid checks
+read one (mu, alpha) sweep per grid size, kept in their Analysis:
+sy_sunada_check runs only when the phases carry no flux, and then a
+gauge conjugates (mu, alpha) to (mu, 0). Shifted phases that are all
+exactly zero leave the perturbation sandwich nothing to solve; a phase
+below the support tolerance is swept, bounded by C_phi and counted
+like any other.
 Tolerances here are base tolerances; the rounding rule of
 fiber_operator (potential_allowance, phase_allowance) adds float
 rounding to them, or refuses magnitudes it cannot bound.
@@ -334,11 +334,14 @@ class Analysis:
 
     g: FundamentalGraph
     report: InvariantReport
+    tau: OneForm  # stored index form
+    alpha: OneForm  # stored phase form
+    allowance: float  # potential_allowance(g)
     mu: OneForm  # minimal index-class form
     phi: OneForm  # minimal phase-class form
     theta0: np.ndarray  # quasimomentum shift of theta0_reduction
     phi_tilde: OneForm  # phi shifted by theta0
-    # (lo, hi) band ends of _grid_ends, by forms and grid size
+    # (lo, hi) band ends of (mu, alpha) from _grid_ends, by grid size
     shared: dict = field(default_factory=dict, init=False, repr=False)
 
 
@@ -350,30 +353,24 @@ def analyze(g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP) -> Analysis:
     and theta0_reduction raise.
     """
     validate(g)
-    potential_allowance(g)
+    allowance = potential_allowance(g)
     tau, alpha = g.index_form(), g.magnetic_form()
     scan = scan_trees(g, (tau, alpha), cap=cap)
     report = invariants(g, scan=scan)
     mu, phi = minimal_pair(g, scan=scan)
     phase_allowance((tau.values, alpha.values), (mu.values, phi.values))
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
-    return Analysis(g=g, report=report, mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
+    return Analysis(g=g, report=report, tau=tau, alpha=alpha, allowance=allowance,
+                    mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
 
 
-def _grid_ends(
-    an: Analysis, b: OneForm, a: OneForm, grid_n: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Band ends (lo, hi) of (b, a) on an.g over the theta grid, shared through an.
-
-    Ends are reused only while b, a and the grid size repeat byte for
-    byte (so a -0.0 phase never meets a 0.0 one).
-    """
+def _grid_ends(an: Analysis, grid_n: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Band ends (lo, hi) of (mu, alpha) on an.g over the theta grid, one sweep per grid size."""
     g = an.g
     n = grid_axis(g.dim, grid_n, g.num_vertices).size
-    key = (b.values.tobytes(), a.values.tobytes(), n)
-    if key not in an.shared:
-        an.shared[key] = _band_ends(g, b, a, theta_grid(g.dim, n, g.num_vertices))
-    return an.shared[key]
+    if n not in an.shared:
+        an.shared[n] = _band_ends(g, an.mu, an.alpha, theta_grid(g.dim, n, g.num_vertices))
+    return an.shared[n]
 
 
 def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
@@ -390,22 +387,20 @@ def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     the support's kappa_+, the width sum, both bounds and the grid bands.
     """
     g, mu = an.g, an.mu
-    alpha = g.magnetic_form()
-    allowance = potential_allowance(g)
-    tol, sweep_tol = MATRIX_TOL + allowance, SWEEP_TOL + allowance
+    tol, sweep_tol = MATRIX_TOL + an.allowance, SWEEP_TOL + an.allowance
 
-    delta0 = split_fiber(g, mu, alpha, np.zeros((1, g.dim)))[0][0]
+    delta0 = split_fiber(g, mu, an.alpha, np.zeros((1, g.dim)))[0][0]
     h0 = delta0 + np.diag(g.potential)
     floors = hermitian_eigenvalues(h0)
     kplus = int(support_degrees(g, mu).max())
 
     # every grid eigenvalue lies in its window exactly when the band ends do
-    lo, hi = _grid_ends(an, mu, alpha, grid_n)
+    lo, hi = _grid_ends(an, grid_n)
     if not (np.all(floors - tol <= lo) and np.all(hi <= floors + 2.0 * kplus + tol)):
         raise LocalizationViolatedError("a grid eigenvalue escaped its localization window")
 
     total = float((hi - lo).sum())
-    inv_i = mu.support_size_oriented() // 2
+    inv_i = an.report.I
     if not total <= 4.0 * inv_i + sweep_tol:
         raise MeasureBoundViolatedError(f"band widths sum {total} exceeds 4*I = {4 * inv_i}")
     if not total <= 4.0 * g.beta + sweep_tol:
@@ -450,8 +445,7 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
             gap, lam = _fold(gap, (shifted - free).ravel()), _fold(lam, x_eigs[:, [0, -1]])
         lam_min, lam_max = float(lam[0][0]), float(lam[1][1])
         # Both swept spectra carry the potential; the perturbation matrix does not.
-        allowance = potential_allowance(g)
-        tol, sweep_tol = MATRIX_TOL + allowance, SWEEP_TOL + allowance
+        tol, sweep_tol = MATRIX_TOL + an.allowance, SWEEP_TOL + an.allowance
 
         # free + Lambda_1 - tol <= shifted <= free + Lambda_nu + tol at every grid point
         if not lam_min - tol <= gap[0]:
@@ -502,9 +496,8 @@ def verify_exponent_counts(an: Analysis) -> dict:
         raise CheckFailedError(
             f"minimal-pair exponent counts {(n_theta, n_phase, n_both)} disagree with invariants"
         )
-    alpha = g.magnetic_form()
-    r_theta = count_nontrivial_exponents(g, g.index_form(), alpha)[0]
-    if r_theta < n_theta or 2 * np.count_nonzero(alpha.values) < n_phase:
+    r_theta = count_nontrivial_exponents(g, an.tau, an.alpha)[0]
+    if r_theta < n_theta or 2 * np.count_nonzero(an.alpha.values) < n_phase:
         raise CheckFailedError("stored pair has fewer nontrivial exponents than the minimum")
     return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
 
@@ -514,20 +507,19 @@ def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
 
     Defined only for graphs whose phases carry no flux, I_alpha == 0
     (GraphDataError otherwise): a gauge then makes them zero, whatever
-    their stored values. The potential may be arbitrary. Sweeps the
-    fiber of (mu, 0), which an integer gauge conjugates to that of
-    (tau, 0) at every theta, so on a graph whose phases are all +0.0 it
-    reads band localization's band ends. Raises CheckFailedError when
-    the first band dips below its value at theta = 0 by more than the
-    tolerance; returns {"attained_at_zero": True}.
+    their stored values. The potential may be arbitrary. That gauge is
+    diagonal and the same at every theta, so the (mu, alpha) fiber has
+    the spectrum of the (mu, 0) one: the check reads band localization's
+    (mu, alpha) band ends and the (mu, alpha) fiber at theta = 0. Raises
+    CheckFailedError when the first band dips below its value at
+    theta = 0 by more than the tolerance; returns
+    {"attained_at_zero": True}.
     """
-    g = an.g
     if an.report.I_alpha:
         raise GraphDataError("bottom-of-spectrum check requires phases without flux")
-    zero = zero_phase_form(g)
-    at_zero = eigenvalue_table(g, an.mu, zero, np.zeros((1, g.dim)))[0, 0]
-    lo, _ = _grid_ends(an, an.mu, zero, grid_n)
-    if not at_zero <= lo[0] + (MATRIX_TOL + potential_allowance(g)):
+    at_zero = eigenvalue_table(an.g, an.mu, an.alpha, np.zeros((1, an.g.dim)))[0, 0]
+    lo, _ = _grid_ends(an, grid_n)
+    if not at_zero <= lo[0] + (MATRIX_TOL + an.allowance):
         raise CheckFailedError("first band bottom is not attained at theta = 0")
     return {"attained_at_zero": True}
 
@@ -547,8 +539,7 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
     along tree paths, so they can pass it where no edge does. Returns
     the numbers of pairs (the stored one included) and thetas.
     """
-    g = an.g
-    tau, alpha = g.index_form(), g.magnetic_form()
+    g, tau, alpha = an.g, an.tau, an.alpha
     first = first_spanning_tree(g)
     pairs = [(an.mu, an.phi), (tree_form(g, tau, first), tree_form(g, alpha, first))]
     gauges = []  # per pair: (b, a, weights, tolerance)
@@ -589,12 +580,11 @@ def verify_positive_splitting(an: Analysis, seed: int = 0) -> dict:
     are absolute. Returns the number of quasimomenta.
     """
     g, mu = an.g, an.mu
-    alpha = g.magnetic_form()
     two_b = 2.0 * np.diag(support_degrees(g, mu).astype(float))
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
-    full = fiber_stack(g, mu, alpha, thetas)
-    delta0, delta_tilde = split_fiber(g, mu, alpha, thetas)
+    full = fiber_stack(g, mu, an.alpha, thetas)
+    delta0, delta_tilde = split_fiber(g, mu, an.alpha, thetas)
     split_gap = np.abs(full - (delta0 + delta_tilde)).max(axis=(1, 2))
     failed = np.stack(
         [

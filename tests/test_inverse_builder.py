@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,8 +25,9 @@ from magspec import (
     validate,
     zero_phase_form,
 )
-from magspec.fiber_operator import add_to_diagonals
+from magspec.fiber_operator import add_to_diagonals, potential_allowance
 from magspec.graph_model import Edge, FundamentalGraph, OneForm
+from magspec.spectral import MATRIX_TOL
 
 from conftest import make_random_graph
 
@@ -193,6 +195,21 @@ def test_supercell_zero_fiber_equals_torus_expansion(kagome):
     got = np.linalg.eigvalsh(fib)
     want = np.linalg.eigvalsh(torus_expansion(g, (2, 2)))
     assert np.allclose(got, want, atol=1e-9)
+
+
+def test_supercell_spectrum_is_the_union_of_folded_fibers(battery_graphs):
+    # spec H_sc(Theta) is the union over k in Z_m1 x ... x Z_md of spec H((Theta + 2 pi k) / m),
+    # the potential included, at every Theta and not only at 0
+    rng = np.random.default_rng(31)
+    for i, g in enumerate(battery_graphs[:30]):
+        m = rng.integers(1, 4, size=g.dim)
+        sc = supercell(g, SupercellSpec(tuple(m)))
+        shifts = 2 * np.pi * np.array(list(product(*[range(k) for k in m])), dtype=float)
+        tol = MATRIX_TOL + potential_allowance(g)
+        for big in rng.uniform(-np.pi, np.pi, size=(4, g.dim)):
+            got = eigenvalue_table(sc, sc.index_form(), sc.magnetic_form(), big)[0]
+            folded = eigenvalue_table(g, g.index_form(), g.magnetic_form(), (big + shifts) / m)
+            assert np.abs(got - np.sort(folded.ravel())).max() <= tol, (i, tuple(m))
 
 
 def test_supercell_tiles_potential(decorated2):

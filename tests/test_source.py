@@ -56,6 +56,30 @@ def test_spectral_stays_below_the_compile_peak_step():
     )
 
 
+def test_checks_read_per_graph_facts_from_the_analysis():
+    # analyze derives the stored forms and the potential allowance once; a check
+    # that derives them again can drift from what the others read.
+    # verify_perturbation's phase-free fiber is a second operator, not a stored fact
+    path = Path(magspec.__file__).parent / "spectral.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    derived = {"magnetic_form", "index_form", "potential_allowance"}
+    checks = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and (node.name.startswith("verify_") or node.name == "sy_sunada_check")
+    ]
+    found = [
+        f"{check.name}:{call.lineno} {name}"
+        for check in checks
+        for call in ast.walk(check)
+        if isinstance(call, ast.Call)
+        for name in [getattr(call.func, "attr", getattr(call.func, "id", None))]
+        if name in derived or (check.name == "sy_sunada_check" and name == "zero_phase_form")
+    ]
+    assert len(checks) == 6
+    assert not found, f"checks that derive a per-graph fact again: {found}"
+
+
 def test_benchmark_trace_hooks_resolve():
     # perfbench/spans.py wraps these functions by name; a deleted or renamed
     # one would break traced benchmark runs. The file is parsed, not imported.

@@ -3,8 +3,8 @@
 Cutting the grid into chunks must give the same bits as one eigensolve
 over the whole fiber stack; memory must stay bounded by one chunk;
 oversize grids are refused before anything is allocated; each CLI
-command scans spanning trees once; and verify sweeps each distinct
-(b, a, grid) once, sharing band ends only between byte-identical forms.
+command scans spanning trees once; and verify sweeps (mu, alpha) once
+per grid size, its band ends read by every check that needs them.
 """
 
 from __future__ import annotations
@@ -54,6 +54,17 @@ GRID = 13
 PHASED_HEXAGONAL = generate("hexagonal").with_phases([0.3, -0.7, 1.1])
 TINY_CHUNK_BYTES = 1000  # 62 fibers per chunk at nu = 1, 6 at nu = 3, one at nu = 6
 DEFAULT_CHUNK_BYTES = spectral._CHUNK_BYTES
+
+
+def gauged_kagome():
+    """Kagome with the phases f(head) - f(tail) of a vertex function: nonzero, without flux.
+
+    f is dyadic and its differences lie in (-pi, pi), so every flux sums to exactly 0.0
+    and the shifted phases vanish: the perturbation check solves nothing.
+    """
+    g = generate("kagome")
+    f = [0.5, -1.25, 1.5]
+    return g.with_phases([f[e.head] - f[e.tail] for e in g.edges])
 
 
 def one_shot(g, b, a, thetas):
@@ -295,15 +306,18 @@ def count_grid_sweeps(monkeypatch, grid_n, dim):
 
 @pytest.mark.parametrize(
     "name, sweeps, triples",
-    [("kagome", 1, 0), ("hex-2x2", 1, 0), ("phased-kagome", 1, 1), ("phased-hexagonal", 1, 0)],
+    [("kagome", 1, 0), ("hex-2x2", 1, 0), ("phased-kagome", 1, 1), ("phased-hexagonal", 1, 0),
+     ("gauged-kagome", 1, 0)],
 )
 def test_verify_sweeps_each_distinct_table_once(tmp_path, capsys, monkeypatch, name, sweeps, triples):
-    # the phased hexagonal graph's shifted phases vanish: its perturbation check solves nothing
+    # the phased hexagonal graph's shifted phases vanish: its perturbation check solves nothing;
+    # the gauged kagome's bottom check reads band localization's (mu, alpha) sweep
     g = {
         "kagome": generate("kagome"),
         "hex-2x2": supercell(generate("hexagonal"), SupercellSpec((2, 2))),
         "phased-kagome": generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)),
         "phased-hexagonal": PHASED_HEXAGONAL,
+        "gauged-kagome": gauged_kagome(),
     }[name]
     path = tmp_path / f"{name}.json"
     dump_graph_json(g, path)
@@ -311,6 +325,18 @@ def test_verify_sweeps_each_distinct_table_once(tmp_path, capsys, monkeypatch, n
     assert main(["verify", str(path), "--grid", "21"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"]
     assert (len(tables), len(three)) == (sweeps, triples)
+
+
+def test_bottom_check_on_gauged_phases_catches_a_shifted_table(monkeypatch):
+    # nonzero phases without flux: the theta = 0 solve reads (mu, alpha), and a 1e-3
+    # shift of it must still fail the check
+    an = analyze(gauged_kagome())
+    assert an.report.I_alpha == 0 and np.any(an.g.magnetic_form().values)
+    assert sy_sunada_check(an, 21) == {"attained_at_zero": True}
+    real = spectral.eigenvalue_table
+    monkeypatch.setattr(spectral, "eigenvalue_table", lambda *args: real(*args) + 1e-3)
+    with pytest.raises(CheckFailedError, match="first band bottom is not attained at theta = 0"):
+        sy_sunada_check(an, 21)
 
 
 def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_graphs):
@@ -332,15 +358,14 @@ def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_gr
 
 
 def test_shared_table_is_keyed_by_grid():
-    # the Analysis holds band ends per (b, a, grid), and no table
+    # the Analysis holds the (mu, alpha) band ends per grid size, and no table
     g = generate("kagome")
     an = analyze(g)
     for n, held in ((13, 1), (21, 2), (21, 2)):
         verify_band_localization(an, n)
         want = one_shot(g, an.mu, g.magnetic_form(), theta_grid(2, n))
-        key = (an.mu.values.tobytes(), g.magnetic_form().values.tobytes(), n)
         assert len(an.shared) == held
-        lo, hi = an.shared[key]
+        lo, hi = an.shared[n]
         assert np.array_equal(lo, want.min(0)) and np.array_equal(hi, want.max(0))
 
 
@@ -396,8 +421,9 @@ def test_vanishing_shifted_phases_still_check_the_grid():
         verify_perturbation(an, grid_n=2)
 
 
-def test_negative_zero_phases_share_no_table_with_positive_zero(tmp_path, capsys, monkeypatch):
-    # magnetic forms reduce -0.0 to 0.0, so only an unreduced form can carry it
+def test_negative_zero_phases_print_the_same_after_one_sweep(tmp_path, capsys, monkeypatch):
+    # magnetic forms reduce -0.0 to 0.0, so only an unreduced form can carry it;
+    # the bottom check reads band localization's sweep of it
     g = generate("kagome")
     path = tmp_path / "kagome.json"
     dump_graph_json(g, path)
@@ -408,8 +434,7 @@ def test_negative_zero_phases_share_no_table_with_positive_zero(tmp_path, capsys
     tables, _ = count_grid_sweeps(monkeypatch, 21, g.dim)
     assert main(["verify", str(path), "--grid", "21"]) == 0
     assert capsys.readouterr().out == want
-    assert tables[0] == neg.values.tobytes()  # band localization's sweep
-    assert len(tables) == len(set(tables)) == 2  # one sweep per distinct phase bytes
+    assert tables == [neg.values.tobytes()]
 
 
 def splitting_loop(g, mu, n_thetas=20, seed=0):
