@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager, redirect_stdout, suppress
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Iterator, TextIO
 
@@ -69,15 +69,6 @@ def _load(path: str) -> FundamentalGraph:
     g = load_graph_json(path)
     validate(g)
     return g
-
-
-def _check_grid(g: FundamentalGraph, grid: int | None) -> None:
-    """Refuse a grid the sweep would refuse, before the tree scan; an invalid g is named first."""
-    try:
-        grid_axis(g.dim, grid, g.num_vertices)
-    except GraphDataError:
-        validate(g)  # analyze, which validates, has not run yet
-        raise
 
 
 @contextmanager
@@ -139,11 +130,10 @@ def cmd_invariants(args: argparse.Namespace, out: TextIO) -> int:
 
 def cmd_bands(args: argparse.Namespace, out: TextIO) -> int:
     """The band summary goes to stdout; --out, if given, gets the per-theta CSV."""
-    g = load_graph_json(args.graph)  # analyze validates
-    _check_grid(g, args.grid)
-    an = analyze(g, cap=args.tree_cap)
+    g = load_graph_json(args.graph)  # analyze validates, then refuses the grid
+    an = analyze(g, cap=args.tree_cap, grid_n=args.grid)
     csv = _band_csv(g, out) if args.out else None
-    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=args.grid, on_chunk=csv)
+    spec = band_sweep(g, an.mu, an.phi_tilde, grid_n=an.grid_n, on_chunk=csv)
     summary = spec.to_dict()
     summary["bound_4I"] = 4.0 * an.report.I
     _print_json(summary)
@@ -166,25 +156,23 @@ def _band_csv(g: FundamentalGraph, f):
 
 
 def cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    g = load_graph_json(args.graph)  # analyze validates
+    g = load_graph_json(args.graph)  # analyze validates, then refuses the grid
     if args.seed < 0:
         raise BadParamsError(f"--seed must be nonnegative, got {args.seed}")
-    _check_grid(g, args.grid)
-    an = analyze(g, cap=args.tree_cap)
-    grid, seed = args.grid, args.seed
+    an = analyze(g, cap=args.tree_cap, grid_n=args.grid, seed=args.seed)
     battery = [
-        ("localization_and_measure", partial(verify_band_localization, an, grid)),
-        ("gauge_equivalence", partial(verify_gauge_equivalence, an, seed)),
-        ("positive_splitting", partial(verify_positive_splitting, an, seed)),
-        ("exponent_counts", partial(verify_exponent_counts, an)),
-        ("perturbation_sandwich", partial(verify_perturbation, an, grid)),
+        ("localization_and_measure", verify_band_localization),
+        ("gauge_equivalence", verify_gauge_equivalence),
+        ("positive_splitting", verify_positive_splitting),
+        ("exponent_counts", verify_exponent_counts),
+        ("perturbation_sandwich", verify_perturbation),
     ]
     if an.report.I_alpha == 0:  # the phases carry no flux
-        battery.append(("bottom_of_spectrum", partial(sy_sunada_check, an, grid)))
+        battery.append(("bottom_of_spectrum", sy_sunada_check))
     checks: list[dict] = []
     for name, check in battery:  # stops at the first failed check
         try:
-            checks.append({"name": name, "passed": True, "detail": check()})
+            checks.append({"name": name, "passed": True, "detail": check(an)})
         except CheckFailedError as exc:
             checks.append({"name": name, "passed": False, "detail": str(exc)})
             break
@@ -236,6 +224,8 @@ def cmd_build_periodic(args: argparse.Namespace, out: TextIO) -> int:
 
 @cache  # built once per process; parse_args leaves it unchanged
 def _parser() -> argparse.ArgumentParser:
+    grid_help = "points per axis of the torus grid (default 101 for d <= 2, 21 above)"
+    cap_help = "refuse a graph with more spanning trees than this"
     top = argparse.ArgumentParser(prog="magspec", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -248,34 +238,35 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="Betti number and minimal-support invariants")
     p.add_argument("graph")
-    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP, help=cap_help)
     p.set_defaults(fn=cmd_invariants)
 
     p = sub.add_parser("bands", help="sweep the torus grid and report spectral bands")
     p.add_argument("graph")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None, help=grid_help)
     p.add_argument("--out", help="per-theta eigenvalue CSV")
-    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP, help=cap_help)
     p.set_defaults(fn=cmd_bands)
 
     p = sub.add_parser("verify", help="run the full identity and inequality battery")
     p.add_argument("graph")
-    p.add_argument("--grid", type=int, default=None)
-    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid", type=int, default=None, help=grid_help)
+    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP, help=cap_help)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seeds the 20 random quasimomenta of the gauge and splitting checks")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("butterfly", help="rational-flux band edges on the square lattice")
     p.add_argument("graph")
     p.add_argument("--flux-steps", type=int, required=True)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None, help=grid_help)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_butterfly)
 
     p = sub.add_parser("build-periodic", help="realize a periodic graph from finite data")
     p.add_argument("graph")
     p.add_argument("--out")
-    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP)
+    p.add_argument("--tree-cap", type=int, default=DEFAULT_TREE_CAP, help=cap_help)
     p.set_defaults(fn=cmd_build_periodic)
 
     return top
@@ -290,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GraphDataError, MagspecError) as exc:
+    except MagspecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # inputs are read by load_graph_json, so this is a write of --out

@@ -20,11 +20,12 @@ operator, the support-size bound on the total band measure, the
 perturbation sandwich under a magnetic field, positivity of the
 support part of the fiber, the gauge identity of fibers (entry for
 entry, through gauge_weights), and the exponent counts of the minimal
-pair. Each takes the Analysis of one graph (analyze validates it) and
-returns the detail dict that `verify` prints, or raises
+pair. Each takes only the Analysis of one graph (analyze validates
+the graph and fixes the grid and the seed of the random quasimomenta)
+and returns the detail dict that `verify` prints, or raises
 CheckFailedError. sy_sunada_check, the bottom-of-spectrum property of
 the phase-free operator, follows the same contract. The grid checks
-read one (mu, alpha) sweep per grid size, kept in their Analysis:
+read one (mu, alpha) sweep, Analysis.ends, made on its first read:
 sy_sunada_check runs only when the phases carry no flux, and then a
 gauge conjugates (mu, alpha) to (mu, 0). Shifted phases that are all
 exactly zero leave the perturbation sandwich nothing to solve; a phase
@@ -37,7 +38,8 @@ rounding to them, or refuses magnitudes it cannot bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -330,7 +332,7 @@ N_THETAS = 20  # random quasimomenta of the gauge and splitting checks
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
-    """What the checks need of one graph, derived from a single tree scan."""
+    """What the checks need of one graph from one tree scan, and where they sample the torus."""
 
     g: FundamentalGraph
     report: InvariantReport
@@ -341,18 +343,35 @@ class Analysis:
     phi: OneForm  # minimal phase-class form
     theta0: np.ndarray  # quasimomentum shift of theta0_reduction
     phi_tilde: OneForm  # phi shifted by theta0
-    # (lo, hi) band ends of (mu, alpha) from _grid_ends, by grid size
-    shared: dict = field(default_factory=dict, init=False, repr=False)
+    grid_n: int  # points per axis of the torus grid
+    seed: int  # of the random quasimomenta
+
+    @cached_property
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Band ends (lo, hi) of (mu, alpha) over the torus grid, swept on first read."""
+        g = self.g
+        return _band_ends(g, self.mu, self.alpha, theta_grid(g.dim, self.grid_n, g.num_vertices))
+
+    @cached_property
+    def random_thetas(self) -> np.ndarray:
+        """(N_THETAS, d) quasimomenta of the gauge and splitting checks, drawn on first read."""
+        rng = np.random.default_rng(self.seed)  # bands reads none: it skips importing numpy.random
+        return rng.uniform(-np.pi, np.pi, size=(N_THETAS, self.g.dim))
 
 
-def analyze(g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP) -> Analysis:
+def analyze(
+    g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP, grid_n: int | None = None, seed: int = 0
+) -> Analysis:
     """Invariants, minimal pair and theta0 shift of g from one scan_trees call.
 
-    Raises what validate, potential_allowance (before the scan),
-    invariants, phase_allowance (on the stored and the minimal pair)
-    and theta0_reduction raise.
+    The grid has grid_n points per axis (default_grid_n when None); the
+    random quasimomenta are drawn from seed. Raises what validate,
+    grid_axis and potential_allowance raise (in that order, before the
+    scan), then what invariants, phase_allowance (on the stored and the
+    minimal pair) and theta0_reduction raise.
     """
     validate(g)
+    grid_n = grid_axis(g.dim, grid_n, g.num_vertices).size
     allowance = potential_allowance(g)
     tau, alpha = g.index_form(), g.magnetic_form()
     scan = scan_trees(g, (tau, alpha), cap=cap)
@@ -361,19 +380,10 @@ def analyze(g: FundamentalGraph, cap: int = DEFAULT_TREE_CAP) -> Analysis:
     phase_allowance((tau.values, alpha.values), (mu.values, phi.values))
     theta0, phi_tilde = theta0_reduction(g, mu, phi)
     return Analysis(g=g, report=report, tau=tau, alpha=alpha, allowance=allowance,
-                    mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde)
+                    mu=mu, phi=phi, theta0=theta0, phi_tilde=phi_tilde, grid_n=grid_n, seed=seed)
 
 
-def _grid_ends(an: Analysis, grid_n: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """Band ends (lo, hi) of (mu, alpha) on an.g over the theta grid, one sweep per grid size."""
-    g = an.g
-    n = grid_axis(g.dim, grid_n, g.num_vertices).size
-    if n not in an.shared:
-        an.shared[n] = _band_ends(g, an.mu, an.alpha, theta_grid(g.dim, n, g.num_vertices))
-    return an.shared[n]
-
-
-def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
+def verify_band_localization(an: Analysis) -> dict:
     """Check band windows and the support-size measure bound.
 
     Every grid eigenvalue of the fiber must lie within
@@ -395,7 +405,7 @@ def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     kplus = int(support_degrees(g, mu).max())
 
     # every grid eigenvalue lies in its window exactly when the band ends do
-    lo, hi = _grid_ends(an, grid_n)
+    lo, hi = an.ends
     if not (np.all(floors - tol <= lo) and np.all(hi <= floors + 2.0 * kplus + tol)):
         raise LocalizationViolatedError("a grid eigenvalue escaped its localization window")
 
@@ -415,7 +425,7 @@ def verify_band_localization(an: Analysis, grid_n: int | None = None) -> dict:
     }
 
 
-def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
+def verify_perturbation(an: Analysis) -> dict:
     """Check the magnetic perturbation sandwich on the torus grid.
 
     Sweeps the shifted-phase fiber against the phase-free fiber and
@@ -426,14 +436,13 @@ def verify_perturbation(an: Analysis, grid_n: int | None = None) -> dict:
     the fiber's phases), so no shift, even by phases below the support
     tolerance, exceeds C_phi and the tolerances. Shifted phases that are
     all exactly zero make both fibers equal and the perturbation matrix
-    zero, so nothing is solved. Raises SandwichViolatedError on any
-    failure, and what grid_axis raises.
+    zero, so nothing is solved. Raises SandwichViolatedError on any failure.
     Returns the extreme perturbation eigenvalues Lambda_1 and Lambda_nu,
     the row-sum bound C_phi, the theta0 shift, the shifted support size,
     and the largest band-end shift and band-width change.
     """
     g, mu, phi_tilde = an.g, an.mu, an.phi_tilde
-    thetas = theta_grid(g.dim, grid_n, g.num_vertices)
+    thetas = theta_grid(g.dim, an.grid_n, g.num_vertices)
     lam_min = lam_max = band_shift = width_change = 0.0
     if np.any(phi_tilde.values):
         pairs = (mu, phi_tilde), (mu, zero_phase_form(g))
@@ -502,7 +511,7 @@ def verify_exponent_counts(an: Analysis) -> dict:
     return {"theta_dependent": n_theta, "phase_dependent": n_phase, "joint": n_both}
 
 
-def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
+def sy_sunada_check(an: Analysis) -> dict:
     """Bottom of the first band of the phase-free operator sits at theta = 0.
 
     Defined only for graphs whose phases carry no flux, I_alpha == 0
@@ -518,13 +527,13 @@ def sy_sunada_check(an: Analysis, grid_n: int | None = None) -> dict:
     if an.report.I_alpha:
         raise GraphDataError("bottom-of-spectrum check requires phases without flux")
     at_zero = eigenvalue_table(an.g, an.mu, an.alpha, np.zeros((1, an.g.dim)))[0, 0]
-    lo, _ = _grid_ends(an, grid_n)
+    lo, _ = an.ends
     if not at_zero <= lo[0] + (MATRIX_TOL + an.allowance):
         raise CheckFailedError("first band bottom is not attained at theta = 0")
     return {"attained_at_zero": True}
 
 
-def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
+def verify_gauge_equivalence(an: Analysis) -> dict:
     """The diagonal gauge conjugates flux-equivalent fibers entry for entry.
 
     Checks conj(D) H(b, a) D == H(tau, alpha) at N_THETAS random
@@ -551,8 +560,7 @@ def verify_gauge_equivalence(an: Analysis, seed: int = 0) -> dict:
         phases = (tau.values, alpha.values), (b.values, a.values), (weights.w_b, weights.w_a)
         gauges.append((b, a, weights, MATRIX_TOL + phase_allowance(*phases)))
 
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
+    thetas = an.random_thetas
     stored = fiber_stack(g, tau, alpha, thetas)
     for b, a, weights, tol in gauges:
         d = weights.diagonal_unitary(thetas)
@@ -569,7 +577,7 @@ _SPLITTING_FAILURES = (
 )
 
 
-def verify_positive_splitting(an: Analysis, seed: int = 0) -> dict:
+def verify_positive_splitting(an: Analysis) -> dict:
     """Support part of the fiber is PSD and bounded by twice its degree matrix.
 
     Also checks that the off-support and support parts sum exactly to
@@ -581,8 +589,7 @@ def verify_positive_splitting(an: Analysis, seed: int = 0) -> dict:
     """
     g, mu = an.g, an.mu
     two_b = 2.0 * np.diag(support_degrees(g, mu).astype(float))
-    rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-np.pi, np.pi, size=(N_THETAS, g.dim))
+    thetas = an.random_thetas
     full = fiber_stack(g, mu, an.alpha, thetas)
     delta0, delta_tilde = split_fiber(g, mu, an.alpha, thetas)
     split_gap = np.abs(full - (delta0 + delta_tilde)).max(axis=(1, 2))

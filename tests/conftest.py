@@ -2,9 +2,9 @@
 coordinate form of vertex positions, a cycle-walk oracle for chord
 fluxes, a path-walk oracle for tree potentials, a signed-path-matrix
 oracle for gauge weights, edge-loop
-oracles for fiber diagonals and the phase row-sum bound, and a seeded
+oracles for fiber diagonals and the phase row-sum bound, a seeded
 factory of random connected fundamental graphs whose index fluxes span
-the full integer lattice."""
+the full integer lattice, and a counter of grid sweeps."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import magspec.spectral as spectral
 from magspec import (
     MagspecError,
     enumerate_spanning_trees,
@@ -262,3 +263,24 @@ def battery_graphs():
     """The seeded 100-graph random battery shared across the verification suites."""
     rng = np.random.default_rng(20250811)
     return [make_random_graph(rng) for _ in range(100)]
+
+
+def count_grid_sweeps(monkeypatch, grid_n, dim):
+    """Record the phase form of every one-pair grid sweep, and each three-stack sweep.
+
+    Every sweep runs through _eigenvalue_chunks; the perturbation check's
+    is the one with two pairs and their difference.
+    """
+    tables, triples = [], []
+    real_chunks = spectral._eigenvalue_chunks
+
+    def chunks(g, thetas, *pairs, difference=False):
+        if len(thetas) == grid_n**dim:
+            if difference:
+                triples.append(len(thetas))
+            else:
+                tables.append(pairs[0][1].values.tobytes())
+        return real_chunks(g, thetas, *pairs, difference=difference)
+
+    monkeypatch.setattr(spectral, "_eigenvalue_chunks", chunks)
+    return tables, triples

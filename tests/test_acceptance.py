@@ -118,7 +118,7 @@ def test_criterion_3_band_localization_battery(generator_graphs, battery_graphs)
 def test_criterion_4_gauge_equivalence(generator_graphs, battery_graphs):
     checked = 0
     for i, g in enumerate(generator_graphs + battery_graphs):
-        assert verify_gauge_equivalence(analyze(g), seed=i) == {"pairs": 3, "thetas": 20}
+        assert verify_gauge_equivalence(analyze(g, seed=i)) == {"pairs": 3, "thetas": 20}
         checked += 1
     report(4, True, f"3 pairs x 20 quasimomenta on {checked} graphs agree to 1e-9")
     assert checked == len(generator_graphs) + 100
@@ -130,7 +130,7 @@ def test_criterion_5_perturbation_battery(generator_graphs, battery_graphs):
     vanishing = 0
     for g in generator_graphs:
         g = g.with_phases(rng.uniform(-np.pi, np.pi, g.num_edges))
-        rep = verify_perturbation(analyze(g), grid_n=41 if g.dim < 3 else 15)
+        rep = verify_perturbation(analyze(g, grid_n=41 if g.dim < 3 else 15))
         if rep["shifted_support_size"] == 0:
             vanishing += 1
             # shifted phases below the support tolerance move the spectrum by
@@ -139,7 +139,7 @@ def test_criterion_5_perturbation_battery(generator_graphs, battery_graphs):
             # solve nothing); the report confirms spectra equal to 1e-9
             assert rep["band_shift_max"] <= 1e-9
     for g in battery_graphs:
-        rep = verify_perturbation(analyze(g), grid_n=31)
+        rep = verify_perturbation(analyze(g, grid_n=31))
         survivors += rep["shifted_support_size"] > 0
     report(
         5,
@@ -221,7 +221,7 @@ def test_criterion_7_kagome_flat_band(kagome):
 def test_criterion_8_positive_splitting(generator_graphs, battery_graphs):
     checked = 0
     for i, g in enumerate(generator_graphs + battery_graphs):
-        assert verify_positive_splitting(analyze(g), seed=i) == {"thetas": 20}
+        assert verify_positive_splitting(analyze(g, seed=i)) == {"thetas": 20}
         checked += 1
     report(8, True, f"support part PSD and degree-bounded on {checked} graphs")
     assert checked == len(generator_graphs) + 100

@@ -249,7 +249,7 @@ def test_grid_is_refused_before_the_scan(tmp_path, capsys, monkeypatch, command,
     def no_scan(*args, **kwargs):
         raise AssertionError(f"{command} scanned trees before refusing the grid")
 
-    monkeypatch.setattr(cli, "analyze", no_scan)
+    monkeypatch.setattr(spectral, "scan_trees", no_scan)
     path = tmp_path / "g.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     code, out, err = run(capsys, command, str(path), *grid)

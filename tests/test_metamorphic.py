@@ -6,7 +6,9 @@ moves), reversing edges (which negates their index and phase) and a
 gauge change of the phases by a vertex function each describe the same
 periodic operator. Each must leave the InvariantReport identical, the
 gauge check passing, the checks that `verify` runs, with their
-verdicts, unchanged, and the band ends equal up to rounding.
+verdicts, unchanged, and the band ends equal up to rounding. A gauge
+by a dyadic vertex function, whose differences are exact, must also
+leave the work of `verify` unchanged: the number of grid sweeps.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from magspec.cli import main
 from magspec.fiber_operator import potential_allowance
 from magspec.graph_model import Edge, FundamentalGraph, reduce_angle
 from magspec.spectral import MATRIX_TOL
+
+from conftest import count_grid_sweeps
 
 
 def relabelled(g: FundamentalGraph, rng: np.random.Generator) -> FundamentalGraph:
@@ -64,9 +68,9 @@ def gauged(g: FundamentalGraph, rng: np.random.Generator) -> FundamentalGraph:
 def test_transform_keeps_invariants_and_gauge_check(battery_graphs, transform):
     rng = np.random.default_rng(8)
     for i, g in enumerate(battery_graphs):
-        an = analyze(transform(g, rng))
+        an = analyze(transform(g, rng), seed=i)
         assert an.report == invariants(g), i
-        verify_gauge_equivalence(an, seed=i)  # raises CheckFailedError on a failure
+        verify_gauge_equivalence(an)  # raises CheckFailedError on a failure
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +95,30 @@ def test_transform_keeps_verify_verdicts(verdict_graphs, transform, tmp_path, ca
     for i, g in enumerate(verdict_graphs):
         before = _verdicts(g, tmp_path, capsys)
         assert _verdicts(transform(g, rng), tmp_path, capsys) == before, i
+
+
+def dyadic_gauged(g: FundamentalGraph, rng: np.random.Generator) -> FundamentalGraph:
+    """gauged with f = k / 16 for integers |k| <= 24, so every f(head) - f(tail) is exact."""
+    f = rng.integers(-24, 25, g.num_vertices) / 16
+    return g.with_phases([e.alpha + f[e.head] - f[e.tail] for e in g.edges])
+
+
+def _sweeps(g: FundamentalGraph, tmp_path, capsys, monkeypatch) -> tuple[int, int]:
+    """The one-pair and the three-stack grid sweeps of `verify --grid 11` on g."""
+    with monkeypatch.context() as patched:
+        tables, triples = count_grid_sweeps(patched, 11, g.dim)
+        _verdicts(g, tmp_path, capsys)
+    return len(tables), len(triples)
+
+
+@pytest.mark.parametrize("transform", [relabelled, reversed_edges, dyadic_gauged])
+def test_transform_keeps_verify_sweeps(verdict_graphs, transform, tmp_path, capsys, monkeypatch):
+    # a float gauge is not an exact coboundary: the ulp of flux it leaves in phi_tilde is
+    # input the perturbation check rightly sweeps, so the work is pinned under a dyadic one
+    rng = np.random.default_rng(31)
+    for i, g in enumerate(verdict_graphs):
+        before = _sweeps(g, tmp_path, capsys, monkeypatch)
+        assert _sweeps(transform(g, rng), tmp_path, capsys, monkeypatch) == before, i
 
 
 @pytest.mark.parametrize("transform", [relabelled, reversed_edges, gauged])

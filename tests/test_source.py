@@ -56,18 +56,24 @@ def test_spectral_stays_below_the_compile_peak_step():
     )
 
 
-def test_checks_read_per_graph_facts_from_the_analysis():
-    # analyze derives the stored forms and the potential allowance once; a check
-    # that derives them again can drift from what the others read.
-    # verify_perturbation's phase-free fiber is a second operator, not a stored fact
+def _checks() -> list[ast.FunctionDef]:
+    """The verify_* battery and sy_sunada_check, as parsed from spectral.py."""
     path = Path(magspec.__file__).parent / "spectral.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    derived = {"magnetic_form", "index_form", "potential_allowance"}
-    checks = [
+    return [
         node for node in tree.body
         if isinstance(node, ast.FunctionDef)
         and (node.name.startswith("verify_") or node.name == "sy_sunada_check")
     ]
+
+
+def test_checks_read_per_graph_facts_from_the_analysis():
+    # analyze derives the stored forms and the potential allowance once, and fixes the
+    # grid and the random quasimomenta; a check that derives them again can drift from
+    # what the others read. verify_perturbation's phase-free fiber is a second
+    # operator, not a stored fact
+    derived = {"magnetic_form", "index_form", "potential_allowance", "default_rng", "grid_axis"}
+    checks = _checks()
     found = [
         f"{check.name}:{call.lineno} {name}"
         for check in checks
@@ -78,6 +84,14 @@ def test_checks_read_per_graph_facts_from_the_analysis():
     ]
     assert len(checks) == 6
     assert not found, f"checks that derive a per-graph fact again: {found}"
+
+
+def test_every_check_takes_only_the_analysis():
+    # where the checks sample the torus is set once, by analyze; so `verify` calls
+    # each check as check(an)
+    signatures = {check.name: ast.unparse(check.args) for check in _checks()}
+    assert len(signatures) == 6
+    assert signatures == {name: "an: Analysis" for name in signatures}
 
 
 def test_benchmark_trace_hooks_resolve():

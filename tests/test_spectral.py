@@ -318,12 +318,12 @@ def test_localization_decorated_equality(decorated2):
     spec = band_sweep(g, mu, phi_tilde, grid_n=41)
     widths = spec.bands[:, 1] - spec.bands[:, 0]
     assert widths.sum() == pytest.approx(8.0, abs=1e-9)
-    verify_band_localization(analyze(g), grid_n=41)  # the inequality battery also holds
+    verify_band_localization(analyze(g, grid_n=41))  # the inequality battery also holds
 
 
 def test_localization_random_battery(battery_graphs):
     for g in battery_graphs[:20]:
-        verify_band_localization(analyze(g), grid_n=31)
+        verify_band_localization(analyze(g, grid_n=31))
 
 
 def test_localization_error_path(z2, monkeypatch):
@@ -336,7 +336,7 @@ def test_localization_error_path(z2, monkeypatch):
         spectral, "support_degrees", lambda g, mu: np.zeros(g.num_vertices, dtype=np.int64)
     )
     with pytest.raises(LocalizationViolatedError):
-        verify_band_localization(analyze(z2), grid_n=21)
+        verify_band_localization(analyze(z2, grid_n=21))
 
 
 # -- perturbation battery ---------------------------------------------------------------------
@@ -344,7 +344,7 @@ def test_localization_error_path(z2, monkeypatch):
 
 def test_perturbation_no_shift_equals_phase_free(z2):
     g = z2.with_phases([1.2, -0.4])
-    rep = verify_perturbation(analyze(g), grid_n=41)
+    rep = verify_perturbation(analyze(g, grid_n=41))
     assert rep["Lambda_1"] == rep["Lambda_nu"] == rep["C_phi"] == 0.0
     assert rep["shifted_support_size"] == 0
     assert rep["band_shift_max"] == pytest.approx(0.0, abs=1e-12)
@@ -352,7 +352,7 @@ def test_perturbation_no_shift_equals_phase_free(z2):
 
 def test_perturbation_random_battery(battery_graphs):
     for g in battery_graphs[:20]:
-        verify_perturbation(analyze(g), grid_n=31)
+        verify_perturbation(analyze(g, grid_n=31))
 
 
 def test_perturbation_decorated_cycle_decoration():
@@ -364,7 +364,7 @@ def test_perturbation_decorated_cycle_decoration():
     g = g.with_phases([0.0, 0.0, 1.0, 0.7, -0.4])
     rep = invariants(g)
     assert (rep.beta, rep.I, rep.I_alpha, rep.I_mu_phi) == (3, 2, 1, 3)
-    prep = verify_perturbation(analyze(g), grid_n=41)
+    prep = verify_perturbation(analyze(g, grid_n=41))
     assert prep["shifted_support_size"] == 2
     assert prep["C_phi"] > 0
     assert prep["Lambda_1"] <= 0 <= prep["Lambda_nu"]
@@ -375,7 +375,7 @@ def test_perturbation_nontrivial_shifted_support():
     rng = np.random.default_rng(14)
     for _ in range(20):
         g = make_random_graph(rng)
-        rep = verify_perturbation(analyze(g), grid_n=21)
+        rep = verify_perturbation(analyze(g, grid_n=21))
         if rep["shifted_support_size"] > 0:
             assert rep["C_phi"] > 0
             assert rep["Lambda_nu"] >= rep["Lambda_1"]
@@ -388,7 +388,7 @@ def test_sub_tolerance_chord_phase_stays_in_the_shifted_fiber():
     # phase exactly, and C_phi and the sandwich bound it
     g = FundamentalGraph(dim=1, num_vertices=2, edges=(
         Edge(0, 1, (0,), 0.0), Edge(0, 1, (1,), 0.3), Edge(0, 1, (0,), 5e-10)))
-    an = analyze(g)
+    an = analyze(g, grid_n=11)
     assert an.mu.support() == an.phi.support() == (1,)
     solved = 1  # the one edge whose shifted phase the solve clears
     want = OneForm(an.phi.values[:, 0] + an.mu.values @ an.theta0, magnetic=True).values
@@ -396,7 +396,7 @@ def test_sub_tolerance_chord_phase_stays_in_the_shifted_fiber():
     assert got[solved, 0] == 0.0
     assert np.delete(got, solved).tobytes() == np.delete(want, solved).tobytes()
     assert got[2, 0] != 0.0 and not an.phi_tilde.support()
-    rep = verify_perturbation(an, grid_n=11)
+    rep = verify_perturbation(an)
     assert rep["Lambda_nu"] > 0 and rep["C_phi"] > 0
     assert rep["shifted_support_size"] == 0
 
@@ -406,7 +406,7 @@ def test_sub_tolerance_chord_phase_stays_in_the_shifted_fiber():
 
 def test_sy_sunada_generators(generator_graphs):
     for g in generator_graphs:
-        rep = sy_sunada_check(analyze(g), grid_n=21 if g.dim == 3 else 41)
+        rep = sy_sunada_check(analyze(g, grid_n=21 if g.dim == 3 else 41))
         assert rep == {"attained_at_zero": True}
 
 
@@ -414,7 +414,7 @@ def test_sy_sunada_hexagonal_random_potential(hexagonal):
     rng = np.random.default_rng(15)
     for _ in range(5):
         g = hexagonal.with_potential(rng.uniform(-2, 2, 2))
-        assert sy_sunada_check(analyze(g), grid_n=41) == {"attained_at_zero": True}
+        assert sy_sunada_check(analyze(g, grid_n=41)) == {"attained_at_zero": True}
 
 
 def test_sy_sunada_requires_zero_phases(z2):
@@ -429,14 +429,15 @@ def test_sy_sunada_runs_exactly_when_the_phases_carry_no_flux(battery_analyses, 
     gauged = []
     for g in generator_graphs:
         f = rng.uniform(-np.pi, np.pi, g.num_vertices)
-        gauged.append(analyze(g.with_phases([e.alpha + f[e.head] - f[e.tail] for e in g.edges])))
+        gauged.append(analyze(g.with_phases([e.alpha + f[e.head] - f[e.tail] for e in g.edges]),
+                              grid_n=11))
     assert sum(bool(np.any(an.g.magnetic_form().values)) for an in gauged) == 3
     for an in battery_analyses + gauged:
         if an.report.I_alpha:
             with pytest.raises(GraphDataError, match="phases without flux"):
-                sy_sunada_check(an, grid_n=11)
+                sy_sunada_check(an)
         else:
-            assert sy_sunada_check(an, grid_n=11) == {"attained_at_zero": True}
+            assert sy_sunada_check(an) == {"attained_at_zero": True}
 
 
 def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
@@ -447,7 +448,7 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
     from magspec import CheckFailedError
 
     g = generate("kagome").with_potential([1e8, 0.0, -5e7])
-    assert sy_sunada_check(analyze(g), grid_n=21) == {"attained_at_zero": True}
+    assert sy_sunada_check(analyze(g, grid_n=21)) == {"attained_at_zero": True}
     assert verify_gauge_equivalence(analyze(g))
     real = spectral.eigenvalue_table
     calls = []
@@ -458,7 +459,7 @@ def test_scaled_tolerance_still_catches_a_shifted_table(monkeypatch):
 
     monkeypatch.setattr(spectral, "eigenvalue_table", first_call_shifted)
     with pytest.raises(CheckFailedError, match="first band bottom is not attained at theta = 0"):
-        sy_sunada_check(analyze(g), grid_n=21)  # the table at theta = 0 is the first
+        sy_sunada_check(analyze(g, grid_n=21))  # the table at theta = 0 is the first
 
     real_stack = spectral.fiber_stack
     stacks = []
@@ -507,16 +508,16 @@ def fiber_mutant(request, monkeypatch):
 
 @pytest.fixture(scope="module")
 def battery_analyses(battery_graphs):
-    return [analyze(g) for g in battery_graphs]
+    return [analyze(g, grid_n=11, seed=i) for i, g in enumerate(battery_graphs)]
 
 
 def test_gauge_identity_catches_wrong_fibers_on_the_battery(fiber_mutant, battery_analyses):
     from magspec import CheckFailedError
 
     caught = 0
-    for i, an in enumerate(battery_analyses):
+    for an in battery_analyses:
         try:
-            verify_gauge_equivalence(an, seed=i)
+            verify_gauge_equivalence(an)
         except CheckFailedError:
             caught += 1
     # 80 of 100 for each mutant; on the rest both non-stored pairs have zero gauge weights

@@ -3,8 +3,8 @@
 Cutting the grid into chunks must give the same bits as one eigensolve
 over the whole fiber stack; memory must stay bounded by one chunk;
 oversize grids are refused before anything is allocated; each CLI
-command scans spanning trees once; and verify sweeps (mu, alpha) once
-per grid size, its band ends read by every check that needs them.
+command scans spanning trees once; and an Analysis sweeps (mu, alpha)
+once, its band ends read by every check that needs them.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ from magspec import (
 )
 from magspec.cli import main
 
+from conftest import count_grid_sweeps
+
 GRID = 13
 PHASED_HEXAGONAL = generate("hexagonal").with_phases([0.3, -0.7, 1.1])
 TINY_CHUNK_BYTES = 1000  # 62 fibers per chunk at nu = 1, 6 at nu = 3, one at nu = 6
@@ -79,12 +81,12 @@ def tiny_chunks(request, monkeypatch):
 
 @pytest.fixture(scope="module")
 def scanned(battery_graphs):
-    return [(g, analyze(g)) for g in battery_graphs]
+    return [(g, analyze(g, grid_n=GRID)) for g in battery_graphs]
 
 
 @pytest.fixture
 def analyses(scanned):
-    # a fresh copy holds no shared table, so every test and param sweeps its own
+    # a fresh copy holds no swept ends, so every test and param sweeps its own
     return [(g, replace(an)) for g, an in scanned]
 
 
@@ -106,7 +108,7 @@ def test_band_sweep_tables_match_one_shot(analyses, tiny_chunks):
 
 def test_localization_reports_match_one_shot(analyses, tiny_chunks):
     for g, an in analyses:
-        rep = verify_band_localization(an, grid_n=GRID)
+        rep = verify_band_localization(an)
         table = one_shot(g, an.mu, g.magnetic_form(), theta_grid(g.dim, GRID))
         lo, hi = table.min(axis=0), table.max(axis=0)
         assert np.array_equal(rep["bands"], np.stack([lo, hi], axis=1))
@@ -116,7 +118,7 @@ def test_localization_reports_match_one_shot(analyses, tiny_chunks):
 def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
     # the reference assembles all four stacks over the whole grid at once
     for g, an in analyses:
-        rep = verify_perturbation(an, grid_n=GRID)
+        rep = verify_perturbation(an)
         thetas = theta_grid(g.dim, GRID)
         zero = zero_phase_form(g)
         shifted = one_shot(g, an.mu, an.phi_tilde, thetas)
@@ -261,7 +263,7 @@ def test_library_band_sweep_refuses_potentials_above_the_ceiling():
 def test_perturbation_fails_on_nan_bound(monkeypatch):
     monkeypatch.setattr(spectral, "phase_perturbation_bound", lambda g, phi: float("nan"))
     with pytest.raises(SandwichViolatedError):
-        verify_perturbation(analyze(generate("hexagonal")), grid_n=11)
+        verify_perturbation(analyze(generate("hexagonal"), grid_n=11))
 
 
 @pytest.mark.parametrize("command", ["verify", "bands"])
@@ -281,27 +283,6 @@ def test_command_scans_trees_once(tmp_path, capsys, monkeypatch, command):
     assert main([command, str(path), "--grid", "21"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
-
-
-def count_grid_sweeps(monkeypatch, grid_n, dim):
-    """Record the phase form of every one-pair grid sweep, and each three-stack sweep.
-
-    Every sweep runs through _eigenvalue_chunks; the perturbation check's
-    is the one with two pairs and their difference.
-    """
-    tables, triples = [], []
-    real_chunks = spectral._eigenvalue_chunks
-
-    def chunks(g, thetas, *pairs, difference=False):
-        if len(thetas) == grid_n**dim:
-            if difference:
-                triples.append(len(thetas))
-            else:
-                tables.append(pairs[0][1].values.tobytes())
-        return real_chunks(g, thetas, *pairs, difference=difference)
-
-    monkeypatch.setattr(spectral, "_eigenvalue_chunks", chunks)
-    return tables, triples
 
 
 @pytest.mark.parametrize(
@@ -330,13 +311,13 @@ def test_verify_sweeps_each_distinct_table_once(tmp_path, capsys, monkeypatch, n
 def test_bottom_check_on_gauged_phases_catches_a_shifted_table(monkeypatch):
     # nonzero phases without flux: the theta = 0 solve reads (mu, alpha), and a 1e-3
     # shift of it must still fail the check
-    an = analyze(gauged_kagome())
+    an = analyze(gauged_kagome(), grid_n=21)
     assert an.report.I_alpha == 0 and np.any(an.g.magnetic_form().values)
-    assert sy_sunada_check(an, 21) == {"attained_at_zero": True}
+    assert sy_sunada_check(an) == {"attained_at_zero": True}
     real = spectral.eigenvalue_table
     monkeypatch.setattr(spectral, "eigenvalue_table", lambda *args: real(*args) + 1e-3)
     with pytest.raises(CheckFailedError, match="first band bottom is not attained at theta = 0"):
-        sy_sunada_check(an, 21)
+        sy_sunada_check(an)
 
 
 def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_graphs):
@@ -347,25 +328,30 @@ def test_verify_matches_checks_that_share_nothing(tmp_path, capsys, generator_gr
         assert main(["verify", str(path), "--grid", "21"]) == 0
         got = {c["name"]: c["detail"] for c in json.loads(capsys.readouterr().out)["checks"]}
         want = {
-            "localization_and_measure": verify_band_localization(analyze(g), 21),
+            "localization_and_measure": verify_band_localization(analyze(g, grid_n=21)),
             "gauge_equivalence": verify_gauge_equivalence(analyze(g)),
             "positive_splitting": verify_positive_splitting(analyze(g)),
             "exponent_counts": verify_exponent_counts(analyze(g)),
-            "perturbation_sandwich": verify_perturbation(analyze(g), 21),
-            "bottom_of_spectrum": sy_sunada_check(analyze(g), 21),
+            "perturbation_sandwich": verify_perturbation(analyze(g, grid_n=21)),
+            "bottom_of_spectrum": sy_sunada_check(analyze(g, grid_n=21)),
         }
         assert got == json.loads(json.dumps(want))
 
 
-def test_shared_table_is_keyed_by_grid():
-    # the Analysis holds the (mu, alpha) band ends per grid size, and no table
+def test_shared_ends_are_swept_once_on_first_read(monkeypatch):
+    # the Analysis sweeps the (mu, alpha) band ends of its grid on the first read of
+    # ends, once, and holds no table
     g = generate("kagome")
-    an = analyze(g)
-    for n, held in ((13, 1), (21, 2), (21, 2)):
-        verify_band_localization(an, n)
+    for n in (13, 21):
+        an = analyze(g, grid_n=n)
+        assert "ends" not in vars(an)
+        with monkeypatch.context() as patched:
+            tables, _ = count_grid_sweeps(patched, n, g.dim)
+            verify_band_localization(an)
+            sy_sunada_check(an)
+        assert len(tables) == 1
         want = one_shot(g, an.mu, g.magnetic_form(), theta_grid(2, n))
-        assert len(an.shared) == held
-        lo, hi = an.shared[n]
+        lo, hi = an.ends
         assert np.array_equal(lo, want.min(0)) and np.array_equal(hi, want.max(0))
 
 
@@ -388,17 +374,17 @@ def test_one_grid_eigenvalue_out_of_its_window_fails_localization(monkeypatch, s
     # the window check reads band ends; each end must still catch a single grid point
     shift_one_grid_eigenvalue(monkeypatch, shift, in_perturbation=False)
     with pytest.raises(LocalizationViolatedError):
-        verify_band_localization(analyze(generate("kagome")), 21)
+        verify_band_localization(analyze(generate("kagome"), grid_n=21))
 
 
 @pytest.mark.parametrize("shift, side", [(-100.0, "lower"), (100.0, "upper")])
 def test_one_grid_point_out_of_the_sandwich_fails_pointwise(monkeypatch, shift, side):
     # the pointwise sandwich reads the min and max of shifted - free over the grid
-    an = analyze(generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)))
+    an = analyze(generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)), grid_n=21)
     assert np.any(an.phi_tilde.values)
     shift_one_grid_eigenvalue(monkeypatch, shift, in_perturbation=True)
     with pytest.raises(SandwichViolatedError, match=f"{side} pointwise sandwich violated"):
-        verify_perturbation(an, 21)
+        verify_perturbation(an)
 
 
 def test_sub_tolerance_shifted_phases_keep_the_pointwise_sandwich(monkeypatch):
@@ -406,19 +392,19 @@ def test_sub_tolerance_shifted_phases_keep_the_pointwise_sandwich(monkeypatch):
     # fiber; a 1e-8 error at one grid point still exceeds Lambda_nu + 1e-9
     g = FundamentalGraph(dim=1, num_vertices=1, edges=(
         Edge(0, 0, (1,), 0.0), Edge(0, 0, (1,), 9e-10), Edge(0, 0, (1,), 9e-10)))
-    an = analyze(g)
+    an = analyze(g, grid_n=11)
     assert np.any(an.phi_tilde.values) and not an.phi_tilde.support()
-    assert verify_perturbation(an, 11)["Lambda_nu"] < 1e-8
+    assert verify_perturbation(an)["Lambda_nu"] < 1e-8
     shift_one_grid_eigenvalue(monkeypatch, 1e-8, in_perturbation=True)
     with pytest.raises(SandwichViolatedError, match="upper pointwise sandwich violated"):
-        verify_perturbation(an, 11)
+        verify_perturbation(an)
 
 
 def test_vanishing_shifted_phases_still_check_the_grid():
-    an = analyze(PHASED_HEXAGONAL)
-    assert not np.any(an.phi_tilde.values)
+    # the perturbation check solves nothing here, but analyze refuses the grid first
+    assert not np.any(analyze(PHASED_HEXAGONAL).phi_tilde.values)
     with pytest.raises(GridTooCoarseError):
-        verify_perturbation(an, grid_n=2)
+        analyze(PHASED_HEXAGONAL, grid_n=2)
 
 
 def test_negative_zero_phases_print_the_same_after_one_sweep(tmp_path, capsys, monkeypatch):
