@@ -276,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     path = getattr(args, "out", None)
     try:
+        if getattr(args, "tree_cap", 1) < 1:  # else refused only after the graph's tree count
+            raise BadParamsError(f"--tree-cap must be at least 1, got {args.tree_cap}")
         with _output(path) as out:
             return args.fn(args, out)
     except CheckFailedError as exc:

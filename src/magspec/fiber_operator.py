@@ -166,6 +166,24 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(m)
 
 
+def extreme_eigenvalues(stack: np.ndarray, diagonal: bool) -> np.ndarray:
+    """(K, 2) least and greatest eigenvalue of each matrix of a (K, nu, nu) Hermitian stack.
+
+    diagonal says that every matrix is diagonal; then no eigenproblem
+    is solved, and these are its least and greatest real diagonal
+    entries. They equal the first and last of numpy's eigvalsh bit for
+    bit on the loop-only perturbation matrices of the battery and of
+    Harper models, except where LAPACK rescales a matrix whose entries
+    all lie below about 1e-146 and may round them; the entries stay
+    exact. (A sort would do too, but numpy's first float sort in a
+    process maps about 0.2 MiB of its code into memory.)
+    """
+    if diagonal:
+        entries = np.einsum("kii->ki", stack).real
+        return np.stack([entries.min(axis=1), entries.max(axis=1)], axis=1)
+    return np.linalg.eigvalsh(stack)[:, [0, -1]]
+
+
 def add_to_diagonals(stack: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Add (nu,) values to the diagonal of every matrix of a (K, nu, nu) stack; returns it.
 

@@ -25,12 +25,19 @@ the graph and fixes the grid and the seed of the random quasimomenta)
 and returns the detail dict that `verify` prints, or raises
 CheckFailedError. sy_sunada_check, the bottom-of-spectrum property of
 the phase-free operator, follows the same contract. The grid checks
-read one (mu, alpha) sweep, Analysis.ends, made on its first read:
-sy_sunada_check runs only when the phases carry no flux, and then a
-gauge conjugates (mu, alpha) to (mu, 0). Shifted phases that are all
+read at most two sweeps of the Analysis, each made on its first read
+and never repeated. Band localization and sy_sunada_check read the
+(mu, alpha) band ends, Analysis.ends: sy_sunada_check runs only when
+the phases carry no flux, and then a gauge conjugates (mu, alpha) to
+(mu, 0). The perturbation sandwich reads the three-stack sweep of
+(mu, phi_tilde) against (mu, 0), Analysis.perturbation_sweep; when the
+stored phases are phi_tilde byte for byte, Analysis.ends is its first
+pair's ends and the grid is swept once. Shifted phases that are all
 exactly zero leave the perturbation sandwich nothing to solve; a phase
 below the support tolerance is swept, bounded by C_phi and counted
-like any other.
+like any other. Shifted phases on loops only make the perturbation
+matrix diagonal, and its extreme eigenvalues are its extreme diagonal
+entries.
 Tolerances here are base tolerances; the rounding rule of
 fiber_operator (potential_allowance, phase_allowance) adds float
 rounding to them, or refuses magnitudes it cannot bound.
@@ -57,6 +64,7 @@ from .errors import (
 from .fiber_operator import (
     add_to_diagonals,
     count_nontrivial_exponents,
+    extreme_eigenvalues,
     fiber_stack,
     gauge_weights,
     hermitian_eigenvalues,
@@ -145,16 +153,22 @@ def _eigenvalue_chunks(
     """Row slice and sorted eigenvalues of each chunk of a (K, d) theta array, in order.
 
     Per chunk: the eigenvalues of the fibers of each (b, a) pair with the
-    potential; with difference, then those of the first pair's fibers
-    minus the second's, without it. A chunk's stacks (one per pair, and
-    the difference) fit in _CHUNK_BYTES together and are dropped before
-    the next chunk is built, so a caller that folds the yielded rows
-    holds no (K, nu) array.
+    potential; with difference, then the least and greatest eigenvalue
+    (extreme_eigenvalues, (K, 2)) of the first pair's fibers minus the
+    second's, without it. When the two pairs differ only on loops that
+    difference is diagonal, decided once per sweep, and no eigenproblem
+    of it is solved. A chunk's stacks (one per pair, and the difference)
+    fit in _CHUNK_BYTES together and are dropped before the next chunk
+    is built, so a caller that folds the yielded rows holds no (K, nu)
+    array.
     """
+    # pairs that differ only on loops give fibers that differ only on the diagonal
+    loop_only = difference and not np.any(np.not_equal(*g.ends().T) & np.any(
+        [np.any(p.values != q.values, axis=1) for p, q in zip(*pairs)], axis=0))
     for rows in _chunks(thetas.shape[0], g.num_vertices, len(pairs) + difference):
         stacks = [fiber_stack(g, b, a, thetas[rows]) for b, a in pairs]
         # the difference is taken before the potential is added in place
-        extra = [np.linalg.eigvalsh(stacks[0] - stacks[1])] if difference else []
+        extra = [extreme_eigenvalues(stacks[0] - stacks[1], loop_only)] if difference else []
         eigs = [np.linalg.eigvalsh(add_to_diagonals(s, g.potential)) for s in stacks]
         del stacks  # else held while the next chunk's stacks are built
         yield rows, eigs + extra
@@ -332,7 +346,11 @@ N_THETAS = 20  # random quasimomenta of the gauge and splitting checks
 
 @dataclass(frozen=True, eq=False)
 class Analysis:
-    """What the checks need of one graph from one tree scan, and where they sample the torus."""
+    """What the checks need of one graph from one tree scan, and where they sample the torus.
+
+    Its cached properties do the sweeps and draws on first read, each
+    once: ends, perturbation_sweep and random_thetas.
+    """
 
     g: FundamentalGraph
     report: InvariantReport
@@ -348,9 +366,34 @@ class Analysis:
 
     @cached_property
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Band ends (lo, hi) of (mu, alpha) over the torus grid, swept on first read."""
-        g = self.g
+        """Band ends (lo, hi) of (mu, alpha) over the torus grid, swept on first read.
+
+        Nonzero stored phases that are the shifted ones, byte for byte,
+        give the fibers of the perturbation sweep's first pair: its ends
+        are read from that sweep (the same bits, as fibers do not depend
+        on the chunk they are solved in).
+        """
+        g, phases = self.g, self.phi_tilde.values
+        if np.any(phases) and phases.tobytes() == self.alpha.values.tobytes():
+            return self.perturbation_sweep[0]
         return _band_ends(g, self.mu, self.alpha, theta_grid(g.dim, self.grid_n, g.num_vertices))
+
+    @cached_property
+    def perturbation_sweep(self) -> tuple:
+        """Running (min, max) folds of the grid sweep of (mu, phi_tilde) against (mu, 0).
+
+        Per band: the ends of the shifted spectrum and of the phase-free
+        one; over the grid: of shifted - free, and of the perturbation
+        matrix's first and last eigenvalues. Swept on first read.
+        """
+        g = self.g
+        pairs = (self.mu, self.phi_tilde), (self.mu, zero_phase_form(g))
+        thetas = theta_grid(g.dim, self.grid_n, g.num_vertices)
+        ends_a = ends_0 = gap = lam = _NO_ENDS
+        for _, (shifted, free, x_ends) in _eigenvalue_chunks(g, thetas, *pairs, difference=True):
+            ends_a, ends_0 = _fold(ends_a, shifted), _fold(ends_0, free)
+            gap, lam = _fold(gap, (shifted - free).ravel()), _fold(lam, x_ends)
+        return ends_a, ends_0, gap, lam
 
     @cached_property
     def random_thetas(self) -> np.ndarray:
@@ -428,9 +471,10 @@ def verify_band_localization(an: Analysis) -> dict:
 def verify_perturbation(an: Analysis) -> dict:
     """Check the magnetic perturbation sandwich on the torus grid.
 
-    Sweeps the shifted-phase fiber against the phase-free fiber and
-    verifies: pointwise eigenvalue sandwich by the extreme eigenvalues
-    of the perturbation matrix, the induced bounds on band ends and
+    Reads the sweep of the shifted-phase fiber against the phase-free
+    fiber (Analysis.perturbation_sweep) and verifies: pointwise
+    eigenvalue sandwich by the extreme eigenvalues of the
+    perturbation matrix, the induced bounds on band ends and
     band widths, and the row-sum bound C_phi over every edge on the
     extreme eigenvalues (within MATRIX_TOL plus the phase_allowance of
     the fiber's phases), so no shift, even by phases below the support
@@ -442,16 +486,9 @@ def verify_perturbation(an: Analysis) -> dict:
     and the largest band-end shift and band-width change.
     """
     g, mu, phi_tilde = an.g, an.mu, an.phi_tilde
-    thetas = theta_grid(g.dim, an.grid_n, g.num_vertices)
     lam_min = lam_max = band_shift = width_change = 0.0
     if np.any(phi_tilde.values):
-        pairs = (mu, phi_tilde), (mu, zero_phase_form(g))
-        # running ends: per band of each spectrum, of shifted - free over the grid, and
-        # of the perturbation matrix's first and last eigenvalues
-        ends_a = ends_0 = gap = lam = _NO_ENDS
-        for _, (shifted, free, x_eigs) in _eigenvalue_chunks(g, thetas, *pairs, difference=True):
-            ends_a, ends_0 = _fold(ends_a, shifted), _fold(ends_0, free)
-            gap, lam = _fold(gap, (shifted - free).ravel()), _fold(lam, x_eigs[:, [0, -1]])
+        (lo_a, hi_a), (lo_0, hi_0), gap, lam = an.perturbation_sweep
         lam_min, lam_max = float(lam[0][0]), float(lam[1][1])
         # Both swept spectra carry the potential; the perturbation matrix does not.
         tol, sweep_tol = MATRIX_TOL + an.allowance, SWEEP_TOL + an.allowance
@@ -462,7 +499,6 @@ def verify_perturbation(an: Analysis) -> dict:
         if not gap[1] <= lam_max + tol:
             raise SandwichViolatedError("upper pointwise sandwich violated")
 
-        (lo_a, hi_a), (lo_0, hi_0) = ends_a, ends_0
         shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
         if not (lam_min - sweep_tol <= shifts.min() and shifts.max() <= lam_max + sweep_tol):
             raise SandwichViolatedError("band-end shift escaped the sandwich")

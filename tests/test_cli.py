@@ -757,6 +757,16 @@ def test_verify_rejects_negative_seed_before_the_scan(capsys, monkeypatch, kagom
     assert "--seed" in err
 
 
+@pytest.mark.parametrize("command", ["invariants", "bands", "verify", "build-periodic"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_tree_cap_below_one_is_refused_before_the_load(capsys, monkeypatch, kagome_file,
+                                                       command, cap):
+    monkeypatch.setattr(cli, "load_graph_json", None)  # a load would raise TypeError
+    code, out, err = run(capsys, command, kagome_file, "--tree-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: --tree-cap must be at least 1, got {cap}\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "bands"])
 def test_verify_and_bands_validate_once(tmp_path, capsys, monkeypatch, kagome_file, command):
     import sys

@@ -121,6 +121,34 @@ def test_fiber_parallel_edges_accumulate():
     assert m[1, 0] == pytest.approx(np.conj(want01))
 
 
+def fourier_coefficients(g):
+    """The Fourier coefficients C_m of theta -> fiber_stack(g, tau, alpha, theta), by FFT.
+
+    (N,) * d + (nu, nu), indexed by m mod N, from the fibers at
+    theta = 2 pi k / N on the N^d grid, N = 2 max|tau| + 1: per axis the
+    fiber is a trigonometric polynomial of degree max|tau|, so no
+    coefficient aliases another.
+    """
+    n = 2 * int(np.abs(g.index_matrix()).max(initial=0)) + 1
+    mesh = np.meshgrid(*[2.0 * np.pi * np.arange(n) / n] * g.dim, indexing="ij")
+    stack = fiber_stack(g, g.index_form(), g.magnetic_form(), np.stack([m.ravel() for m in mesh], 1))
+    return np.fft.fftn(stack.reshape((n,) * g.dim + stack.shape[1:]), axes=range(g.dim)) / n**g.dim
+
+
+def test_fiber_fourier_coefficients_are_the_oriented_edges(battery_graphs, generator_graphs):
+    # C_0 is deg minus the index-0 hops, and C_m minus the sum of exp(i alpha_e) over the
+    # oriented edges e of index m: every entry of every fiber, read with no gauge weights
+    for i, g in enumerate(battery_graphs + generator_graphs):
+        got = fourier_coefficients(g)
+        want = np.zeros_like(got)
+        want[(0,) * g.dim] += np.diag(g.degrees())
+        tau, alpha = g.index_form(), g.magnetic_form()
+        for eid, sign, tail, head in g.oriented_edges():
+            m = tuple(int(x) % got.shape[0] for x in tau.value(eid, sign))
+            want[m + (tail, head)] -= np.exp(1j * float(alpha.value(eid, sign)[0]))
+        assert np.abs(got - want).max() <= 1e-12, i
+
+
 def test_fiber_dimension_mismatch():
     g = generate("zd", 2)
     bad_b = OneForm(np.zeros((2, 1), dtype=np.int64))

@@ -115,24 +115,44 @@ def test_localization_reports_match_one_shot(analyses, tiny_chunks):
         assert np.array_equal(rep["band_widths_sum"], float((hi - lo).sum()))
 
 
-def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
+def assert_perturbation_report_is_one_shot(g, an, grid_n):
     # the reference assembles all four stacks over the whole grid at once
+    rep = verify_perturbation(an)
+    thetas = theta_grid(g.dim, grid_n)
+    zero = zero_phase_form(g)
+    shifted = one_shot(g, an.mu, an.phi_tilde, thetas)
+    free = one_shot(g, an.mu, zero, thetas)
+    x = np.linalg.eigvalsh(
+        fiber_stack(g, an.mu, an.phi_tilde, thetas) - fiber_stack(g, an.mu, zero, thetas)
+    )
+    lo_a, hi_a, lo_0, hi_0 = shifted.min(0), shifted.max(0), free.min(0), free.max(0)
+    shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
+    widths = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
+    assert np.array_equal(
+        [rep["Lambda_1"], rep["Lambda_nu"], rep["band_shift_max"], rep["width_change_max"]],
+        [x[:, 0].min(), x[:, -1].max(), np.abs(shifts).max(), widths.max()],
+    )
+
+
+def test_perturbation_reports_match_one_shot(analyses, tiny_chunks):
     for g, an in analyses:
-        rep = verify_perturbation(an)
-        thetas = theta_grid(g.dim, GRID)
-        zero = zero_phase_form(g)
-        shifted = one_shot(g, an.mu, an.phi_tilde, thetas)
-        free = one_shot(g, an.mu, zero, thetas)
-        x = np.linalg.eigvalsh(
-            fiber_stack(g, an.mu, an.phi_tilde, thetas) - fiber_stack(g, an.mu, zero, thetas)
-        )
-        lo_a, hi_a, lo_0, hi_0 = shifted.min(0), shifted.max(0), free.min(0), free.max(0)
-        shifts = np.concatenate([lo_a - lo_0, hi_a - hi_0])
-        widths = np.abs((hi_a - lo_a) - (hi_0 - lo_0))
-        assert np.array_equal(
-            [rep["Lambda_1"], rep["Lambda_nu"], rep["band_shift_max"], rep["width_change_max"]],
-            [x[:, 0].min(), x[:, -1].max(), np.abs(shifts).max(), widths.max()],
-        )
+        assert_perturbation_report_is_one_shot(g, an, GRID)
+
+
+@pytest.mark.parametrize("q, p", [(7, 3), (12, 5), (30, 7)])
+def test_shared_harper_sweep_matches_one_shot(tiny_chunks, q, p):
+    # the Landau gauge stores the shifted phases, so band localization reads the ends of
+    # the perturbation sweep, cut into three-stack chunks: still the one-shot tables'
+    g = harper_model(q, p)
+    an = analyze(g, grid_n=21)
+    assert an.phi_tilde.values.tobytes() == g.magnetic_form().values.tobytes()
+    table = one_shot(g, an.mu, g.magnetic_form(), theta_grid(2, 21))
+    lo, hi = table.min(axis=0), table.max(axis=0)
+    rep = verify_band_localization(an)
+    assert "perturbation_sweep" in vars(an)
+    assert np.array_equal(rep["bands"], np.stack([lo, hi], axis=1))
+    assert np.array_equal(rep["band_widths_sum"], float((hi - lo).sum()))
+    assert_perturbation_report_is_one_shot(g, an, 21)
 
 
 def traced_peak(fn, *args):
@@ -288,17 +308,19 @@ def test_command_scans_trees_once(tmp_path, capsys, monkeypatch, command):
 @pytest.mark.parametrize(
     "name, sweeps, triples",
     [("kagome", 1, 0), ("hex-2x2", 1, 0), ("phased-kagome", 1, 1), ("phased-hexagonal", 1, 0),
-     ("gauged-kagome", 1, 0)],
+     ("gauged-kagome", 1, 0), ("harper-12-5", 0, 1)],
 )
 def test_verify_sweeps_each_distinct_table_once(tmp_path, capsys, monkeypatch, name, sweeps, triples):
     # the phased hexagonal graph's shifted phases vanish: its perturbation check solves nothing;
-    # the gauged kagome's bottom check reads band localization's (mu, alpha) sweep
+    # the gauged kagome's bottom check reads band localization's (mu, alpha) sweep; Harper's
+    # Landau gauge stores its shifted phases, so localization reads the three-stack sweep
     g = {
         "kagome": generate("kagome"),
         "hex-2x2": supercell(generate("hexagonal"), SupercellSpec((2, 2))),
         "phased-kagome": generate("kagome").with_phases(np.linspace(-3.0, 3.0, 6)),
         "phased-hexagonal": PHASED_HEXAGONAL,
         "gauged-kagome": gauged_kagome(),
+        "harper-12-5": harper_model(12, 5),
     }[name]
     path = tmp_path / f"{name}.json"
     dump_graph_json(g, path)
@@ -387,6 +409,84 @@ def test_one_grid_point_out_of_the_sandwich_fails_pointwise(monkeypatch, shift, 
         verify_perturbation(an)
 
 
+def loop_only(g, an):
+    """Whether the shifted phases are nonzero on loops only: the perturbation matrix is diagonal."""
+    on = an.phi_tilde.values[:, 0] != 0
+    return bool(np.any(on) and not np.any(on & np.not_equal(*g.ends().T)))
+
+
+def test_sorted_diagonal_is_eigvalsh_on_loop_only_perturbations(scanned, monkeypatch):
+    # every loop-only perturbation matrix is diagonal, its sorted diagonal is eigvalsh's
+    # bits, and the sweep reads its extreme entries for eigvalsh's first and last
+    # eigenvalues, on the battery and on Harper at nu = 30 and 60; a sweep whose pairs
+    # differ off the loops solves its eigenproblems
+    harper = [harper_model(30, 7), harper_model(60, 1)]
+    graphs = [(g, an) for g, an in scanned if np.any(an.phi_tilde.values)]
+    graphs += [(g, analyze(g, grid_n=11)) for g in harper]
+    real = spectral.extreme_eigenvalues
+    diagonal_rows = []
+    monkeypatch.setattr(spectral, "extreme_eigenvalues", lambda stack, diagonal: (
+        diagonal_rows.append(len(stack) if diagonal else 0) or real(stack, diagonal)))
+    diagonal = 0
+    for i, (g, an) in enumerate(graphs):
+        thetas = theta_grid(g.dim, 11)
+        pairs = (an.mu, an.phi_tilde), (an.mu, zero_phase_form(g))
+        x = fiber_stack(g, *pairs[0], thetas) - fiber_stack(g, *pairs[1], thetas)
+        want = np.linalg.eigvalsh(x)
+        del diagonal_rows[:]
+        chunks = spectral._eigenvalue_chunks(g, thetas, *pairs, difference=True)
+        got = np.concatenate([eigs[2] for _, eigs in chunks])
+        assert got.tobytes() == want[:, [0, -1]].tobytes(), i
+        if loop_only(g, an):
+            diagonal += 1
+            assert not np.any(x[:, ~np.eye(g.num_vertices, dtype=bool)]), i
+            assert np.sort(np.einsum("kii->ki", x).real).tobytes() == want.tobytes(), i
+            assert sum(diagonal_rows) == len(thetas), i
+        else:
+            assert not any(diagonal_rows), i
+    assert diagonal == 25 + len(harper)
+
+
+def test_diagonal_extremes_are_exact_where_lapack_rescales(monkeypatch):
+    # zheevd rescales a matrix whose entries all lie below about 1.5e-146, and its
+    # eigenvalues may then miss the diagonal's last bits; the diagonal entries are read
+    # as they are. Shifted phases cannot get there (a magnetic form reduces anything
+    # below about 4e-16 to 0), so a stand-in fiber puts each loop's phase on the diagonal
+    g = FundamentalGraph(dim=1, num_vertices=5, edges=(
+        Edge(0, 0, (1,), 0.0), Edge(1, 1, (1,), 0.0), Edge(1, 2, (1,), 0.0)))
+    tau = g.index_form()
+    loops = OneForm(np.array([[1e-200], [-3e-201], [0.0]]))
+
+    def loop_phases_on_the_diagonal(g, b, a, thetas):
+        diagonal = np.zeros(g.num_vertices)
+        diagonal[[0, 1]] = a.values[[0, 1], 0]
+        return np.repeat(np.diag(diagonal).astype(complex)[None], len(thetas), axis=0)
+
+    monkeypatch.setattr(spectral, "fiber_stack", loop_phases_on_the_diagonal)
+    thetas = theta_grid(1, 5)
+    chunks = spectral._eigenvalue_chunks(g, thetas, (tau, loops), (tau, zero_phase_form(g)),
+                                         difference=True)
+    x_ends = np.concatenate([eigs[2] for _, eigs in chunks])
+    assert np.array_equal(x_ends, np.tile([-3e-201, 1e-200], (len(thetas), 1)))
+
+
+def test_harper_verify_solves_no_diagonal_stack(tmp_path, capsys, monkeypatch):
+    # harper-q12-p5's perturbation matrices are diagonal: none reaches eigvalsh
+    path = tmp_path / "harper.json"
+    dump_graph_json(harper_model(12, 5), path)
+    real = np.linalg.eigvalsh
+    solved = []  # per eigvalsh call: whether every matrix it got was diagonal
+
+    def counted(m):
+        solved.append(not np.any(m[..., ~np.eye(m.shape[-1], dtype=bool)]))
+        return real(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    assert main(["verify", str(path), "--grid", "21"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"]
+    assert len(solved) > 0 and not any(solved)
+
+
 def test_sub_tolerance_shifted_phases_keep_the_pointwise_sandwich(monkeypatch):
     # shifted phases of 9e-10 lie below the support tolerance but stay in the
     # fiber; a 1e-8 error at one grid point still exceeds Lambda_nu + 1e-9
@@ -397,7 +497,7 @@ def test_sub_tolerance_shifted_phases_keep_the_pointwise_sandwich(monkeypatch):
     assert verify_perturbation(an)["Lambda_nu"] < 1e-8
     shift_one_grid_eigenvalue(monkeypatch, 1e-8, in_perturbation=True)
     with pytest.raises(SandwichViolatedError, match="upper pointwise sandwich violated"):
-        verify_perturbation(an)
+        verify_perturbation(replace(an))  # a fresh copy: an holds the unshifted sweep
 
 
 def test_vanishing_shifted_phases_still_check_the_grid():
